@@ -8,7 +8,8 @@ report with the shape
 
 Exact rationals are serialised as "p/q" strings.  Exit codes: 0 success,
 1 a verification command found a violation, 2 a budget or horizon was
-exhausted before the answer was certified.
+exhausted before the answer was certified, 3 a usage or parse error (the
+JSON body {"error": ...} goes to stderr, with "offset" for parse errors).
 
 Block-sequence corpora are JSON files: {"blocks": ["<vector>", ...]} in
 the vector grammar.
@@ -18,19 +19,43 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import analysis, constructions, families, norms, parsing
 from .families import SchreierFamily
+from .ordinals import compare
 from .reports import to_jsonable
 from .vectors import BlockSequence
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BUDGET = 2
+EXIT_USAGE = 3
+
+
+class UsageError(Exception):
+    """Arguments that parse but cannot be run, reported with EXIT_USAGE."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a UsageError instead of exiting with 2,
+    which is EXIT_BUDGET here."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
 def _emit(args, command: str, params: dict, values, witnesses=None,
@@ -55,22 +80,20 @@ def _emit(args, command: str, params: dict, values, witnesses=None,
 def _load_blocks(path: Optional[str], default_length: int = 16) -> BlockSequence:
     if path is None:
         return BlockSequence.basis(default_length)
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read block corpus {path}: {exc}") from exc
     blocks = tuple(parsing.parse_vector(t) for t in data["blocks"])
     return BlockSequence(blocks)
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def _parse_coeffs(text: str) -> dict:
-    out = {}
-    for item in text.split(","):
-        coord, value = item.split(":")
-        out[int(coord)] = Fraction(value)
-    return out
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"not a rational number: {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +119,8 @@ def _cmd_schreier(args) -> int:
                      {"family": args.family, "set": args.set},
                      {"member": res.member}, res.witness)
     if args.sub == "maximal":
+        if args.first > args.horizon:
+            raise UsageError("--first must be <= --horizon")
         enum = families.enumerate_maximal(fam, args.first, args.horizon)
         return _emit(args, "schreier maximal",
                      {"family": args.family, "first": args.first, "horizon": args.horizon},
@@ -104,7 +129,9 @@ def _cmd_schreier(args) -> int:
                      certified_horizon=args.horizon,
                      budget_exhausted=enum.all_truncated)
     if args.sub == "mass":
-        coeffs = _parse_coeffs(args.coeffs)
+        coeffs = dict(parsing.parse_vector(args.coeffs).entries)
+        if any(c < 0 for c in coeffs.values()):
+            raise UsageError("--coeffs must be non-negative")
         res = families.family_mass(coeffs, fam)
         return _emit(args, "schreier mass",
                      {"family": args.family, "coeffs": args.coeffs},
@@ -118,13 +145,15 @@ def _cmd_ordinal(args) -> int:
         return _emit(args, "ordinal add", {"a": args.a, "b": args.b},
                      {"sum": parsing.print_ordinal(value)})
     if args.sub == "compare":
-        from .ordinals import compare
         c = compare(parsing.parse_ordinal(args.a), parsing.parse_ordinal(args.b))
         word = {-1: "less", 0: "equal", 1: "greater"}[c]
         return _emit(args, "ordinal compare", {"a": args.a, "b": args.b}, {"order": word})
     if args.sub == "fundamental":
         from .ordinals import fundamental
-        value = fundamental(parsing.parse_ordinal(args.limit), args.n)
+        limit = parsing.parse_ordinal(args.limit)
+        if not limit.is_limit:
+            raise UsageError(f"--limit {args.limit} is not a limit ordinal")
+        value = fundamental(limit, args.n)
         return _emit(args, "ordinal fundamental", {"limit": args.limit, "n": args.n},
                      {"value": parsing.print_ordinal(value)})
     if args.sub == "parse":
@@ -158,6 +187,10 @@ def _cmd_scc(args) -> int:
     zeta = parsing.parse_ordinal(args.zeta)
     eps = _parse_fraction(args.eps)
     labels = parsing.parse_sequence(args.seq)
+    if compare(zeta, xi) >= 0:
+        raise UsageError("--zeta must be below --xi")
+    if eps <= 0:
+        raise UsageError("--eps must be > 0")
     try:
         if args.sub == "basic":
             res = constructions.scc_basic(xi, zeta, eps, labels, budget=args.budget)
@@ -191,7 +224,10 @@ def _cmd_smodel(args) -> int:
 
 def _second_spec(text: str):
     if text.startswith("interval:"):
-        return analysis.IntervalNormSpec(int(text.split(":", 1)[1]))
+        count = text.split(":", 1)[1]
+        if not count.isdigit() or int(count) < 1:
+            raise UsageError(f"--second {text}: interval:<n> needs an integer n >= 1")
+        return analysis.IntervalNormSpec(int(count))
     return parsing.parse_space(text)
 
 
@@ -305,13 +341,11 @@ def vars_of(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="schreier",
         description="Exact Schreier-family combinatorics, implicit norms, "
         "and distortion witness searches",
     )
-    top.add_argument("--seed", type=int, default=0, help="seed for randomised searches")
-    top.add_argument("--jobs", type=int, default=1, help="cap on internal parallelism")
     top.add_argument("--out", help="write the JSON report to this path")
     verbs = top.add_subparsers(dest="verb", required=True)
 
@@ -322,15 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--set", required=True)
     q = sub.add_parser("maximal")
     q.add_argument("--family", required=True)
-    q.add_argument("--first", type=int, required=True)
-    q.add_argument("--horizon", type=int, required=True)
+    q.add_argument("--first", type=_at_least(1), required=True)
+    q.add_argument("--horizon", type=_at_least(1), required=True)
     q = sub.add_parser("mass")
     q.add_argument("--family", required=True)
     q.add_argument("--coeffs", required=True, help="coord:value pairs, comma separated")
     q = sub.add_parser("threshold")
     q.add_argument("--xi", required=True)
     q.add_argument("--zeta", required=True)
-    q.add_argument("--horizon", type=int, required=True)
+    q.add_argument("--horizon", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_schreier)
 
     p = verbs.add_parser("ordinal", help="ordinal arithmetic")
@@ -343,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--b", required=True)
     q = sub.add_parser("fundamental")
     q.add_argument("--limit", required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_at_least(1), required=True)
     q = sub.add_parser("parse")
     q.add_argument("--text", required=True)
     p.set_defaults(func=_cmd_ordinal)
@@ -356,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("j")
     q.add_argument("--space", required=True)
     q.add_argument("--vector", required=True)
-    q.add_argument("--j", type=int, required=True)
+    q.add_argument("--j", type=_at_least(2), required=True)
     q = sub.add_parser("interval")
     q.add_argument("--space", required=True)
     q.add_argument("--vector", required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_norm)
 
     p = verbs.add_parser("scc", help="special convex combinations")
@@ -381,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("profile")
     q.add_argument("--space", required=True)
     q.add_argument("--family", required=True)
-    q.add_argument("--horizon", type=int, required=True)
+    q.add_argument("--horizon", type=_at_least(1), required=True)
     q.add_argument("--blocks", default=None)
     p.set_defaults(func=_cmd_smodel)
 
@@ -398,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--second", required=True)
     q.add_argument("--family", default="S(1)")
     q.add_argument("--t", default="101/100")
-    q.add_argument("--n", type=int, default=2)
+    q.add_argument("--n", type=_at_least(1), default=2)
     p.set_defaults(func=_cmd_distort)
 
     p = verbs.add_parser("verify", help="inclusion and construction checks")
@@ -406,25 +440,25 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("bracket")
     q.add_argument("--lhs", required=True)
     q.add_argument("--rhs", required=True)
-    q.add_argument("--horizon", type=int, required=True)
+    q.add_argument("--horizon", type=_at_least(1), required=True)
     q = sub.add_parser("pair-absorption")
     q.add_argument("--xi", required=True)
-    q.add_argument("--horizon", type=int, required=True)
+    q.add_argument("--horizon", type=_at_least(1), required=True)
     q = sub.add_parser("refinement")
     q.add_argument("--which", choices=("outer", "whole", "union"), required=True,
                    help="refine the outer family, the whole bracket, or block unions")
     q.add_argument("--xi", required=True)
     q.add_argument("--zeta", required=True)
-    q.add_argument("--horizon", type=int, required=True)
+    q.add_argument("--horizon", type=_at_least(1), required=True)
     q.add_argument("--seq", default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = verbs.add_parser("diag", help="finite index diagnostics")
     sub = p.add_subparsers(dest="sub", required=True)
     q = sub.add_parser("alpha")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--floor", type=int, required=True)
-    q.add_argument("--horizon", type=int, required=True)
+    q.add_argument("--n", type=_at_least(1), required=True)
+    q.add_argument("--floor", type=_at_least(2), required=True)
+    q.add_argument("--horizon", type=_at_least(1), required=True)
     q.add_argument("--blocks", default=None)
     p.set_defaults(func=_cmd_diag)
 
@@ -432,13 +466,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    random.seed(args.seed)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except parsing.ParseError as exc:
         print(json.dumps({"error": str(exc), "offset": exc.offset}), file=sys.stderr)
-        return EXIT_VIOLATION
+        return EXIT_USAGE
+    except UsageError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return EXIT_USAGE
     except constructions.BudgetExhausted as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_BUDGET

@@ -24,6 +24,18 @@ Spaces:
     intervals; the recursion below computes its least fixpoint exactly and
     assembles a norming functional witnessing each value from below.
 
+The Tsirelson, Schlumprecht and mixed evaluators and the interval norms
+(norm_j, interval_norm) share one kernel, `_cover`: the best sum of chunk
+values over at most k contiguous chunks covering support positions s..j,
+memoised under the key (s, j, min(k, j - s + 1)).  "At most k" gives the
+same sup as "exactly k": when a piece E splits into E' < E'',
+|E x| <= |E' x| + |E'' x| by the triangle inequality and
+1-unconditionality, so splitting a chunk never lowers the sum, and the
+split keeps the first piece's minimum, so admissibility holds too.  (The
+Schlumprecht weight depends on k; its session says why the kernel is
+still exact there.)  A norm that is itself a sup over splits asks the
+kernel for at least two chunks, so it never needs its own value.
+
 Piece systems are restricted to interval chunks of the support, with gaps
 allowed between pieces but not inside them: all these norms are
 1-unconditional lattice norms, monotone under support restriction, so
@@ -163,6 +175,45 @@ def _best_leaf(x: Vector) -> Tuple[Fraction, Optional[PartLeaf]]:
 
 
 # ---------------------------------------------------------------------------
+# the chunk-cover kernel
+# ---------------------------------------------------------------------------
+
+
+def _cover(chunk, memo: dict, s: int, j: int, k: int, split: bool = False):
+    """Best sum over at most k contiguous chunks covering positions s..j.
+
+    `chunk(a, b)` returns (value, witness) for the chunk of positions a..b;
+    the result is (best sum, the chosen chunks' witnesses in order).  With
+    split=True at least two chunks are used (k >= 2 and s < j), so a chunk
+    function whose value is itself a sup over splits of a..b never asks
+    for its own value.
+
+    `memo` holds the best split of s..j into 2..k chunks under the key
+    (s, j, min(k, j - s + 1)): no cover has more chunks than positions, so
+    every larger k shares one entry.  Chunks only ever split into strictly
+    shorter chunks, so the recursion is well founded.
+    """
+    k = min(k, j - s + 1)
+    if k < 2:
+        v, w = chunk(s, j)
+        return v, (w,)
+    key = (s, j, k)
+    hit = memo.get(key)
+    if hit is None:
+        best = None
+        for m in range(s, j):
+            v1, w1 = chunk(s, m)
+            v2, ws = _cover(chunk, memo, m + 1, j, k - 1)
+            if best is None or v1 + v2 > best:
+                best, wits = v1 + v2, (w1,) + ws
+        hit = memo[key] = (best, wits)
+    if split:
+        return hit
+    v, w = chunk(s, j)
+    return hit if hit[0] > v else (v, (w,))
+
+
+# ---------------------------------------------------------------------------
 # Tsirelson and Schlumprecht evaluators
 # ---------------------------------------------------------------------------
 
@@ -170,47 +221,36 @@ def _best_leaf(x: Vector) -> Tuple[Fraction, Optional[PartLeaf]]:
 class _TsirelsonSession:
     """Exact DP over interval restrictions of the support.
 
-    norm[i,j] is the norm of x restricted to support positions i..j.  A
-    partition starts at some position s (dropping earlier positions keeps
-    min E_1 large) and splits positions s..j into k contiguous chunks,
-    2 <= k <= min(value at s, chunk count available).
+    norm(i, j) is the norm of x restricted to support positions i..j: the
+    largest |x_c| there, or half the best split of positions s..j into at
+    most min(value at s, j - s + 1) chunks, for some start s (dropping
+    earlier positions keeps min E_1 large).
     """
 
     def __init__(self, x: Vector):
-        self.x = x
         self.pos = x.support()
+        self.vals = [v for _, v in x.entries]
+        self.absvals = [abs(v) for v in self.vals]
         self.memo: Dict[Tuple[int, int], Tuple[Fraction, Partition]] = {}
+        self.cover_memo: dict = {}
 
     def norm(self, i: int, j: int) -> Tuple[Fraction, Partition]:
-        key = (i, j)
-        hit = self.memo.get(key)
+        hit = self.memo.get((i, j))
         if hit is not None:
             return hit
-        sub = self.x.restrict(self.pos[i : j + 1])
-        best, wit = _best_leaf(sub)
-        for s in range(i, j + 1):
-            kmax = min(self.pos[s], j - s + 1)
-            for k in range(2, kmax + 1):
-                val, parts = self._split(s, j, k)
-                val = val / 2
-                if val > best:
-                    best, wit = val, PartNode(Fraction(1, 2), parts)
-        self.memo[key] = (best, wit)
+        t = max(range(i, j + 1), key=self.absvals.__getitem__)
+        best = self.absvals[t]
+        wit: Partition = PartLeaf(self.pos[t], -1 if self.vals[t] < 0 else 1)
+        for s in range(i, j):
+            k = min(self.pos[s], j - s + 1)
+            if k < 2:
+                continue
+            val, parts = _cover(self.norm, self.cover_memo, s, j, k, split=True)
+            val = val / 2
+            if val > best:
+                best, wit = val, PartNode(Fraction(1, 2), parts)
+        self.memo[(i, j)] = (best, wit)
         return best, wit
-
-    def _split(self, s: int, j: int, k: int) -> Tuple[Fraction, Tuple[Partition, ...]]:
-        """Best sum over exactly k contiguous chunks covering positions s..j."""
-        if k == 1:
-            v, w = self.norm(s, j)
-            return v, (w,)
-        best = None
-        best_parts: Tuple[Partition, ...] = ()
-        for m in range(s, j - k + 2):
-            v1, w1 = self.norm(s, m)
-            v2, parts = self._split(m + 1, j, k - 1)
-            if best is None or v1 + v2 > best:
-                best, best_parts = v1 + v2, (w1,) + parts
-        return best, best_parts
 
 
 def _tsirelson_norm(x: Vector) -> NormResult:
@@ -223,37 +263,36 @@ def _tsirelson_norm(x: Vector) -> NormResult:
 
 class _SchlumprechtSession:
     """Same DP shape as Tsirelson with weight 1/log2(k+1) and no
-    admissibility constraint; float arithmetic with a declared tolerance."""
+    admissibility constraint; float arithmetic with a declared tolerance.
+
+    The weight depends on the chunk count, so norm(i, j) reads the kernel
+    once per k.  "At most k" is still exact: a best split into k' <= k
+    chunks carries the larger weight 1/log2(k'+1), so weighting it by
+    1/log2(k+1) never exceeds the sup.
+    """
 
     def __init__(self, x: Vector):
-        self.x = x
-        self.pos = x.support()
-        self.vals = [float(x[c]) for c in self.pos]
-        self.memo: Dict[Tuple[int, int], float] = {}
+        self.vals = [abs(float(v)) for _, v in x.entries]
+        self.memo: Dict[Tuple[int, int], Tuple[float, None]] = {}
+        self.cover_memo: dict = {}
 
-    def norm(self, i: int, j: int) -> float:
-        key = (i, j)
-        hit = self.memo.get(key)
+    def norm(self, i: int, j: int) -> Tuple[float, None]:
+        hit = self.memo.get((i, j))
         if hit is not None:
             return hit
-        best = max(abs(v) for v in self.vals[i : j + 1])
-        n = j - i + 1
-        for k in range(2, n + 1):
-            best = max(best, self._split(i, j, k) / math.log2(k + 1))
-        self.memo[key] = best
-        return best
-
-    def _split(self, i: int, j: int, k: int) -> float:
-        if k == 1:
-            return self.norm(i, j)
-        return max(self.norm(i, m) + self._split(m + 1, j, k - 1) for m in range(i, j - k + 2))
+        best = max(self.vals[i : j + 1])
+        for k in range(2, j - i + 2):
+            val, _ = _cover(self.norm, self.cover_memo, i, j, k, split=True)
+            best = max(best, val / math.log2(k + 1))
+        self.memo[(i, j)] = (best, None)
+        return best, None
 
 
 def _schlumprecht_norm(x: Vector, tolerance: float) -> NormResult:
     if x.is_zero:
         return NormResult(0.0, exact=False, tolerance=tolerance)
     session = _SchlumprechtSession(x)
-    value = session.norm(0, len(x.support()) - 1)
+    value, _ = session.norm(0, len(x.support()) - 1)
     return NormResult(value, exact=False, tolerance=tolerance)
 
 
@@ -266,22 +305,28 @@ class _MixedSession:
     """Exact recursion for the mixed Schreier norm with functional witnesses.
 
     Pieces are intervals of support positions: (start, end) inclusive.
-    `norm(i, j)` evaluates the restriction to positions i..j; `weighted`
-    is the auxiliary |y|_j value over chunk covers.  Budget guards the
-    worst-case exponential piece-system enumeration; when it runs out the
-    session keeps the values found so far, which stay certified lower
-    bounds, and reports non-convergence.
+    `norm(i, j)` evaluates the restriction to positions i..j; the auxiliary
+    |y|_j value of a piece is the kernel's cover with at most j chunks,
+    whose memo is shared across depths.  Budget guards the worst-case
+    exponential piece-system enumeration; when it runs out the session
+    keeps the values found so far, which stay certified lower bounds, and
+    reports non-convergence.
     """
 
     def __init__(self, x: Vector, xi: Ordinal, depth_cap: int, budget: int = 30_000_000):
-        self.x = x
         self.pos = x.support()
+        self.vals = [v for _, v in x.entries]
+        self.absvals = [abs(v) for v in self.vals]
+        # prefix[t] is the l1 mass of positions 0..t-1
+        self.prefix = [Fraction(0)]
+        for v in self.absvals:
+            self.prefix.append(self.prefix[-1] + v)
         self.fam = SchreierFamily(omega_power(xi))
         self.depth_cap = depth_cap
         self.budget = budget
         self.converged = True
         self.norm_memo: Dict[Tuple[int, int], Tuple[Fraction, Functional]] = {}
-        self.cover_memo: Dict[Tuple[int, int, int], Tuple[Fraction, Tuple[Functional, ...]]] = {}
+        self.cover_memo: dict = {}
 
     def _tick(self) -> bool:
         self.budget -= 1
@@ -295,13 +340,17 @@ class _MixedSession:
         hit = self.norm_memo.get(key)
         if hit is not None:
             return hit
-        sub = self.x.restrict(self.pos[i : j + 1])
-        coord = max(sub.support(), key=lambda c: abs(sub[c]))
-        state: List = [abs(sub[coord]), Unit(-1 if sub[coord] < 0 else 1, coord)]
+        t = max(range(i, j + 1), key=self.absvals.__getitem__)
+        state: List = [self.absvals[t], Unit(-1 if self.vals[t] < 0 else 1, self.pos[t])]
         if depth >= self.depth_cap:
             self.converged = False
             self.norm_memo[key] = (state[0], state[1])
             return state[0], state[1]
+        # mass[a] is the l1 mass of positions a..j
+        mass = [self.prefix[j + 1] - p for p in self.prefix[: j + 1]]
+
+        def chunk(a: int, b: int) -> Tuple[Fraction, Functional]:
+            return self.norm(a, b, depth + 1)
 
         # DFS over piece systems: successive intervals with gaps allowed,
         # minima admissible, excluding the single whole-interval piece.
@@ -316,7 +365,7 @@ class _MixedSession:
             for a in range(start, j + 1):
                 # everything from position a rightwards is worth at most
                 # its l1 mass, and that mass shrinks as a grows
-                if total + self._l1(a, j) <= state[0]:
+                if total + mass[a] <= state[0]:
                     return
                 new_minima = minima + (self.pos[a],)
                 if not member(new_minima, self.fam).member:
@@ -329,7 +378,7 @@ class _MixedSession:
                         return
                     if not children and (a, b) == (i, j):
                         continue
-                    val, chunk_wits = self.cover(a, b, jq, depth + 1)
+                    val, chunk_wits = _cover(chunk, self.cover_memo, a, b, jq)
                     t2 = total + val / jq
                     ch2 = children + (Average(jq, chunk_wits),)
                     if t2 > state[0]:
@@ -339,29 +388,6 @@ class _MixedSession:
         dfs(i, (), 0, 0, Fraction(0), ())
         self.norm_memo[key] = (state[0], state[1])
         return state[0], state[1]
-
-    def cover(
-        self, i: int, j: int, jweight: int, depth: int
-    ) -> Tuple[Fraction, Tuple[Functional, ...]]:
-        """Best sum over at most jweight contiguous chunks covering i..j."""
-        k = min(jweight, j - i + 1)
-        key = (i, j, k)
-        hit = self.cover_memo.get(key)
-        if hit is not None:
-            return hit
-        v, w = self.norm(i, j, depth)
-        best, best_wits = v, (w,)
-        if k > 1:
-            for m in range(i, j):
-                v1, w1 = self.norm(i, m, depth)
-                v2, wits = self.cover(m + 1, j, k - 1, depth)
-                if v1 + v2 > best:
-                    best, best_wits = v1 + v2, (w1,) + wits
-        self.cover_memo[key] = (best, best_wits)
-        return best, best_wits
-
-    def _l1(self, i: int, j: int) -> Fraction:
-        return sum((abs(self.x[self.pos[t]]) for t in range(i, j + 1)), Fraction(0))
 
 
 def _mixed_norm(space: MixedSchreierSpace, x: Vector) -> NormResult:
@@ -413,79 +439,48 @@ def norm_value(space: NormSpace, x: Vector):
 def norm_j(space: NormSpace, x: Vector, j: int) -> NormResult:
     """|x|_j = sup (1/j) * sum of piece norms over at most j successive pieces.
 
-    Exact via a chunk-cover dynamic program over the support (interval
-    pieces covering the support suffice: the norms here are monotone under
-    support restriction and subadditive over splits).
+    The interval norm with j pieces, scaled by 1/j.
     """
     if j < 2:
         raise ValueError("the weighted norms need j >= 2")
-    if x.is_zero:
-        return NormResult(Fraction(0), exact=True)
-    intervals, chunk_results = _best_cover(space, x, j)
-    exact = all(r.exact for r in chunk_results)
-    total = sum(r.value for r in chunk_results)
-    if exact:
-        total = Fraction(total) / j
-        witness = PartNode(Fraction(1, j), tuple(r.witness for r in chunk_results))
-        return NormResult(total, exact=True, witness=witness)
-    return NormResult(total / j, exact=False, tolerance=1e-9)
+    return _interval_cover(space, x, j, j)
 
 
 def interval_norm(space: NormSpace, x: Vector, n: int) -> NormResult:
     """Sup of sums of norms over at most n successive interval restrictions."""
     if n < 1:
         raise ValueError("need n >= 1 intervals")
+    return _interval_cover(space, x, n, 1)
+
+
+def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResult:
+    """(1/scale) * the best sum of chunk norms over at most n interval
+    chunks covering the support.
+
+    Covering chunks suffice: filling a gap never lowers a chunk norm
+    (support monotonicity) and splitting a chunk never lowers the sum
+    (triangle inequality).  For T the chunk values come from one session
+    over the whole of x; other spaces evaluate each chunk with `norm`.
+    """
     if x.is_zero:
         return NormResult(Fraction(0), exact=True)
-    intervals, chunk_results = _best_cover(space, x, n)
-    exact = all(r.exact for r in chunk_results)
-    total = sum(r.value for r in chunk_results)
-    if exact:
-        witness = PartNode(Fraction(1), tuple(r.witness for r in chunk_results))
-        return NormResult(Fraction(total), exact=True, witness=witness)
-    return NormResult(total, exact=False, tolerance=1e-9)
-
-
-def _best_cover(space: NormSpace, x: Vector, max_pieces: int):
-    """Best split of the support into at most max_pieces interval chunks,
-    maximising the sum of chunk norms.
-
-    Covering chunks with the largest allowed count are optimal: splitting a
-    chunk never lowers the sum (triangle inequality) and filling gaps never
-    lowers a chunk norm (support monotonicity).
-    """
     pos = x.support()
-    n = len(pos)
-    chunk_memo: Dict[Tuple[int, int], NormResult] = {}
+    if isinstance(space, TsirelsonSpace):
+        total, parts = _cover(_TsirelsonSession(x).norm, {}, 0, len(pos) - 1, n)
+        return NormResult(total / scale, exact=True, witness=PartNode(Fraction(1, scale), parts))
+    results: Dict[Tuple[int, int], NormResult] = {}
 
-    def chunk(i: int, jx: int) -> NormResult:
-        key = (i, jx)
-        if key not in chunk_memo:
-            chunk_memo[key] = norm(space, x.restrict(pos[i : jx + 1]))
-        return chunk_memo[key]
+    def chunk(a: int, b: int) -> Tuple[object, NormResult]:
+        r = results.get((a, b))
+        if r is None:
+            r = results[(a, b)] = norm(space, x.restrict(pos[a : b + 1]))
+        return r.value, r
 
-    memo: Dict[Tuple[int, int], Tuple[object, Tuple[Tuple[int, int], ...]]] = {}
-
-    def best(i: int, k: int):
-        key = (i, k)
-        if key in memo:
-            return memo[key]
-        if k == 1 or i == n - 1:
-            out = (chunk(i, n - 1).value, ((i, n - 1),))
-        else:
-            out = None
-            for m in range(i, n - 1):
-                cand = chunk(i, m).value + best(m + 1, k - 1)[0]
-                if out is None or cand > out[0]:
-                    out = (cand, ((i, m),) + best(m + 1, k - 1)[1])
-            last = (chunk(i, n - 1).value, ((i, n - 1),))
-            if last[0] > out[0]:
-                out = last
-        memo[key] = out
-        return out
-
-    _, intervals = best(0, min(max_pieces, n))
-    return intervals, [chunk(i, jx) for i, jx in intervals]
+    total, chunks = _cover(chunk, {}, 0, len(pos) - 1, n)
+    if all(r.exact for r in chunks):
+        witness = PartNode(Fraction(1, scale), tuple(r.witness for r in chunks))
+        return NormResult(Fraction(total) / scale, exact=True, witness=witness)
+    return NormResult(total / scale, exact=False, tolerance=1e-9)
 
 
 # ---------------------------------------------------------------------------

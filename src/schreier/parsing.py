@@ -253,6 +253,14 @@ def print_sequence(seq: IndexSequence) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _coordinate(sc: _Scanner) -> int:
+    start = sc.pos
+    coord = sc.nat()
+    if coord < 1:
+        raise ParseError("coordinates start at 1", sc.text, start)
+    return coord
+
+
 def parse_vector(text: str) -> Vector:
     text = text.strip()
     if not text or text == "0":
@@ -260,7 +268,7 @@ def parse_vector(text: str) -> Vector:
     sc = _Scanner(text)
     data = {}
     while True:
-        coord = sc.nat()
+        coord = _coordinate(sc)
         sc.expect(":")
         value = sc.rational()
         if coord in data:
@@ -281,9 +289,9 @@ def parse_set(text: str) -> FinSet:
     if not text:
         return ()
     sc = _Scanner(text)
-    values = [sc.nat()]
+    values = [_coordinate(sc)]
     while sc.take(","):
-        values.append(sc.nat())
+        values.append(_coordinate(sc))
     if not sc.eof():
         raise sc.error("trailing input after set")
     out = tuple(values)

@@ -9,6 +9,14 @@ These deliberately avoid the production algorithms' shortcuts:
   interval hulls, which preserves minima and can only increase piece
   values under a lattice norm).
 
+* `tsirelson_interval_oracle` takes the best sum of `tsirelson_oracle`
+  values over every system of at most n successive interval pieces, gaps
+  allowed, where the production kernel only looks at covering chunks.
+
+* `schlumprecht_oracle` is the unmemoised recursion over exactly k
+  contiguous chunks that the production evaluator replaced with the
+  memoised "at most k" kernel.
+
 * `wmax_certificate` certifies that a claimed value function equals the
   sup over the full norming set: it checks that every claimed value is
   achieved by an explicit valid functional, and that the value function is
@@ -20,6 +28,7 @@ These deliberately avoid the production algorithms' shortcuts:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -78,6 +87,56 @@ def tsirelson_oracle(x: Vector, _memo=None) -> Fraction:
                         best = cand
     _memo[key] = best
     return best
+
+
+def _interval_systems(n: int, start: int, count: int) -> Iterator[List[Tuple[int, int]]]:
+    """Systems of at most `count` successive interval pieces (a, b) of
+    positions start..n-1, gaps allowed; the empty system included."""
+    yield []
+    if count == 0:
+        return
+    for a in range(start, n):
+        for b in range(a, n):
+            for rest in _interval_systems(n, b + 1, count - 1):
+                yield [(a, b)] + rest
+
+
+def tsirelson_interval_oracle(x: Vector, n: int) -> Fraction:
+    """Brute-force interval norm on T: the best sum of oracle norms over
+    at most n successive interval pieces of the support."""
+    memo: dict = {}
+    pos = x.support()
+    return max(
+        sum((tsirelson_oracle(x.restrict(pos[a : b + 1]), memo) for a, b in system), Fraction(0))
+        for system in _interval_systems(len(pos), 0, n)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Schlumprecht oracle
+# ---------------------------------------------------------------------------
+
+
+def schlumprecht_oracle(x: Vector) -> float:
+    """Unmemoised Schlumprecht norm over support positions: the largest
+    |x_i|, or the best sum over exactly k >= 2 contiguous chunks weighted
+    by 1/log2(k+1)."""
+    vals = [abs(float(v)) for _, v in x.entries]
+    if not vals:
+        return 0.0
+
+    def value(i: int, j: int) -> float:
+        best = max(vals[i : j + 1])
+        for k in range(2, j - i + 2):
+            best = max(best, split(i, j, k) / math.log2(k + 1))
+        return best
+
+    def split(i: int, j: int, k: int) -> float:
+        if k == 1:
+            return value(i, j)
+        return max(value(i, m) + split(m + 1, j, k - 1) for m in range(i, j - k + 2))
+
+    return value(0, len(vals) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,17 @@ def test_ratio_chain_detects_corrupted_constant():
                for v in rep.violations if "checks" in v)
 
 
+def test_ratio_chain_detects_corrupted_second_upper_constant():
+    bs = BlockSequence.basis(12)
+    rep = ratio_bound_check(
+        T, IntervalNormSpec(2), bs, S(1),
+        a=Fraction(2), a0=Fraction(2), b=Fraction(1), b0=Fraction(1, 2),
+        samples=25,
+    )
+    assert not rep.ok
+    assert any(not v["checks"]["second_upper"] for v in rep.violations)
+
+
 # ---------------------------------------------------------------------------
 # finite average-index diagnostic
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from schreier.cli import EXIT_BUDGET, EXIT_OK, EXIT_VIOLATION, main
+from schreier.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from schreier.families import BracketFamily, CardinalityFamily, IndexSequence, RelabeledFamily, SchreierFamily
 from schreier.norms import C0Space, L1Space, LpSpace, MixedSchreierSpace, SchlumprechtSpace, TsirelsonSpace
 from schreier.ordinals import Ordinal, finite
@@ -81,6 +81,15 @@ def test_parse_errors_carry_offsets():
         parse_set("3,2")
     with pytest.raises(ParseError):
         parse_vector("2:1/0")
+
+
+def test_parsers_reject_coordinate_zero():
+    with pytest.raises(ParseError) as exc:
+        parse_set("0,2")
+    assert exc.value.offset == 0
+    with pytest.raises(ParseError) as exc:
+        parse_vector("1:1,0:2")
+    assert exc.value.offset == 4
 
 
 def _random_ordinal(rng, depth=2):
@@ -228,8 +237,33 @@ def test_diag_command(capsys):
 def test_parse_error_exit(capsys):
     code = main(["norm", "eval", "--space", "T", "--vector", "2::1"])
     captured = capsys.readouterr()
-    assert code == EXIT_VIOLATION
-    assert "offset" in captured.err
+    assert code == EXIT_USAGE
+    assert "offset" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    # parse errors
+    ["schreier", "member", "--family", "S(1)", "--set", "0,2"],
+    ["norm", "eval", "--space", "T", "--vector", "0:1"],
+    # argparse errors, which would otherwise exit with 2 (EXIT_BUDGET)
+    ["schreier", "nosuch"],
+    ["norm", "eval", "--space", "T"],
+    ["norm", "j", "--space", "T", "--vector", "2:1", "--j", "1"],
+    ["--seed", "1", "ordinal", "parse", "--text", "w"],
+    # arguments that parse but cannot be run
+    ["scc", "basic", "--xi", "1", "--zeta", "2", "--eps", "1/3", "--seq", "arith(2,1)"],
+    ["scc", "basic", "--xi", "2", "--zeta", "1", "--eps", "0"],
+    ["schreier", "maximal", "--family", "S(1)", "--first", "5", "--horizon", "3"],
+    ["ordinal", "fundamental", "--limit", "3", "--n", "2"],
+    ["distort", "search", "--space", "T", "--second", "interval:x", "--family", "S(1)", "--t", "6/5"],
+    ["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "0"],
+])
+def test_usage_error_exit(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
 
 
 def test_threshold_command_takes_no_family(capsys):

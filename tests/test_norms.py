@@ -7,8 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import tsirelson_oracle, wmax_certificate
+from oracles import (
+    schlumprecht_oracle,
+    tsirelson_interval_oracle,
+    tsirelson_oracle,
+    wmax_certificate,
+)
 from schreier.families import S, member
 from schreier.norms import (
     C0,
@@ -80,6 +86,63 @@ def test_norm_result_invariants():
             r = norm(space, x)
             assert r.value >= x.linf()
             assert r.achieved(x)
+
+
+# ---------------------------------------------------------------------------
+# properties of the chunk-cover kernel
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def wide_vectors(draw, max_support=7):
+    """Support size m <= max_support with every coordinate >= m, so the
+    Tsirelson admissibility bound never cuts the chunk count below the
+    number of positions and every chunk count is reached."""
+    m = draw(st.integers(1, max_support))
+    coords = draw(st.lists(st.integers(m, 3 * m), min_size=m, max_size=m, unique=True))
+    values = draw(st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool),
+        min_size=m, max_size=m))
+    return Vector.from_dict(dict(zip(sorted(coords), values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_vectors())
+def test_kernel_tsirelson_matches_oracle(x):
+    r = norm(T, x)
+    assert r.value == tsirelson_oracle(x)
+    assert r.achieved(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_vectors(max_support=6), st.integers(1, 3))
+def test_kernel_interval_norms_match_brute_force(x, n):
+    expected = tsirelson_interval_oracle(x, n)
+    r = interval_norm(T, x, n)
+    assert r.value == expected and r.achieved(x)
+    if n >= 2:
+        r = norm_j(T, x, n)
+        assert r.value == expected / n and r.achieved(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_vectors())
+def test_kernel_schlumprecht_matches_oracle(x):
+    r = norm(SchlumprechtSpace(), x)
+    assert not r.exact
+    assert abs(r.value - schlumprecht_oracle(x)) <= r.tolerance
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_vectors(), st.data())
+def test_kernel_tsirelson_monotone_and_unconditional(x, data):
+    value = norm(T, x).value
+    pos = x.support()
+    kept = data.draw(st.lists(st.sampled_from(pos), min_size=1, unique=True))
+    assert norm(T, x.restrict(kept)).value <= value
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(pos), max_size=len(pos)))
+    flipped = Vector.from_dict({c: s * v for (c, v), s in zip(x.entries, signs)})
+    assert norm(T, flipped).value == value
 
 
 # ---------------------------------------------------------------------------
