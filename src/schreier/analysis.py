@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .constructions import BudgetExhausted, build_l1_average, build_ris
 from .families import (
@@ -28,9 +28,12 @@ from .families import (
     MembershipResult,
     SchreierFamily,
     enumerate_maximal,
+    iter_maximal,
     member,
 )
 from .norms import (
+    C0Space,
+    L1Space,
     MixedSchreierSpace,
     NormSpace,
     interval_norm,
@@ -39,6 +42,21 @@ from .norms import (
 from .ordinals import ONE, Ordinal, add, fundamental, omega_power
 from .reports import WitnessReport
 from .vectors import BlockSequence, Vector, combine
+
+# rounds of the exact mass-shifting descent that refines the l1 lower constant
+L1_DESCENT_ROUNDS = 3
+# uniform candidates `l1_lower_candidates` takes per starting index
+L1_CANDIDATES_PER_FIRST = 24
+# length of the block sequences in `standard_corpus`
+CORPUS_LENGTH = 24
+# `interval_distortion_experiment` gives up when its supports pass this
+INTERVAL_EXPERIMENT_HORIZON = 64
+# the samples of `ratio_bound_check` come from this seed, over index sets
+# within this horizon
+RATIO_CHECK_SEED = 0
+RATIO_CHECK_HORIZON = 12
+# `alpha_index_diagnostic` maximises over this many last blocks in the horizon
+ALPHA_TARGET_BLOCKS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +116,12 @@ def _maximal_index_sets(fam: Family, limit: int) -> List[FinSet]:
     return out
 
 
-def _descend_l1(space: NormSpace, vectors: List[Vector], start: List[Fraction], rounds: int = 3):
+def _descend_l1(space: NormSpace, vectors: List[Vector], start: List[Fraction]):
     """Local mass-shifting descent on the simplex, exact arithmetic."""
     coeffs = list(start)
     value = norm(space, combine(vectors, coeffs)).value
     steps = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
-    for _ in range(rounds):
+    for _ in range(L1_DESCENT_ROUNDS):
         improved = False
         for step in steps:
             for i in range(len(coeffs)):
@@ -128,19 +146,16 @@ def l1_lower_candidates(
     fam: Family,
     min_first: int,
     limit: int,
-    per_first: int = 24,
 ) -> Iterator[Tuple[FinSet, Tuple[Fraction, ...], Fraction]]:
     """Structured candidate combinations on the l1 sphere: uniform
     coefficients over maximal admissible index sets, lazily, capped at
-    per_first sets for each starting index (the enumeration is exponential
-    at large horizons; the cap keeps the search structured, not exhaustive,
-    which the reported estimates already acknowledge)."""
-    from .families import iter_maximal
-
+    L1_CANDIDATES_PER_FIRST sets for each starting index (the enumeration is
+    exponential at large horizons; the cap keeps the search structured, not
+    exhaustive, which the reported estimates already acknowledge)."""
     for first in range(min_first, limit + 1):
         taken = 0
         for E in iter_maximal(fam, first, limit):
-            if taken >= per_first:
+            if taken >= L1_CANDIDATES_PER_FIRST:
                 break
             if E[0] < min_first or E[-1] > min(limit, len(bs)):
                 continue
@@ -158,7 +173,6 @@ def l1_lower_constant(
     fam: Family,
     horizon: int,
     min_first: int = 1,
-    refine: bool = True,
 ) -> Tuple[Fraction, Tuple[FinSet, Tuple[Fraction, ...]]]:
     """Best (smallest) norm found on the l1 sphere over admissible index sets.
 
@@ -174,12 +188,11 @@ def l1_lower_constant(
             best, best_witness = value, (E, coeffs)
     if best is None:
         raise ValueError("no admissible index set within the horizon")
-    if refine:
-        E, coeffs = best_witness
-        vecs = [bs.blocks[i - 1] for i in E]
-        refined, new_coeffs = _descend_l1(space, vecs, list(coeffs))
-        if refined < best:
-            best, best_witness = refined, (E, tuple(new_coeffs))
+    E, coeffs = best_witness
+    vecs = [bs.blocks[i - 1] for i in E]
+    refined, new_coeffs = _descend_l1(space, vecs, list(coeffs))
+    if refined < best:
+        best, best_witness = refined, (E, tuple(new_coeffs))
     return best, best_witness
 
 
@@ -263,14 +276,11 @@ class DistortionReport:
     t: Fraction
 
 
-def _candidate_vectors(
-    space: NormSpace, bs: BlockSequence, budget: int
-) -> List[Tuple[str, Vector, FinSet]]:
+def _candidate_vectors(space: NormSpace, bs: BlockSequence) -> List[Tuple[str, Vector, FinSet]]:
     """Structured candidates: normalised single blocks, l1 averages of a few
     window sizes, and short rapidly-increasing average sums."""
     out: List[Tuple[str, Vector, FinSet]] = []
-    limit = min(len(bs), budget)
-    for i in range(1, min(limit, 8) + 1):
+    for i in range(1, min(len(bs), 8) + 1):
         r = norm(space, bs.blocks[i - 1])
         if r.exact and r.value > 0:
             out.append((f"block[{i}]", bs.blocks[i - 1] * (Fraction(1) / r.value), (i,)))
@@ -305,7 +315,6 @@ def distortion_witness(
     fam: Family,
     bs: BlockSequence,
     t: Fraction,
-    budget: int = 64,
     corpus_label: str = "ad-hoc",
 ) -> DistortionReport:
     """Search for a unit pair in a common family span with second-norm
@@ -319,7 +328,7 @@ def distortion_witness(
     t = Fraction(t)
     if t <= 1:
         raise ValueError("distortion threshold must exceed 1")
-    candidates = _candidate_vectors(space, bs, budget)
+    candidates = _candidate_vectors(space, bs)
     best_ratio = Fraction(0)
     best_pair: Optional[Tuple[str, str]] = None
     tried = 0
@@ -360,7 +369,7 @@ def distortion_witness(
     )
 
 
-def standard_corpus(space: NormSpace, n: int, length: int = 24) -> List[Tuple[str, BlockSequence]]:
+def standard_corpus(space: NormSpace, n: int) -> List[Tuple[str, BlockSequence]]:
     """The declared test corpus of block sequences for baseline controls.
 
     For the closed-form spaces the corpus holds the sequences on which the
@@ -370,12 +379,10 @@ def standard_corpus(space: NormSpace, n: int, length: int = 24) -> List[Tuple[st
     normalised combination has the same interval norm.  Reports quote the
     corpus label.
     """
-    from .norms import C0Space, L1Space
-
     if isinstance(space, C0Space):
         runs = []
         pos = 1
-        while len(runs) < length // max(n, 1) and pos + n - 1 <= length:
+        while len(runs) < CORPUS_LENGTH // max(n, 1) and pos + n - 1 <= CORPUS_LENGTH:
             runs.append(
                 Vector.from_dict({c: Fraction(1) for c in range(pos, pos + n)})
             )
@@ -385,9 +392,9 @@ def standard_corpus(space: NormSpace, n: int, length: int = 24) -> List[Tuple[st
         ]
     if isinstance(space, L1Space):
         return [
-            ("l1-basis", BlockSequence.basis(length)),
+            ("l1-basis", BlockSequence.basis(CORPUS_LENGTH)),
         ]
-    return [("basis", BlockSequence.basis(length))]
+    return [("basis", BlockSequence.basis(CORPUS_LENGTH))]
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +422,7 @@ def predicted_interval_ratio(n: int, k: int, eps: Fraction) -> Fraction:
 
 
 def interval_distortion_experiment(
-    xi: Ordinal, n: int, k: int, eps: Fraction, horizon: int = 64
+    xi: Ordinal, n: int, k: int, eps: Fraction
 ) -> IntervalExperimentReport:
     """Desk-scale interval-norm distortion run in the mixed Schreier space.
 
@@ -445,9 +452,9 @@ def interval_distortion_experiment(
         else "combined index set escapes the target family",
         witness=membership.witness,
         counterexample=None if membership.member else combined,
-        certified_horizon=horizon,
+        certified_horizon=INTERVAL_EXPERIMENT_HORIZON,
     )
-    if combined[-1] > horizon:
+    if combined[-1] > INTERVAL_EXPERIMENT_HORIZON:
         return IntervalExperimentReport(
             xi, n, k, eps, formula, None, mreport, {"reason": "horizon too small"}, True
         )
@@ -501,8 +508,6 @@ def ratio_bound_check(
     b: Fraction,
     b0: Fraction,
     samples: int = 20,
-    seed: int = 0,
-    horizon: int = 12,
 ) -> RatioCheckReport:
     """Sample unit vectors in family spans and check the measured constants.
 
@@ -523,8 +528,8 @@ def ratio_bound_check(
     delta = max(a * b, a0 * b0) - 1
     if delta < 0:
         raise ValueError("constants are inconsistent: ab and a0*b0 must be >= 1")
-    rng = random.Random(seed)
-    limit = min(horizon, len(bs))
+    rng = random.Random(RATIO_CHECK_SEED)
+    limit = min(RATIO_CHECK_HORIZON, len(bs))
     sets = _maximal_index_sets(fam, limit)
     if not sets:
         raise ValueError("no admissible index sets within the horizon")
@@ -563,7 +568,6 @@ def alpha_index_diagnostic(
     size_floor: int,
     horizon: int,
     xi: Ordinal = ONE,
-    targets: int = 3,
 ) -> Fraction:
     """Max of sum_q |alpha_q(x_k)| over very fast growing admissible average
     tuples with sizes >= size_floor, taken over the last blocks in horizon.
@@ -581,7 +585,7 @@ def alpha_index_diagnostic(
     fam = SchreierFamily(stage)
     limit = min(horizon, len(bs))
     best = Fraction(0)
-    for k in range(max(1, limit - targets + 1), limit + 1):
+    for k in range(max(1, limit - ALPHA_TARGET_BLOCKS + 1), limit + 1):
         block = bs.blocks[k - 1]
         pos = block.support()
         m = len(pos)

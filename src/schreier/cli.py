@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import analysis, constructions, families, norms, parsing
 from .families import SchreierFamily
-from .ordinals import compare
+from .ordinals import add, compare, fundamental
 from .reports import to_jsonable
 from .vectors import BlockSequence
 
@@ -149,7 +149,6 @@ def _cmd_ordinal(args) -> int:
         word = {-1: "less", 0: "equal", 1: "greater"}[c]
         return _emit(args, "ordinal compare", {"a": args.a, "b": args.b}, {"order": word})
     if args.sub == "fundamental":
-        from .ordinals import fundamental
         limit = parsing.parse_ordinal(args.limit)
         if not limit.is_limit:
             raise UsageError(f"--limit {args.limit} is not a limit ordinal")
@@ -296,7 +295,6 @@ def _verify_refinement(args):
     xi = parsing.parse_ordinal(args.xi)
     zeta = parsing.parse_ordinal(args.zeta)
     horizon = args.horizon
-    from .ordinals import add
     target = SchreierFamily(add(zeta, xi))
     if args.which == "outer":
         M = families.EVENS if args.seq is None else parsing.parse_sequence(args.seq)

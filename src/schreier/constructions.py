@@ -46,6 +46,14 @@ from .vectors import (
     validate_functional,
 )
 
+# binary digits of precision in `rational_sqrt_below`
+SQRT_BITS = 40
+# leaves one repeated average may spend (see `_Cursor`)
+MAX_REPEATED_AVERAGE_LEAVES = 20_000
+# restarts per block of `l1_to_c0_blocking`, and the largest stage it uses
+L1_TO_C0_SCC_BUDGET = 60
+L1_TO_C0_STAGE_CAP = 1
+
 
 class BudgetExhausted(Exception):
     """A construction search ran out of restarts; carries the best attempt."""
@@ -55,11 +63,11 @@ class BudgetExhausted(Exception):
         self.best = best
 
 
-def rational_sqrt_below(K: Fraction, bits: int = 40) -> Fraction:
-    """Largest convenient rational t with t*t <= K, within 2^-bits of sqrt(K)."""
+def rational_sqrt_below(K: Fraction) -> Fraction:
+    """Largest convenient rational t with t*t <= K, within 2^-SQRT_BITS of sqrt(K)."""
     if K <= 0:
         raise ValueError("need a positive target")
-    scale = 1 << bits
+    scale = 1 << SQRT_BITS
     t = Fraction(isqrt(K.numerator * K.denominator * scale * scale), K.denominator * scale)
     assert t * t <= K
     return t
@@ -95,15 +103,15 @@ class SccResult:
 
 
 class _Cursor:
-    """Consumes values of an index sequence left to right, with a cap on
-    how many leaves a construction may spend (the canonical hierarchy has
-    supports that grow exponentially in the level, so deep restarts must
-    fail cleanly instead of filling memory)."""
+    """Consumes values of an index sequence left to right, with a cap of
+    MAX_REPEATED_AVERAGE_LEAVES on the leaves a construction may spend (the
+    canonical hierarchy has supports that grow exponentially in the level,
+    so deep restarts must fail cleanly instead of filling memory)."""
 
-    def __init__(self, seq: IndexSequence, offset: int = 0, max_leaves: int = 20_000):
+    def __init__(self, seq: IndexSequence, offset: int = 0):
         self.seq = seq
         self.pos = offset + 1
-        self.remaining = max_leaves
+        self.remaining = MAX_REPEATED_AVERAGE_LEAVES
 
     def peek(self) -> int:
         return self.seq.value_at(self.pos)
@@ -493,15 +501,13 @@ def l1_to_c0_blocking(
     xi: Ordinal,
     eps: Fraction,
     count: int = 2,
-    budget: int = 60,
-    stage_cap: int = 1,
 ) -> Tuple[BlockSequence, List[SccResult]]:
     """Normalised special-convex-combination blocks with shrinking epsilons.
 
     Block k is a (stage+1, stage, eps/2^(k-1)) combination over the
     unconsumed tail of the sequence, normalised in the space; the exact
     certificates are returned alongside.  The stage index is min(k,
-    stage_cap): the canonical hierarchy has supports exponential in the
+    L1_TO_C0_STAGE_CAP): the canonical hierarchy has supports exponential in the
     stage, so the desk-scale schedule shrinks the epsilons while the stages
     are clamped, and every output carries the certificate actually used.
     """
@@ -514,7 +520,7 @@ def l1_to_c0_blocking(
     certificates: List[SccResult] = []
     consumed = 0
     for k in range(1, count + 1):
-        stage = min(k, stage_cap)
+        stage = min(k, L1_TO_C0_STAGE_CAP)
         stage_hi = fundamental(base, stage + 1) if base.is_limit else base
         stage_lo = fundamental(base, stage) if base.is_limit else base.predecessor()
         tail_blocks = bs.blocks[consumed:]
@@ -522,7 +528,7 @@ def l1_to_c0_blocking(
         if not tail_blocks:
             raise BudgetExhausted(f"ran out of blocks at stage {k}")
         tail = BlockSequence(tuple(tail_blocks), tuple(tail_origins))
-        vec, cert = scc_on_blocks(tail, stage_hi, stage_lo, eps / (2 ** (k - 1)), budget)
+        vec, cert = scc_on_blocks(tail, stage_hi, stage_lo, eps / (2 ** (k - 1)), L1_TO_C0_SCC_BUDGET)
         value = norm(space, vec).value
         scale = Fraction(1) / (value if isinstance(value, Fraction) else Fraction(value).limit_denominator(10**12))
         out_blocks.append(vec * scale)

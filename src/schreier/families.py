@@ -27,8 +27,7 @@ push brackets into higher families, and exact maximisation of a weight
 function over a family.
 
 Finite sets are plain tuples of naturals, strictly increasing.  The empty
-set is a member of every family here; min {} is treated as larger than
-every natural and max {} as 0.
+set is a member of every family here.
 """
 
 from __future__ import annotations
@@ -43,7 +42,11 @@ from .reports import WitnessReport
 
 FinSet = Tuple[int, ...]
 
-_INF = float("inf")
+# cap on the maximal S_xi members `threshold_search` enumerates per
+# candidate n before it settles for the structural threshold
+THRESHOLD_MINIMALITY_BUDGET = 200_000
+# cap on the minima patterns of the dominance pass in `verify_bracket_inclusion`
+BRACKET_PATTERN_BUDGET = 2_000_000
 
 
 def finset(elements: Iterable[int]) -> FinSet:
@@ -52,16 +55,6 @@ def finset(elements: Iterable[int]) -> FinSet:
     if elems and elems[0] < 1:
         raise ValueError(f"elements must be naturals >= 1, got {elems[0]}")
     return tuple(elems)
-
-
-def set_min(E: FinSet):
-    """min E, with min {} treated as larger than every natural."""
-    return E[0] if E else _INF
-
-
-def set_max(E: FinSet) -> int:
-    """max E, with max {} = 0."""
-    return E[-1] if E else 0
 
 
 def successive(blocks: Sequence[FinSet]) -> bool:
@@ -373,7 +366,6 @@ def _member_uncached(E: FinSet, fam: Family) -> MembershipResult:
             if found is None:
                 return MembershipResult(False)
             blocks, wits = found
-            minima = tuple(b[0] for b in blocks)
             return MembershipResult(
                 True,
                 SplitWitness(blocks, wits, LeafWitness(f"d={len(blocks)}<=min E={E[0]}")),
@@ -567,16 +559,6 @@ def recheck_witness(E, fam: Family, witness: Witness) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# relabeling of concrete sets
-# ---------------------------------------------------------------------------
-
-
-def relabel_set(M: IndexSequence, E) -> FinSet:
-    """M(E) = (m_i : i in E)."""
-    return M.apply(tuple(E))
-
-
-# ---------------------------------------------------------------------------
 # enumeration of maximal members
 # ---------------------------------------------------------------------------
 
@@ -587,9 +569,6 @@ class MaximalEnumeration:
     truncated: List[bool]
     all_truncated: bool
 
-    def complete_sets(self) -> List[FinSet]:
-        return [s for s, t in zip(self.sets, self.truncated) if not t]
-
 
 def _extension_candidates(fam: Family, above: int, limit: int) -> List[int]:
     """Values > above, <= limit that could extend a member of fam.
@@ -598,19 +577,20 @@ def _extension_candidates(fam: Family, above: int, limit: int) -> List[int]:
     everything else all naturals in range are candidates.
     """
     if isinstance(fam, RelabeledFamily):
-        return [v for v in fam.labels.values_within(above + 1, limit)]
-    if isinstance(fam, BracketFamily):
-        # minima are constrained by the (possibly relabeled) outer part only
-        # when a new block starts, so every value remains a candidate here
-        return list(range(above + 1, limit + 1))
+        return fam.labels.values_within(above + 1, limit)
     return list(range(above + 1, limit + 1))
 
 
 def iter_maximal(fam: Family, first: int, horizon: int) -> Iterator[FinSet]:
-    """Lazily yield in-window inclusion-maximal members with min = first.
+    """Lazily yield the DFS leaves among members with min = first.
 
-    DFS over member extensions in increasing element order; each leaf (a
-    member with no in-window extension) is yielded as it is found.
+    DFS over one-element extensions in increasing element order; each leaf
+    (a member with no in-window extension by a larger element) is yielded as
+    it is found.  A leaf need not be inclusion-maximal: it may still take an
+    element between two of its own, so that (1, 4) is a leaf of A_3 at
+    horizon 4 although (1, 2, 4) and (1, 3, 4) are members.  Every maximal
+    member is a leaf, which is what the horizon-certified searches need;
+    `enumerate_maximal` filters the leaves down to the maximal ones.
     """
     if first > horizon:
         raise ValueError("first must be <= horizon")
@@ -643,8 +623,9 @@ def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumerati
     for current in iter_maximal(fam, first, horizon):
         sets.append(current)
         truncated.append(any(member(current + (v,), fam).member for v in probe_values))
-    # a non-maximal leaf can appear under several branches of a relabeled
-    # bracket; keep only sets not strictly contained in another
+    # a DFS leaf need not be maximal (A_3 from 1 at horizon 4 yields the
+    # leaf (1, 4) inside (1, 2, 4)); keep only sets not strictly contained
+    # in another
     keep: List[int] = []
     as_sets = [set(s) for s in sets]
     for i, si in enumerate(as_sets):
@@ -690,9 +671,7 @@ def _structural_threshold(xi: Ordinal, zeta: Ordinal) -> int:
     return max(k, _structural_threshold(xi, fundamental(zeta, k)))
 
 
-def threshold_search(
-    xi: Ordinal, zeta: Ordinal, horizon: int, minimality_budget: int = 200_000
-) -> ThresholdResult:
+def threshold_search(xi: Ordinal, zeta: Ordinal, horizon: int) -> ThresholdResult:
     """Least n so that every E in S_xi with n <= min E, support in [n, horizon],
     lies in S_zeta.
 
@@ -700,9 +679,9 @@ def threshold_search(
     horizon) is computed first; candidates below it are then checked by
     exhausting maximal members, which suffices because S_zeta is
     hereditary.  Each rejected candidate is recorded with the set that
-    killed it.  If the enumeration for the minimality pass would exceed the
-    budget, the structural n is returned with minimal=False rather than an
-    uncertified smaller value.
+    killed it.  If the enumeration for the minimality pass would exceed
+    THRESHOLD_MINIMALITY_BUDGET, the structural n is returned with
+    minimal=False rather than an uncertified smaller value.
     """
     if compare(xi, zeta) > 0:
         raise ValueError("threshold search needs xi <= zeta")
@@ -718,7 +697,7 @@ def threshold_search(
     n = 1
     while n < n_struct:
         bad: Optional[FinSet] = None
-        budget = minimality_budget
+        budget = THRESHOLD_MINIMALITY_BUDGET
         for first in range(n, horizon + 1):
             for E in iter_maximal(fam_xi, first, horizon):
                 budget -= 1
@@ -953,9 +932,7 @@ def _max_block_size(inner: Family, first: int, window: List[int]) -> int:
     return 0
 
 
-def verify_bracket_inclusion(
-    lhs: Family, rhs: Family, horizon: int, *, budget: int = 2_000_000
-) -> WitnessReport:
+def verify_bracket_inclusion(lhs: Family, rhs: Family, horizon: int) -> WitnessReport:
     """Check every member of lhs with support in [1, horizon] for membership
     in rhs, and return the first counterexample if one exists.
 
@@ -974,8 +951,8 @@ def verify_bracket_inclusion(
       counterexample.
 
     The dominance pass enumerates all minima patterns; if there are more
-    than `budget`, the report comes back not-ok with budget_exhausted set
-    rather than silently passing.
+    than BRACKET_PATTERN_BUDGET, the report comes back not-ok with
+    budget_exhausted set rather than silently passing.
     """
     lhs_c, rhs_c = canonicalize(lhs), canonicalize(rhs)
     if lhs_c == rhs_c:
@@ -1003,7 +980,7 @@ def verify_bracket_inclusion(
         )
 
     shape = _bracket_shape(lhs_c)
-    if shape is None or not is_plain(rhs_c) or not _spreading_hereditary(rhs_c):
+    if shape is None or not is_plain(rhs_c):
         return WitnessReport(
             False, detail="no exact strategy applies at this horizon; "
             "use a horizon <= 16 for a powerset sweep",
@@ -1036,9 +1013,9 @@ def verify_bracket_inclusion(
         if not Apat:
             continue
         patterns += 1
-        if patterns > budget:
+        if patterns > BRACKET_PATTERN_BUDGET:
             return WitnessReport(
-                False, detail=f"more than {budget} minima patterns",
+                False, detail=f"more than {BRACKET_PATTERN_BUDGET} minima patterns",
                 certified_horizon=None, budget_exhausted=True, method="dominance",
             )
         compressed: List[int] = []
@@ -1082,12 +1059,6 @@ def verify_bracket_inclusion(
         True, detail=f"{patterns} minima patterns dominated and checked",
         certified_horizon=horizon, method="dominance", stats={"patterns": patterns},
     )
-
-
-def _spreading_hereditary(fam: Family) -> bool:
-    """Conservative structural test: plain S/A compositions are both
-    hereditary and spreading."""
-    return is_plain(fam)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,10 @@ from .vectors import (
     functional_support,
 )
 
+# steps of the X(xi) piece-system search before a session stops and reports
+# its values as certified lower bounds
+MIXED_TICK_BUDGET = 30_000_000
+
 # ---------------------------------------------------------------------------
 # space descriptors
 # ---------------------------------------------------------------------------
@@ -140,10 +144,14 @@ class PartNode:
 Partition = Union[PartLeaf, PartNode]
 
 
-def evaluate_partition(w: Partition, x: Vector):
+def evaluate_partition(w: Union[Partition, Functional], x: Vector):
+    """Pairing of a partition tree with x; an interval norm over X(xi)
+    puts norming functionals under its PartNode, which pair by `evaluate`."""
     if isinstance(w, PartLeaf):
         return w.sign * x[w.coord]
-    return w.weight * sum(evaluate_partition(c, x) for c in w.children)
+    if isinstance(w, PartNode):
+        return w.weight * sum(evaluate_partition(c, x) for c in w.children)
+    return evaluate(w, x)
 
 
 @dataclass
@@ -158,9 +166,7 @@ class NormResult:
         """Exact results must be reproduced by their witness."""
         if not self.exact or self.witness is None:
             return True
-        if isinstance(self.witness, (PartLeaf, PartNode)):
-            return evaluate_partition(self.witness, x) == self.value
-        return evaluate(self.witness, x) == self.value
+        return evaluate_partition(self.witness, x) == self.value
 
 
 def _leaf(x: Vector, coord: int) -> PartLeaf:
@@ -307,13 +313,13 @@ class _MixedSession:
     Pieces are intervals of support positions: (start, end) inclusive.
     `norm(i, j)` evaluates the restriction to positions i..j; the auxiliary
     |y|_j value of a piece is the kernel's cover with at most j chunks,
-    whose memo is shared across depths.  Budget guards the worst-case
-    exponential piece-system enumeration; when it runs out the session
-    keeps the values found so far, which stay certified lower bounds, and
-    reports non-convergence.
+    whose memo is shared across depths.  MIXED_TICK_BUDGET guards the
+    worst-case exponential piece-system enumeration; when it runs out the
+    session keeps the values found so far, which stay certified lower
+    bounds, and reports non-convergence.
     """
 
-    def __init__(self, x: Vector, xi: Ordinal, depth_cap: int, budget: int = 30_000_000):
+    def __init__(self, x: Vector, xi: Ordinal, depth_cap: int):
         self.pos = x.support()
         self.vals = [v for _, v in x.entries]
         self.absvals = [abs(v) for v in self.vals]
@@ -323,7 +329,7 @@ class _MixedSession:
             self.prefix.append(self.prefix[-1] + v)
         self.fam = SchreierFamily(omega_power(xi))
         self.depth_cap = depth_cap
-        self.budget = budget
+        self.budget = MIXED_TICK_BUDGET
         self.converged = True
         self.norm_memo: Dict[Tuple[int, int], Tuple[Fraction, Functional]] = {}
         self.cover_memo: dict = {}
@@ -432,10 +438,6 @@ def norm(space: NormSpace, x: Vector) -> NormResult:
     raise TypeError(f"not a norm space: {space!r}")
 
 
-def norm_value(space: NormSpace, x: Vector):
-    return norm(space, x).value
-
-
 def norm_j(space: NormSpace, x: Vector, j: int) -> NormResult:
     """|x|_j = sup (1/j) * sum of piece norms over at most j successive pieces.
 
@@ -461,6 +463,11 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
     (support monotonicity) and splitting a chunk never lowers the sum
     (triangle inequality).  For T the chunk values come from one session
     over the whole of x; other spaces evaluate each chunk with `norm`.
+
+    The result is exact and converged only when every chunk evaluated is:
+    a chunk that lost the comparison may still be an underestimate.  At
+    most n chunks enter the sum, so its error is at most n times the
+    largest chunk tolerance, before the 1/scale.
     """
     if x.is_zero:
         return NormResult(Fraction(0), exact=True)
@@ -477,10 +484,17 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
         return r.value, r
 
     total, chunks = _cover(chunk, {}, 0, len(pos) - 1, n)
-    if all(r.exact for r in chunks):
+    witness = None
+    if all(r.witness is not None for r in chunks):
         witness = PartNode(Fraction(1, scale), tuple(r.witness for r in chunks))
-        return NormResult(Fraction(total) / scale, exact=True, witness=witness)
-    return NormResult(total / scale, exact=False, tolerance=1e-9)
+    evaluated = results.values()
+    return NormResult(
+        total / scale,
+        exact=all(r.exact for r in evaluated),
+        converged=all(r.converged for r in evaluated),
+        witness=witness,
+        tolerance=n * max(r.tolerance for r in evaluated) / scale,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -160,10 +160,6 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     return Ordinal(tuple(kept) + tuple(rest))
 
 
-def add_int(a: Ordinal, n: int) -> Ordinal:
-    return add(a, finite(n))
-
-
 @lru_cache(maxsize=None)
 def fundamental(limit: Ordinal, n: int) -> Ordinal:
     """n-th element of the canonical fundamental sequence of a limit ordinal.

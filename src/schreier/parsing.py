@@ -27,7 +27,6 @@ from .families import (
     FinSet,
     IndexSequence,
     RelabeledFamily,
-    S,
     SchreierFamily,
 )
 from .norms import (

@@ -25,7 +25,7 @@ validity decidable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -82,9 +82,6 @@ class Vector:
         keep = set(coords)
         return Vector(tuple((c, v) for c, v in self.entries if c in keep))
 
-    def restrict_interval(self, lo: int, hi: int) -> "Vector":
-        return Vector(tuple((c, v) for c, v in self.entries if lo <= c <= hi))
-
     def __add__(self, other: "Vector") -> "Vector":
         data = dict(self.entries)
         for c, v in other.entries:
@@ -101,9 +98,6 @@ class Vector:
         return Vector(tuple((c, v * s) for c, v in self.entries))
 
     __rmul__ = __mul__
-
-    def abs(self) -> "Vector":
-        return Vector(tuple((c, abs(v)) for c, v in self.entries))
 
     def l1(self) -> Fraction:
         return sum((abs(v) for _, v in self.entries), Fraction(0))
@@ -167,9 +161,6 @@ class BlockSequence:
 
     def __getitem__(self, i: int) -> Vector:
         return self.blocks[i]
-
-    def supports(self) -> List[FinSet]:
-        return [b.support() for b in self.blocks]
 
 
 def block_combine(

@@ -217,6 +217,15 @@ def test_scc_budget_exit_code(capsys):
     assert report["budget_exhausted"] is True
 
 
+def test_unconverged_interval_norm_exit_code(capsys):
+    code, report = run(capsys, "norm", "interval", "--space", "X(1,cap=1)",
+                       "--vector", "2:1,3:1,4:1,5:1", "--n", "2")
+    assert code == EXIT_BUDGET
+    assert report["values"]["value"] == "9/4"
+    assert report["values"]["converged"] is False
+    assert report["budget_exhausted"] is True
+
+
 def test_report_schema_and_out_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["--out", str(out), "schreier", "mass", "--family", "S(1)",

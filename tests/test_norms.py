@@ -30,7 +30,7 @@ from schreier.norms import (
     norm_j,
 )
 from schreier.ordinals import OMEGA, finite
-from schreier.vectors import SumNode, Vector, evaluate, validate_functional
+from schreier.vectors import SumNode, Unit, Vector, evaluate, validate_functional
 
 
 def vec(*pairs):
@@ -73,7 +73,8 @@ def test_tsirelson_unconditional():
         x = random_vector(rng, 6)
         if x.is_zero:
             continue
-        assert norm(T, x).value == norm(T, x.abs()).value
+        absolute = Vector(tuple((c, abs(v)) for c, v in x.entries))
+        assert norm(T, x).value == norm(T, absolute).value
 
 
 def test_norm_result_invariants():
@@ -218,8 +219,8 @@ def test_interval_norm_bounds_and_splits():
         pos = x.support()
         if len(pos) >= 2:
             cut = pos[len(pos) // 2]
-            left = x.restrict_interval(1, cut - 1)
-            right = x.restrict_interval(cut, pos[-1])
+            left = x.restrict(range(1, cut))
+            right = x.restrict(range(cut, pos[-1] + 1))
             if not left.is_zero and not right.is_zero:
                 whole = interval_norm(T, x, 3).value
                 parts = interval_norm(T, left, 1).value + interval_norm(T, right, 2).value
@@ -234,6 +235,49 @@ def test_interval_norm_additive_on_l1():
             continue
         for n in (2, 3, 4):
             assert interval_norm(L1, x, n).value == x.l1()
+
+
+def test_interval_norms_carry_chunk_convergence():
+    capped = MixedSchreierSpace(finite(1), depth_cap=1)
+    x = vec((2, 1), (3, 1), (4, 1), (5, 1))
+    for r in (interval_norm(capped, x, 2), norm_j(capped, x, 2)):
+        assert not r.exact and not r.converged
+    # the best cover takes the four singletons, which converge; the
+    # unconverged longer chunks lost, but their values are lower bounds
+    r = interval_norm(capped, x, 4)
+    assert r.value == 4 and all(isinstance(c, Unit) for c in r.witness.children)
+    assert all(norm(capped, Vector.basis(c)).converged for c in x.support())
+    assert not r.exact and not r.converged
+
+
+def test_interval_norms_carry_chunk_tolerance():
+    x = vec((2, 1), (3, 1), (4, Fraction(1, 2)), (5, 1))
+    r = interval_norm(LpSpace(2.0), x, 3)
+    assert not r.exact and r.converged
+    assert math.isclose(r.tolerance, 3 * norm(LpSpace(2.0), x).tolerance)
+    r = norm_j(SchlumprechtSpace(1e-6), x, 3)
+    assert math.isclose(r.tolerance, 1e-6)
+    assert interval_norm(L1, x, 3).tolerance == 0
+
+
+def test_interval_norms_achieved_on_mixed_space():
+    X = MixedSchreierSpace(finite(1))
+    x = vec((2, 1), (3, 1), (4, Fraction(1, 2)), (5, 1))
+    r = interval_norm(X, x, 2)
+    assert r.value == Fraction(17, 8) and r.exact and r.achieved(x)
+    r = norm_j(X, x, 2)
+    assert r.value == Fraction(17, 16) and r.exact and r.achieved(x)
+    rng = random.Random(52)
+    for _ in range(10):
+        x = random_vector(rng, 5, coord_range=10)
+        if x.is_zero:
+            continue
+        for n in (1, 2, 3):
+            r = interval_norm(X, x, n)
+            assert r.exact and r.converged and r.achieved(x)
+        for j in (2, 3):
+            r = norm_j(X, x, j)
+            assert r.exact and r.converged and r.achieved(x)
 
 
 # ---------------------------------------------------------------------------
