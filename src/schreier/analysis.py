@@ -148,10 +148,11 @@ def l1_lower_candidates(
     limit: int,
 ) -> Iterator[Tuple[FinSet, Tuple[Fraction, ...], Fraction]]:
     """Structured candidate combinations on the l1 sphere: uniform
-    coefficients over maximal admissible index sets, lazily, capped at
-    L1_CANDIDATES_PER_FIRST sets for each starting index (the enumeration is
-    exponential at large horizons; the cap keeps the search structured, not
-    exhaustive, which the reported estimates already acknowledge)."""
+    coefficients over admissible index sets, lazily: the first
+    L1_CANDIDATES_PER_FIRST DFS leaves of `iter_maximal` for each starting
+    index, which need not be maximal (the enumeration is exponential at
+    large horizons; the cap keeps the search structured, not exhaustive,
+    which the reported estimates already acknowledge)."""
     for first in range(min_first, limit + 1):
         taken = 0
         for E in iter_maximal(fam, first, limit):

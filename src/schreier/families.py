@@ -17,10 +17,12 @@ sequence M.  Limit stages use the canonical fundamental sequences from
 `ordinals`; limit membership is decided by the existential rule above and
 never assumes the stages are nested.
 
-Membership is exact and witness-producing.  The production decider tries
-greedy maximal-prefix splits first and falls back to full backtracking, so
-it is both fast on typical inputs and complete; `member_exhaustive` is an
-independent brute-force decider kept for cross-checking.  On top of
+Membership is exact and witness-producing.  The production decider splits
+a set greedily into maximal blocks, which is complete when the outer
+family is spreading, and backtracks only under a relabeled outer family;
+`member_exhaustive` is an independent brute-force decider kept for
+cross-checking.  Enumerations do not ask the decider: they carry a greedy
+state along the DFS and extend it by one element at a time.  On top of
 membership the module provides maximal-set enumeration, horizon-certified
 threshold and inclusion searches, the index-sequence constructions that
 push brackets into higher families, and exact maximisation of a weight
@@ -42,7 +44,7 @@ from .reports import WitnessReport
 
 FinSet = Tuple[int, ...]
 
-# cap on the maximal S_xi members `threshold_search` enumerates per
+# cap on the DFS leaves of S_xi members `threshold_search` reaches per
 # candidate n before it settles for the structural threshold
 THRESHOLD_MINIMALITY_BUDGET = 200_000
 # cap on the minima patterns of the dominance pass in `verify_bracket_inclusion`
@@ -331,11 +333,11 @@ _member_cache: Dict[Tuple[Family, FinSet], MembershipResult] = {}
 def member(E, fam: Family) -> MembershipResult:
     """Exact membership of E in the family, with a witness when it holds.
 
-    Successor and bracket decompositions are searched greedily (maximal
-    member prefix first) with full backtracking behind the greedy choice,
-    so the decision is complete for every expressible family.  Limit
-    Schreier membership tests n = 1..min E against stage lam[n] and records
-    the n used.
+    Successor and bracket decompositions are split greedily into maximal
+    member blocks, which is complete when the outer family is spreading;
+    a relabeled outer family gets full backtracking behind the greedy
+    choice.  Limit Schreier membership tests n = 1..min E against stage
+    lam[n] and records the n used.
     """
     E = tuple(E)
     key = (fam, E)
@@ -408,7 +410,12 @@ def _split_search(
     the minimum already fixed by E).  Partial minima are pruned through the
     outer family, which is sound because every family expressible here is
     closed under taking initial segments of its members.
+
+    Block i of the greedy split ends no earlier than block i of any valid
+    split, so its minima spread an initial segment of that split's minima;
+    only a relabeled outer family, which is not spreading, needs more.
     """
+    greedy = outer is None or is_plain(outer)
 
     def rec(start: int, minima: List[int], acc: List[Tuple[FinSet, Witness]]):
         if start == len(E):
@@ -422,14 +429,14 @@ def _split_search(
             # initial segments of outer members stay in outer, so no
             # extension of this prefix of minima can succeed either
             return None
-        # longest prefix first = greedy; the loop is the backtracking fallback
+        # longest prefix first = greedy; shorter blocks only when not greedy
         for end in range(len(E), start, -1):
             block = E[start:end]
             res = member(block, inner)
             if not res.member:
                 continue
             out = rec(end, new_minima, acc + [(block, res.witness)])
-            if out is not None:
+            if out is not None or greedy:
                 return out
         return None
 
@@ -439,6 +446,138 @@ def _split_search(
     blocks = tuple(b for b, _ in found)
     wits = tuple(w for _, w in found)
     return blocks, wits
+
+
+# ---------------------------------------------------------------------------
+# membership: incremental greedy state for enumeration
+# ---------------------------------------------------------------------------
+#
+# A greedy state stands for a nonempty member E and decides E + (x,), for
+# x > max E, in O(depth) without the memo.  S_0, S_1 and A_n hold the room
+# left; F[G] holds the states of the block minima in F and of the open
+# block in G, and S_{x+1} = S_1[S_x] adds S_x; a limit S_lam holds
+# (n, S_lam[n], its state, E) for its least live stage n, the n that
+# LimitWitness records, and replays later stages only when stage n dies;
+# F(M) holds the state of the preimage.  F[G] with a relabeled F, which is
+# not spreading, has no greedy state: its state is E, and a push asks member.
+
+_S1 = SchreierFamily(ONE)
+
+
+def _start(fam: Family, x: int):
+    """Greedy state of the singleton (x,), or None when it is not a member."""
+    if isinstance(fam, CardinalityFamily):
+        return fam.bound - 1 if fam.bound else None
+    if isinstance(fam, SchreierFamily):
+        xi = fam.index
+        if xi.is_zero:
+            return 0
+        if xi == ONE:
+            return x - 1
+        if xi.is_successor:
+            inner = SchreierFamily(xi.predecessor())
+            return x - 1, _start(inner, x), inner
+        return _least_stage(xi, (x,), 1)
+    if isinstance(fam, RelabeledFamily):
+        pos = fam.labels.position_of(x)
+        return None if pos is None else _start(fam.base, pos)
+    if isinstance(fam, BracketFamily):
+        if not is_plain(fam.outer):
+            return (x,) if member((x,), fam).member else None
+        outer, inner = _start(fam.outer, x), _start(fam.inner, x)
+        return None if outer is None or inner is None else (outer, inner)
+    raise TypeError(f"not a family expression: {fam!r}")
+
+
+def _push(fam: Family, state, x: int):
+    """Greedy state of E + (x,) from the state of E, for x > max E; None
+    when E + (x,) is not a member."""
+    if isinstance(fam, RelabeledFamily):
+        pos = fam.labels.position_of(x)
+        return None if pos is None else _push(fam.base, state, pos)
+    if type(state) is int:  # S_0, S_1, A_n: the room left
+        return state - 1 if state else None
+    if isinstance(fam, BracketFamily):
+        if not is_plain(fam.outer):
+            E = state + (x,)
+            return E if member(E, fam).member else None
+        return _push_block(fam.outer, fam.inner, state[0], state[1], x)
+    xi = fam.index
+    if xi.is_successor:
+        room, inner_state, inner = state
+        nxt = _push_block(_S1, inner, room, inner_state, x)
+        return None if nxt is None else nxt + (inner,)
+    n, stage, stage_state, E = state
+    E += (x,)
+    stage_state = _push(stage, stage_state, x)
+    if stage_state is None:
+        return _least_stage(xi, E, n + 1)
+    return n, stage, stage_state, E
+
+
+def _push_block(outer: Family, inner: Family, outer_state, inner_state, x: int):
+    """x joins the open block when the inner family allows, else opens a
+    new block, which the outer family must accept."""
+    nxt = _push(inner, inner_state, x)
+    if nxt is not None:
+        return outer_state, nxt
+    outer_state = _push(outer, outer_state, x)
+    nxt = None if outer_state is None else _start(inner, x)
+    return None if nxt is None else (outer_state, nxt)
+
+
+def _state_of(fam: Family, E: FinSet):
+    """Greedy state of a nonempty E, or None when E is not a member."""
+    state = _start(fam, E[0])
+    for x in E[1:]:
+        if state is None:
+            return None
+        state = _push(fam, state, x)
+    return state
+
+
+def _least_stage(xi: Ordinal, E: FinSet, n: int):
+    """Limit state of E in S_xi from stage n on, or None when no stage
+    n..min E holds E."""
+    for m in range(n, E[0] + 1):
+        stage = SchreierFamily(fundamental(xi, m))
+        state = _state_of(stage, E)
+        if state is not None:
+            return m, stage, state, E
+    return None
+
+
+def _walk(
+    fam: Family, universe: Sequence[int], root: FinSet = (), rhs: Optional[Family] = None
+) -> Iterator[Tuple[FinSet, bool, bool]]:
+    """The members of fam that extend root (empty or a singleton) by
+    elements of the ascending universe, in DFS pre-order and increasing
+    element order, as (E, leaf, escaped).
+
+    Greedy states ride along the DFS, so an extension costs one `_push` per
+    family.  A leaf has no extension by a later universe element.  With rhs
+    given, a member outside rhs comes back escaped, and its extensions,
+    which lie outside rhs as well because rhs is hereditary, are skipped.
+    """
+    state = _start(fam, root[0]) if root else None
+    if root and state is None:
+        return
+    stack = [(root, state, None, 0)]
+    while stack:
+        E, state, rhs_state, start = stack.pop()
+        if rhs is not None and E:
+            rhs_state = _push(rhs, rhs_state, E[-1]) if len(E) > 1 else _start(rhs, E[0])
+            if rhs_state is None:
+                yield E, False, True
+                continue
+        kids = []
+        for i in range(start, len(universe)):
+            x = universe[i]
+            nxt = _push(fam, state, x) if E else _start(fam, x)
+            if nxt is not None:
+                kids.append((E + (x,), nxt, rhs_state, i + 1))
+        yield E, not kids, False
+        stack.extend(reversed(kids))
 
 
 # ---------------------------------------------------------------------------
@@ -594,20 +733,9 @@ def iter_maximal(fam: Family, first: int, horizon: int) -> Iterator[FinSet]:
     """
     if first > horizon:
         raise ValueError("first must be <= horizon")
-    if not member((first,), fam).member:
-        return
-
-    def rec(current: FinSet) -> Iterator[FinSet]:
-        extended = False
-        for x in _extension_candidates(fam, current[-1], horizon):
-            cand = current + (x,)
-            if member(cand, fam).member:
-                extended = True
-                yield from rec(cand)
-        if not extended:
-            yield current
-
-    yield from rec((first,))
+    for E, leaf, _ in _walk(fam, _extension_candidates(fam, first, horizon), (first,)):
+        if leaf:
+            yield E
 
 
 def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumeration:
@@ -621,18 +749,18 @@ def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumerati
     truncated: List[bool] = []
     probe_values = _extension_candidates(fam, horizon, horizon + 4 * max(horizon, 16))[:4]
     for current in iter_maximal(fam, first, horizon):
+        # a DFS leaf need not be maximal (A_3 from 1 at horizon 4 yields the
+        # leaf (1, 4) inside (1, 2, 4)); as the family is hereditary, it is
+        # maximal when no single element between its own joins it, and for
+        # a spreading family the largest such element is the one to try
+        gaps = [y for y in _extension_candidates(fam, first, current[-1]) if y not in current]
+        if is_plain(fam):
+            gaps = gaps[-1:]
+        if any(_state_of(fam, tuple(sorted(current + (y,)))) is not None for y in gaps):
+            continue
         sets.append(current)
-        truncated.append(any(member(current + (v,), fam).member for v in probe_values))
-    # a DFS leaf need not be maximal (A_3 from 1 at horizon 4 yields the
-    # leaf (1, 4) inside (1, 2, 4)); keep only sets not strictly contained
-    # in another
-    keep: List[int] = []
-    as_sets = [set(s) for s in sets]
-    for i, si in enumerate(as_sets):
-        if not any(i != j and si < sj for j, sj in enumerate(as_sets)):
-            keep.append(i)
-    sets = [sets[i] for i in keep]
-    truncated = [truncated[i] for i in keep]
+        state = _state_of(fam, current)
+        truncated.append(any(_push(fam, state, v) is not None for v in probe_values))
     all_truncated = bool(sets) and all(truncated)
     return MaximalEnumeration(sets, truncated, all_truncated)
 
@@ -676,12 +804,12 @@ def threshold_search(xi: Ordinal, zeta: Ordinal, horizon: int) -> ThresholdResul
     lies in S_zeta.
 
     Requires xi <= zeta.  A structurally certified n (valid at every
-    horizon) is computed first; candidates below it are then checked by
-    exhausting maximal members, which suffices because S_zeta is
-    hereditary.  Each rejected candidate is recorded with the set that
-    killed it.  If the enumeration for the minimality pass would exceed
-    THRESHOLD_MINIMALITY_BUDGET, the structural n is returned with
-    minimal=False rather than an uncertified smaller value.
+    horizon) is computed first; candidates below it are then checked by a
+    DFS over the S_xi members that carries their S_zeta state along, so
+    the first member to leave S_zeta, in DFS order, rejects the candidate
+    and is recorded with it.  If the DFS for one candidate would reach more
+    than THRESHOLD_MINIMALITY_BUDGET leaves, the structural n is returned
+    with minimal=False rather than an uncertified smaller value.
     """
     if compare(xi, zeta) > 0:
         raise ValueError("threshold search needs xi <= zeta")
@@ -698,16 +826,14 @@ def threshold_search(xi: Ordinal, zeta: Ordinal, horizon: int) -> ThresholdResul
     while n < n_struct:
         bad: Optional[FinSet] = None
         budget = THRESHOLD_MINIMALITY_BUDGET
-        for first in range(n, horizon + 1):
-            for E in iter_maximal(fam_xi, first, horizon):
+        for E, leaf, escaped in _walk(fam_xi, range(n, horizon + 1), rhs=fam_zeta):
+            if escaped:
+                bad = E
+                break
+            if leaf and E:
                 budget -= 1
                 if budget < 0:
                     break
-                if not member(E, fam_zeta).member:
-                    bad = E
-                    break
-            if bad is not None or budget < 0:
-                break
         if budget < 0:
             minimal = False
             break
@@ -876,16 +1002,8 @@ def _all_members_over(fam: Family, universe: List[int]) -> Iterator[FinSet]:
     DFS in increasing element order; sound because members are closed
     under initial segments for every expressible family.
     """
-    yield ()
-
-    def rec(current: FinSet, start: int) -> Iterator[FinSet]:
-        for idx in range(start, len(universe)):
-            cand = current + (universe[idx],)
-            if member(cand, fam).member:
-                yield cand
-                yield from rec(cand, idx + 1)
-
-    yield from rec((), 0)
+    for E, _, _ in _walk(fam, universe):
+        yield E
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +1058,9 @@ def verify_bracket_inclusion(lhs: Family, rhs: Family, horizon: int) -> WitnessR
 
     * structural: after canonical rewriting lhs equals rhs, so the
       inclusion is an identity;
-    * powerset sweep at small horizons: literally every subset;
+    * member sweep (method "powerset") at small horizons: every lhs
+      member, by DFS with the rhs state carried along, so the
+      counterexample is the first escaping member in DFS order;
     * spread-dominance for bracket-shaped lhs against a hereditary and
       spreading rhs: every member E of F[G] is a spread of its per-block
       left-compression E_c, and E_c is contained in the compression with
@@ -962,18 +1082,15 @@ def verify_bracket_inclusion(lhs: Family, rhs: Family, horizon: int) -> WitnessR
         )
 
     if horizon <= 16:
-        universe = list(range(1, horizon + 1))
         checked = 0
-        for r in range(len(universe) + 1):
-            for combo in itertools.combinations(universe, r):
-                if member(combo, lhs_c).member:
-                    checked += 1
-                    if not member(combo, rhs_c).member:
-                        return WitnessReport(
-                            False, detail="member of lhs escapes rhs",
-                            counterexample=combo, certified_horizon=horizon,
-                            method="powerset",
-                        )
+        for E, _, escaped in _walk(lhs_c, range(1, horizon + 1), rhs=rhs_c):
+            if escaped:
+                return WitnessReport(
+                    False, detail="member of lhs escapes rhs",
+                    counterexample=E, certified_horizon=horizon,
+                    method="powerset",
+                )
+            checked += 1
         return WitnessReport(
             True, detail=f"{checked} members checked",
             certified_horizon=horizon, method="powerset", stats={"members": checked},

@@ -17,6 +17,10 @@ These deliberately avoid the production algorithms' shortcuts:
   contiguous chunks that the production evaluator replaced with the
   memoised "at most k" kernel.
 
+* `dfs_leaves_oracle` and `members_over_oracle` list the DFS leaves and
+  the members of a family by testing every subset with the exhaustive
+  decider, where the production enumerations extend greedy states.
+
 * `wmax_certificate` certifies that a claimed value function equals the
   sup over the full norming set: it checks that every claimed value is
   achieved by an explicit valid functional, and that the value function is
@@ -33,10 +37,38 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from schreier.families import SchreierFamily, member
+from schreier.families import SchreierFamily, member, member_exhaustive
 from schreier.norms import MixedSchreierSpace, norm
 from schreier.ordinals import Ordinal, omega_power
 from schreier.vectors import SumNode, Vector, evaluate, validate_functional
+
+
+# ---------------------------------------------------------------------------
+# family enumeration oracles
+# ---------------------------------------------------------------------------
+
+
+def _subsets(universe: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    for r in range(len(universe) + 1):
+        yield from combinations(universe, r)
+
+
+def dfs_leaves_oracle(fam, first: int, horizon: int) -> List[Tuple[int, ...]]:
+    """Members with min = first inside [first, horizon] that no element
+    above their max extends, in DFS (lexicographic) order."""
+    leaves = []
+    for rest in _subsets(range(first + 1, horizon + 1)):
+        E = (first,) + rest
+        if member_exhaustive(E, fam) and not any(
+            member_exhaustive(E + (x,), fam) for x in range(E[-1] + 1, horizon + 1)
+        ):
+            leaves.append(E)
+    return sorted(leaves)
+
+
+def members_over_oracle(fam, universe: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Every member with support inside universe, in DFS (lexicographic) order."""
+    return sorted(E for E in _subsets(universe) if member_exhaustive(E, fam))
 
 
 # ---------------------------------------------------------------------------

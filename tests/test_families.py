@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import dfs_leaves_oracle, members_over_oracle
 from schreier.families import (
     A,
     BracketFamily,
@@ -25,6 +28,7 @@ from schreier.families import (
     enumerate_maximal,
     family_mass,
     finset,
+    iter_maximal,
     member,
     member_exhaustive,
     recheck_witness,
@@ -32,6 +36,9 @@ from schreier.families import (
     threshold_search,
     verify_bracket_inclusion,
     verify_union_property,
+    _all_members_over,
+    _extension_candidates,
+    _state_of,
 )
 from schreier.ordinals import OMEGA, ONE, add, finite, omega_power
 
@@ -126,6 +133,77 @@ def test_bracket_associativity():
             assert member(E, left).member == member(E, right).member, (F, G, H, E)
 
 
+# the nine criterion-01 indices, brackets, and the three ways a relabeling
+# can sit in a bracket; the last family has a relabeled outer family, so it
+# has no greedy state and its enumerations ask `member`
+GREEDY_FAMILIES = [
+    S(xi) for xi in (
+        finite(0), finite(1), finite(2), finite(3), OMEGA, add(OMEGA, ONE),
+        omega_power(ONE, 2), omega_power(finite(2)), omega_power(OMEGA),
+    )
+] + [
+    BracketFamily(S(1), A(2)),
+    BracketFamily(S(2), S(1)),
+    BracketFamily(S(OMEGA), S(2)),
+    BracketFamily(S(2), RelabeledFamily(S(1), EVENS)),
+    RelabeledFamily(BracketFamily(S(1), A(2)), EVENS),
+    BracketFamily(RelabeledFamily(S(1), EVENS), A(2)),
+]
+
+
+def greedy_member(E, fam):
+    return not E or _state_of(fam, E) is not None
+
+
+@pytest.mark.parametrize("fam", GREEDY_FAMILIES, ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(elements=st.sets(st.integers(1, 20), max_size=14), evens=st.booleans())
+def test_greedy_state_matches_exhaustive(fam, elements, evens):
+    # doubling puts the set on the labels of the relabeled families
+    E = tuple(sorted(2 * e if evens else e for e in elements))
+    assert greedy_member(E, fam) == member_exhaustive(E, fam), E
+
+
+@pytest.mark.parametrize("fam", GREEDY_FAMILIES, ids=repr)
+def test_enumerations_match_oracles(fam):
+    horizon = 10
+    for first in range(1, horizon + 1):
+        leaves = dfs_leaves_oracle(fam, first, horizon)
+        assert list(iter_maximal(fam, first, horizon)) == leaves, first
+        maximal = [
+            E for E in leaves
+            if not any(member_exhaustive(tuple(sorted(E + (y,))), fam)
+                       for y in range(first + 1, E[-1]) if y not in E)
+        ]
+        probes = _extension_candidates(fam, horizon, 5 * horizon)[:4]
+        enum = enumerate_maximal(fam, first, horizon)
+        assert enum.sets == maximal, first
+        assert enum.truncated == [
+            any(member_exhaustive(E + (v,), fam) for v in probes) for E in maximal
+        ], first
+    for universe in (list(range(1, horizon + 1)), EVENS.values_within(1, 2 * horizon)):
+        assert list(_all_members_over(fam, universe)) == members_over_oracle(fam, universe)
+
+
+def test_relabeled_outer_keeps_backtracking():
+    # the greedy split (4, 6), (7,) has minima (4, 7), which lie outside
+    # S_1(EVENS); only the split (4,), (6, 7) shows membership
+    fam = BracketFamily(RelabeledFamily(S(1), EVENS), A(2))
+    E = (4, 6, 7)
+    res = member(E, fam)
+    assert res.member and res.witness.blocks == ((4,), (6, 7))
+    assert member_exhaustive(E, fam) and greedy_member(E, fam)
+
+
+def test_iter_maximal_deep_limits():
+    # a limit state follows only its least live stage; following every
+    # stage of S(w^2) at once does not finish on the first of these
+    start = time.perf_counter()
+    assert sum(1 for _ in iter_maximal(S(omega_power(finite(2))), 7, 14)) == 64
+    assert sum(1 for _ in iter_maximal(S(omega_power(ONE, 2)), 6, 14)) == 128
+    assert time.perf_counter() - start < 10
+
+
 def test_s1_subset_of_higher():
     for xi in (finite(1), finite(2), finite(3), OMEGA, omega_power(OMEGA)):
         for E in subsets(range(1, 10)):
@@ -216,6 +294,14 @@ def test_threshold_s2_to_omega_golden():
     assert res.n == 1 and res.minimal
 
 
+def test_threshold_rejection_is_first_escaping_member():
+    # below n = 3, the first S_3 member in DFS order to leave S_w is
+    # (2, ..., 8): its greedy S_2 split needs three blocks, and min E = 2
+    res = threshold_search(finite(3), OMEGA, 14)
+    assert res.n == 3 and res.minimal
+    assert res.rejections == [(1, tuple(range(2, 9)))]
+
+
 def test_threshold_rejects_bad_order():
     with pytest.raises(ValueError):
         threshold_search(finite(2), finite(1), 10)
@@ -274,7 +360,7 @@ def test_verify_small_horizon_examples():
     assert verify_bracket_inclusion(S(1), S(2), 15).ok
     rep = verify_bracket_inclusion(S(2), S(1), 15)
     assert not rep.ok
-    assert rep.counterexample == (2, 3, 4)  # first escaping member
+    assert rep.counterexample == (2, 3, 4)  # first escaping member in DFS order
 
 
 def test_verify_structural_equality():

@@ -1,8 +1,10 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+every module-level private helper is used somewhere in the package."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,3 +30,28 @@ def test_no_unused_module_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def referenced_names(node: ast.AST):
+    """Every name read inside node, as a plain name or as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_no_unreferenced_private_helpers():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    dead = [
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        # a helper that only calls itself is still unused
+        and uses[node.name] == sum(name == node.name for name in referenced_names(node))
+    ]
+    assert not dead, f"private helpers nothing in the package uses: {', '.join(dead)}"
