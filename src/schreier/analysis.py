@@ -36,6 +36,7 @@ from .norms import (
     L1Space,
     MixedSchreierSpace,
     NormSpace,
+    _admissible_sum,
     interval_norm,
     norm,
 )
@@ -577,7 +578,10 @@ def alpha_index_diagnostic(
     admissible average family can extract mass from the tail blocks.  The
     maximisation is exact over sign-matched unit averages on interval piece
     systems of each block's support, which dominate all other averages of
-    the same shape.
+    the same shape.  It runs the X(xi) norm's search, `_admissible_sum`,
+    with sizes of at least the floor and the piece length, so a piece is
+    worth its mass over its size as the pruning needs; the best value
+    carries over from block to block.
     """
     if size_floor < 2:
         raise ValueError("the average sizes need a floor >= 2")
@@ -586,32 +590,13 @@ def alpha_index_diagnostic(
     fam = SchreierFamily(stage)
     limit = min(horizon, len(bs))
     best = Fraction(0)
-    for k in range(max(1, limit - ALPHA_TARGET_BLOCKS + 1), limit + 1):
-        block = bs.blocks[k - 1]
+    for block in bs.blocks[max(0, limit - ALPHA_TARGET_BLOCKS) : limit]:
         pos = block.support()
-        m = len(pos)
-        masses = [abs(block[c]) for c in pos]
-        prefix = [Fraction(0)] * (m + 1)
-        for i in range(m):
-            prefix[i + 1] = prefix[i] + masses[i]
+        prefix = list(itertools.accumulate((abs(v) for _, v in block.entries), initial=Fraction(0)))
 
-        def dfs(start: int, minima: Tuple[int, ...], prev_size: int, prev_max: int, total: Fraction):
-            nonlocal best
-            if total > best:
-                best = total
-            for a in range(start, m):
-                if total + (prefix[m] - prefix[a]) / max(size_floor, prev_size + 1) <= best:
-                    return
-                new_minima = minima + (pos[a],)
-                if not member(new_minima, fam).member:
-                    continue
-                for b in range(a, m):
-                    pieces = b - a + 1
-                    size = max(size_floor, pieces, prev_size + 1, prev_max + 1)
-                    gain = (prefix[b + 1] - prefix[a]) / size
-                    dfs(b + 1, new_minima, size, pos[b], total + gain)
-                    if total + gain > best:
-                        best = total + gain
+        def piece(a: int, b: int, size: int):
+            size = max(size, b - a + 1)
+            return (prefix[b + 1] - prefix[a]) / size, size, None
 
-        dfs(0, (), 0, 0, Fraction(0))
+        best, _ = _admissible_sum(fam, pos, prefix, 0, len(pos) - 1, size_floor, piece, best)
     return best

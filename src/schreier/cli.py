@@ -82,11 +82,14 @@ def _load_blocks(path: Optional[str], default_length: int = 16) -> BlockSequence
         return BlockSequence.basis(default_length)
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read block corpus {path}: {exc}") from exc
-    blocks = tuple(parsing.parse_vector(t) for t in data["blocks"])
-    return BlockSequence(blocks)
+            texts = json.load(fh)["blocks"]
+        if not all(isinstance(t, str) for t in texts):
+            raise TypeError("blocks must be vector strings")
+        return BlockSequence(tuple(parsing.parse_vector(t) for t in texts))
+    except parsing.ParseError:
+        raise
+    except (OSError, LookupError, TypeError, ValueError) as exc:
+        raise UsageError(f'bad block corpus {path}, want {{"blocks": ["<vector>", ...]}}: {exc!r}') from exc
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -213,6 +216,8 @@ def _cmd_smodel(args) -> int:
     space = parsing.parse_space(args.space)
     fam = parsing.parse_family(args.family)
     bs = _load_blocks(args.blocks, default_length=max(16, args.horizon))
+    if args.horizon > len(bs):
+        raise UsageError(f"--horizon {args.horizon} exceeds the {len(bs)} blocks of the corpus")
     est = analysis.spreading_profile(space, bs, fam, args.horizon)
     return _emit(args, "smodel profile",
                  {"space": args.space, "family": args.family, "horizon": args.horizon},
@@ -403,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--zeta", required=True)
         q.add_argument("--eps", required=True)
         q.add_argument("--seq", default="arith(2,1)")
-        q.add_argument("--budget", type=int, default=60)
+        q.add_argument("--budget", type=_at_least(1), default=60)
         if name == "blocks":
             q.add_argument("--blocks", default=None)
     p.set_defaults(func=_cmd_scc)

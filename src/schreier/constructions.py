@@ -228,7 +228,7 @@ def build_l1_average(
     the first block's min support) and whose unnormalised average has norm
     at least `quality`.  Returns the normalised average and a certificate
     dict; raises BudgetExhausted with the best window when quality is
-    unreachable.
+    unreachable, and ValueError when the space's norm is not exact.
     """
     quality = Fraction(quality)
     best = None
@@ -239,7 +239,10 @@ def build_l1_average(
         avg = window[0] * Fraction(1, k)
         for b in window[1:]:
             avg = avg + b * Fraction(1, k)
-        value = norm(space, avg).value
+        res = norm(space, avg)
+        if not res.exact:
+            raise ValueError(f"the norm of {space} is not exact; an l1 average needs an exact scale")
+        value = res.value
         info = {
             "start": s,
             "indices": tuple(range(s, s + k)),
@@ -247,8 +250,7 @@ def build_l1_average(
             "size": k,
         }
         if value >= quality:
-            scale = Fraction(1) / (value if isinstance(value, Fraction) else Fraction(value).limit_denominator(10**12))
-            return avg * scale, info
+            return avg * (1 / value), info
         if best is None or value > best["norm_before"]:
             best = info
     raise BudgetExhausted(
@@ -510,6 +512,7 @@ def l1_to_c0_blocking(
     L1_TO_C0_STAGE_CAP): the canonical hierarchy has supports exponential in the
     stage, so the desk-scale schedule shrinks the epsilons while the stages
     are clamped, and every output carries the certificate actually used.
+    Raises ValueError when the space's norm is not exact.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -529,9 +532,10 @@ def l1_to_c0_blocking(
             raise BudgetExhausted(f"ran out of blocks at stage {k}")
         tail = BlockSequence(tuple(tail_blocks), tuple(tail_origins))
         vec, cert = scc_on_blocks(tail, stage_hi, stage_lo, eps / (2 ** (k - 1)), L1_TO_C0_SCC_BUDGET)
-        value = norm(space, vec).value
-        scale = Fraction(1) / (value if isinstance(value, Fraction) else Fraction(value).limit_denominator(10**12))
-        out_blocks.append(vec * scale)
+        res = norm(space, vec)
+        if not res.exact:
+            raise ValueError(f"the norm of {space} is not exact; a normalised block needs an exact scale")
+        out_blocks.append(vec * (1 / res.value))
         chosen = set(cert.support_set)
         used = [i + 1 for i, b in enumerate(tail.blocks) if b.support()[0] in chosen]
         origin = tuple(sorted(set(i for u in used for i in tail.origins[u - 1])))

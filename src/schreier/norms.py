@@ -36,18 +36,23 @@ Schlumprecht weight depends on k; its session says why the kernel is
 still exact there.)  A norm that is itself a sup over splits asks the
 kernel for at least two chunks, so it never needs its own value.
 
-Piece systems are restricted to interval chunks of the support, with gaps
-allowed between pieces but not inside them: all these norms are
-1-unconditional lattice norms, monotone under support restriction, so
-filling an internal gap never lowers a piece norm while the piece minimum
-(which admissibility constrains) only moves left when extending that way;
-the sup over interval systems therefore equals the sup over arbitrary
-successive systems.  Within a chosen piece system the minimal legal
-weights j_q are optimal because best-sum(j)/j is non-increasing in j.
+The X(xi) norm and `analysis.alpha_index_diagnostic` share a second
+kernel, `_admissible_sum`, the pruned search over admissible, very fast
+growing piece systems.  Piece systems are restricted to interval chunks
+of the support, with gaps allowed between pieces but not inside them: all
+these norms are 1-unconditional lattice norms, monotone under support
+restriction, so filling an internal gap never lowers a piece norm while
+the piece minimum (which admissibility constrains) only moves left when
+extending that way; the sup over interval systems therefore equals the sup
+over arbitrary successive systems.  Within a chosen piece system the
+minimal legal weights j_q are optimal because best-sum(j)/j is
+non-increasing in j.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,7 +186,7 @@ def _best_leaf(x: Vector) -> Tuple[Fraction, Optional[PartLeaf]]:
 
 
 # ---------------------------------------------------------------------------
-# the chunk-cover kernel
+# the chunk-cover and admissible-sum kernels
 # ---------------------------------------------------------------------------
 
 
@@ -217,6 +222,44 @@ def _cover(chunk, memo: dict, s: int, j: int, k: int, split: bool = False):
         return hit
     v, w = chunk(s, j)
     return hit if hit[0] > v else (v, (w,))
+
+
+def _admissible_sum(fam, pos, prefix, i: int, j: int, floor: int, piece, best):
+    """Best sum over successive interval pieces [a, b] of positions i..j
+    (gaps allowed) whose minima pos[a] form a member of `fam`, each offered
+    the least legal size max(floor, previous size + 1, previous max + 1).
+    `piece(a, b, size)` gives (value, declared size, witness) or None to skip;
+    prefix[t] is the l1 mass of positions 0..t-1.  Returns the best total
+    strictly above `best` with its witnesses, or (best, None).
+
+    A piece is worth at most its mass over its size and later sizes are at
+    least max(floor, previous size + 1), so nothing from a on beats best
+    strictly once total + mass(a..j) / that <= best: pruning there keeps
+    every strict improvement.
+    """
+    found = None
+
+    def dfs(start, minima, prev_size, prev_max, total, wits):
+        nonlocal best, found
+        for a in range(start, j + 1):
+            if total + (prefix[j + 1] - prefix[a]) / max(floor, prev_size + 1) <= best:
+                return
+            new_minima = minima + (pos[a],)
+            if not member(new_minima, fam).member:
+                continue  # admissible sets are closed under initial segments
+            size = max(floor, prev_size + 1, prev_max + 1)
+            for b in range(a, j + 1):
+                got = piece(a, b, size)
+                if got is None:
+                    continue
+                value, declared, wit = got
+                t, w = total + value, wits + (wit,)
+                if t > best:
+                    best, found = t, w
+                dfs(b + 1, new_minima, declared, pos[b], t, w)
+
+    dfs(i, (), 0, 0, Fraction(0), ())
+    return best, found
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +354,20 @@ class _MixedSession:
     """Exact recursion for the mixed Schreier norm with functional witnesses.
 
     Pieces are intervals of support positions: (start, end) inclusive.
-    `norm(i, j)` evaluates the restriction to positions i..j; the auxiliary
-    |y|_j value of a piece is the kernel's cover with at most j chunks,
-    whose memo is shared across depths.  MIXED_TICK_BUDGET guards the
-    worst-case exponential piece-system enumeration; when it runs out the
-    session keeps the values found so far, which stay certified lower
-    bounds, and reports non-convergence.
+    `norm(i, j)` evaluates the restriction to positions i..j by
+    `_admissible_sum` with floor 2: a piece of size j is worth its cover with
+    at most j chunks over j, at most its mass over j since norming
+    functionals have coefficients in [-1, 1].  MIXED_TICK_BUDGET guards the
+    worst-case exponential piece-system enumeration; once it runs out every
+    piece is skipped, and the values found so far stay certified lower
+    bounds of a session that reports non-convergence.
     """
 
     def __init__(self, x: Vector, xi: Ordinal, depth_cap: int):
         self.pos = x.support()
         self.vals = [v for _, v in x.entries]
         self.absvals = [abs(v) for v in self.vals]
-        # prefix[t] is the l1 mass of positions 0..t-1
-        self.prefix = [Fraction(0)]
-        for v in self.absvals:
-            self.prefix.append(self.prefix[-1] + v)
+        self.prefix = list(itertools.accumulate(self.absvals, initial=Fraction(0)))
         self.fam = SchreierFamily(omega_power(xi))
         self.depth_cap = depth_cap
         self.budget = MIXED_TICK_BUDGET
@@ -334,66 +375,33 @@ class _MixedSession:
         self.norm_memo: Dict[Tuple[int, int], Tuple[Fraction, Functional]] = {}
         self.cover_memo: dict = {}
 
-    def _tick(self) -> bool:
-        self.budget -= 1
-        if self.budget < 0:
-            self.converged = False
-            return False
-        return True
-
     def norm(self, i: int, j: int, depth: int = 0) -> Tuple[Fraction, Functional]:
         key = (i, j)
         hit = self.norm_memo.get(key)
         if hit is not None:
             return hit
         t = max(range(i, j + 1), key=self.absvals.__getitem__)
-        state: List = [self.absvals[t], Unit(-1 if self.vals[t] < 0 else 1, self.pos[t])]
+        best: Fraction = self.absvals[t]
+        wit: Functional = Unit(-1 if self.vals[t] < 0 else 1, self.pos[t])
         if depth >= self.depth_cap:
             self.converged = False
-            self.norm_memo[key] = (state[0], state[1])
-            return state[0], state[1]
-        # mass[a] is the l1 mass of positions a..j
-        mass = [self.prefix[j + 1] - p for p in self.prefix[: j + 1]]
+        else:
+            chunk = functools.partial(self.norm, depth=depth + 1)
 
-        def chunk(a: int, b: int) -> Tuple[Fraction, Functional]:
-            return self.norm(a, b, depth + 1)
+            def piece(a: int, b: int, size: int):
+                self.budget -= 1
+                if self.budget < 0:
+                    self.converged = False
+                elif (a, b) != (i, j):  # (i, j) alone is the degenerate self map
+                    val, chunk_wits = _cover(chunk, self.cover_memo, a, b, size)
+                    return val / size, size, Average(size, chunk_wits)
+                return None
 
-        # DFS over piece systems: successive intervals with gaps allowed,
-        # minima admissible, excluding the single whole-interval piece.
-        def dfs(
-            start: int,
-            minima: Tuple[int, ...],
-            prev_size: int,
-            prev_max: int,
-            total: Fraction,
-            children: Tuple[Average, ...],
-        ) -> None:
-            for a in range(start, j + 1):
-                # everything from position a rightwards is worth at most
-                # its l1 mass, and that mass shrinks as a grows
-                if total + mass[a] <= state[0]:
-                    return
-                new_minima = minima + (self.pos[a],)
-                if not member(new_minima, self.fam).member:
-                    # admissible sets are closed under initial segments,
-                    # so no extension of this minima prefix can work
-                    continue
-                jq = max(2, prev_size + 1, prev_max + 1)
-                for b in range(a, j + 1):
-                    if not self._tick():
-                        return
-                    if not children and (a, b) == (i, j):
-                        continue
-                    val, chunk_wits = _cover(chunk, self.cover_memo, a, b, jq)
-                    t2 = total + val / jq
-                    ch2 = children + (Average(jq, chunk_wits),)
-                    if t2 > state[0]:
-                        state[0], state[1] = t2, SumNode(ch2)
-                    dfs(b + 1, new_minima, jq, self.pos[b], t2, ch2)
-
-        dfs(i, (), 0, 0, Fraction(0), ())
-        self.norm_memo[key] = (state[0], state[1])
-        return state[0], state[1]
+            best, pieces = _admissible_sum(self.fam, self.pos, self.prefix, i, j, 2, piece, best)
+            if pieces is not None:
+                wit = SumNode(pieces)
+        self.norm_memo[key] = (best, wit)
+        return best, wit
 
 
 def _mixed_norm(space: MixedSchreierSpace, x: Vector) -> NormResult:

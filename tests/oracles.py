@@ -21,6 +21,11 @@ These deliberately avoid the production algorithms' shortcuts:
   the members of a family by testing every subset with the exhaustive
   decider, where the production enumerations extend greedy states.
 
+* `alpha_oracle` maximises the alpha-index diagnostic over every interval
+  piece system of each target block with the exhaustive decider and no
+  pruning, where the production search shares the X(xi) norm's pruned
+  admissible-sum kernel.
+
 * `wmax_certificate` certifies that a claimed value function equals the
   sup over the full norming set: it checks that every claimed value is
   achieved by an explicit valid functional, and that the value function is
@@ -37,10 +42,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from schreier.analysis import ALPHA_TARGET_BLOCKS
 from schreier.families import SchreierFamily, member, member_exhaustive
 from schreier.norms import MixedSchreierSpace, norm
-from schreier.ordinals import Ordinal, omega_power
-from schreier.vectors import SumNode, Vector, evaluate, validate_functional
+from schreier.ordinals import Ordinal, fundamental, omega_power
+from schreier.vectors import BlockSequence, SumNode, Vector, evaluate, validate_functional
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +148,37 @@ def tsirelson_interval_oracle(x: Vector, n: int) -> Fraction:
         sum((tsirelson_oracle(x.restrict(pos[a : b + 1]), memo) for a, b in system), Fraction(0))
         for system in _interval_systems(len(pos), 0, n)
     )
+
+
+# ---------------------------------------------------------------------------
+# alpha-index diagnostic oracle
+# ---------------------------------------------------------------------------
+
+
+def alpha_oracle(bs: BlockSequence, n: int, size_floor: int, horizon: int, xi: Ordinal) -> Fraction:
+    """Brute-force alpha-index diagnostic: over the last ALPHA_TARGET_BLOCKS
+    blocks within the horizon and every system of successive interval
+    pieces of a block's support whose minima `member_exhaustive` accepts,
+    the best sum of piece mass / size, where each size is the least legal
+    one: max(size_floor, piece length, previous size + 1, previous max + 1)."""
+    base = omega_power(xi)
+    fam = SchreierFamily(fundamental(base, n) if base.is_limit else base)
+    limit = min(horizon, len(bs))
+    best = Fraction(0)
+    for block in bs.blocks[max(0, limit - ALPHA_TARGET_BLOCKS) : limit]:
+        pos = block.support()
+        masses = [abs(v) for _, v in block.entries]
+        for system in _interval_systems(len(pos), 0, len(pos)):
+            if not system or not member_exhaustive(tuple(pos[a] for a, _ in system), fam):
+                continue
+            total = Fraction(0)
+            prev_size = prev_max = 0
+            for a, b in system:
+                size = max(size_floor, b - a + 1, prev_size + 1, prev_max + 1)
+                total += sum(masses[a : b + 1]) / size
+                prev_size, prev_max = size, pos[b]
+            best = max(best, total)
+    return best
 
 
 # ---------------------------------------------------------------------------

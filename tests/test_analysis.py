@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import alpha_oracle
 from schreier.analysis import (
     IntervalNormSpec,
     alpha_index_diagnostic,
@@ -21,7 +22,7 @@ from schreier.analysis import (
     predicted_interval_ratio,
 )
 from schreier.families import A, S, member, verify_bracket_inclusion
-from schreier.norms import C0, L1, T, MixedSchreierSpace, norm
+from schreier.norms import C0, L1, T, MixedSchreierSpace, SchlumprechtSpace, norm
 from schreier.ordinals import OMEGA, finite
 from schreier.vectors import BlockSequence, Vector, combine
 
@@ -124,6 +125,13 @@ def test_distortion_tsirelson_interval2():
     assert rep.found.ratio >= Fraction(5, 4)
     assert rep.found.reverify(T, IntervalNormSpec(2), S(1))
     assert member(rep.found.index_set, S(1)).member
+
+
+def test_distortion_takes_no_float_candidates():
+    # the Schlumprecht norm is a float: no block, average or sum of it can
+    # be normalised exactly, so no pair is tried
+    rep = distortion_witness(SchlumprechtSpace(), IntervalNormSpec(2), S(1), BlockSequence.basis(24), Fraction(6, 5))
+    assert rep.candidates_tried == 0 and rep.found is None
 
 
 def test_distortion_requires_t_above_one():
@@ -252,3 +260,20 @@ def test_alpha_diag_scc_below_lemma_bound():
     assert d < Fraction(1, 4) + 6 * scc.eps
     # thin coefficients push the diagnostic below the floor itself
     assert d < Fraction(1, 4)
+
+
+def test_alpha_diag_matches_brute_force():
+    rng = random.Random(55)
+    for _ in range(60):
+        blocks, start = [], rng.randint(1, 4)
+        for _ in range(rng.randint(1, 4)):
+            width = rng.randint(1, 6)
+            coords = sorted(rng.sample(range(start, start + width + 2), width))
+            blocks.append(Vector.from_dict(
+                {c: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)) for c in coords}))
+            start = coords[-1] + 1 + rng.randint(0, 2)
+        bs = BlockSequence(tuple(blocks))
+        n, floor = rng.randint(1, 3), rng.randint(2, 5)
+        xi = rng.choice((finite(1), finite(2), OMEGA))
+        horizon = rng.randint(1, len(blocks))
+        assert alpha_index_diagnostic(bs, n, floor, horizon, xi) == alpha_oracle(bs, n, floor, horizon, xi)

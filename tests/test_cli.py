@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from schreier import norms
 from schreier.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from schreier.families import BracketFamily, CardinalityFamily, IndexSequence, RelabeledFamily, SchreierFamily
 from schreier.norms import C0Space, L1Space, LpSpace, MixedSchreierSpace, SchlumprechtSpace, TsirelsonSpace
@@ -266,13 +267,35 @@ def test_parse_error_exit(capsys):
     ["ordinal", "fundamental", "--limit", "3", "--n", "2"],
     ["distort", "search", "--space", "T", "--second", "interval:x", "--family", "S(1)", "--t", "6/5"],
     ["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "0"],
+    ["scc", "basic", "--xi", "2", "--zeta", "1", "--eps", "1/3", "--budget", "0"],
+    ["scc", "blocks", "--xi", "2", "--zeta", "1", "--eps", "1/3", "--budget", "0"],
+    # bad block corpora; a dict stands for a corpus file with that content
+    ["diag", "alpha", "--n", "1", "--floor", "2", "--horizon", "2", "--blocks", {"vectors": ["2:1"]}],
+    ["diag", "alpha", "--n", "1", "--floor", "2", "--horizon", "2", "--blocks", {"blocks": ["3:1", "2:1"]}],
+    ["diag", "alpha", "--n", "1", "--floor", "2", "--horizon", "2", "--blocks", {"blocks": [2, 3]}],
+    ["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "8",
+     "--blocks", {"blocks": ["2:1", "3:1"]}],
 ])
-def test_usage_error_exit(capsys, argv):
+def test_usage_error_exit(capsys, tmp_path, argv):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            corpus = tmp_path / "corpus.json"
+            corpus.write_text(json.dumps(arg))
+            argv[i] = str(corpus)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "error" in json.loads(captured.err)
+
+
+def test_mixed_norm_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", 20)
+    code, report = run(capsys, "norm", "eval", "--space", "X(1)",
+                       "--vector", "4:1,5:1,6:1,7:1,8:1,9:1")
+    assert code == EXIT_BUDGET
+    assert report["values"]["converged"] is False and report["budget_exhausted"] is True
 
 
 def test_threshold_command_takes_no_family(capsys):

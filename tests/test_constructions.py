@@ -23,7 +23,7 @@ from schreier.constructions import (
     two_norm_blocking,
 )
 from schreier.families import IndexSequence, S, SchreierFamily, family_mass, member
-from schreier.norms import C0, L1, T, MixedSchreierSpace, norm
+from schreier.norms import C0, L1, T, LpSpace, MixedSchreierSpace, SchlumprechtSpace, norm
 from schreier.ordinals import OMEGA, finite
 from schreier.vectors import Average, BlockSequence, Unit, Vector, evaluate
 
@@ -107,6 +107,15 @@ def test_l1_average_quality_one_in_l1():
     out, info = build_l1_average(L1, 4, bs, Fraction(1))
     assert info["norm_before"] == 1
     assert norm(L1, out).value == 1
+
+
+@pytest.mark.parametrize("space", [LpSpace(2.0), SchlumprechtSpace()], ids=["lp", "schlumprecht"])
+def test_float_norms_give_no_exact_scale(space):
+    bs = BlockSequence.basis(30)
+    with pytest.raises(ValueError, match="not exact"):
+        build_l1_average(space, 2, bs, Fraction(0))
+    with pytest.raises(ValueError, match="not exact"):
+        l1_to_c0_blocking(space, bs, finite(1), Fraction(1, 2), count=1)
 
 
 def test_l1_average_unreachable_quality_in_c0():

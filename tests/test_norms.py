@@ -15,6 +15,7 @@ from oracles import (
     tsirelson_oracle,
     wmax_certificate,
 )
+from schreier import norms
 from schreier.families import S, member
 from schreier.norms import (
     C0,
@@ -323,6 +324,18 @@ def test_mixed_norm_depth_cap_gives_lower_bound():
     r = norm(capped, x)
     assert not r.converged and not r.exact
     assert x.linf() <= r.value <= norm(full, x).value
+
+
+def test_mixed_norm_tick_budget_gives_lower_bound(monkeypatch):
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", 20)
+    x = Vector.from_dict({c: Fraction(1) for c in range(4, 10)})
+    r = norm(MixedSchreierSpace(finite(1)), x)
+    assert not r.exact and not r.converged
+    assert x.linf() <= r.value <= Fraction(5, 3)
+    # the witness found before the budget ran out still norms to the value
+    assert evaluate(r.witness, x) == r.value
+    if isinstance(r.witness, SumNode):
+        assert validate_functional(r.witness, finite(1)).ok
 
 
 def test_mixed_norm_monotone_bounds():
