@@ -12,7 +12,7 @@ exhausted before the answer was certified, 3 a usage or parse error (the
 JSON body {"error": ...} goes to stderr, with "offset" for parse errors).
 
 Block-sequence corpora are JSON files: {"blocks": ["<vector>", ...]} in
-the vector grammar.
+the vector grammar, with at least one block.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ def _load_blocks(path: Optional[str], default_length: int = 16) -> BlockSequence
             texts = json.load(fh)["blocks"]
         if not all(isinstance(t, str) for t in texts):
             raise TypeError("blocks must be vector strings")
+        if not texts:
+            raise ValueError("the corpus has no blocks")
         return BlockSequence(tuple(parsing.parse_vector(t) for t in texts))
     except parsing.ParseError:
         raise

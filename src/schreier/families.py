@@ -35,6 +35,7 @@ set is a member of every family here.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -146,11 +147,9 @@ class IndexSequence:
 
     def position_of(self, value: int) -> Optional[int]:
         """Inverse lookup; None when value is not attained."""
-        for i, v in enumerate(self.prefix, start=1):
-            if v == value:
-                return i
-            if v > value:
-                return None
+        i = bisect_left(self.prefix, value)
+        if i < len(self.prefix):
+            return i + 1 if self.prefix[i] == value else None
         if self.tail_start is None or value < self.tail_start:
             return None
         q, r = divmod(value - self.tail_start, self.tail_step)

@@ -7,7 +7,9 @@ Spaces:
         |x| = max(sup|x_i|, sup (1/2) sum |E_i x|)
     over successive E_1 < ... < E_k with k <= min E_1, computed by an exact
     memoised dynamic program over interval restrictions of the support.
-    Values are dyadic rationals; the witness is a partition tree.
+    The program runs on integer numerators over one scale D * 2^h, where
+    D is the lcm of the coefficient denominators and h is about half the
+    support size, and returns a `Fraction`; the witness is a partition tree.
   * Schlumprecht: the same scheme with weight 1/log2(k+1); the weights are
     irrational, so values are floats with a declared tolerance.
   * Mixed Schreier space X(xi): normed by the set W generated from unit
@@ -274,16 +276,31 @@ class _TsirelsonSession:
     largest |x_c| there, or half the best split of positions s..j into at
     most min(value at s, j - s + 1) chunks, for some start s (dropping
     earlier positions keeps min E_1 large).
+
+    Values are integer numerators over `scale` = D * 2^h, with D the lcm
+    of the coefficient denominators and h = (n - 1) // 2 for n support
+    positions, so halving is a shift.  The norm on an interval of l
+    positions is a multiple of 2^(h - (l - 1) // 2), by induction on l.
+    A coordinate is a multiple of 2^h.  Half the sum of two chunks is at
+    most the larger chunk, which is at most the norm (monotonicity), so a
+    split that attains the norm either has two chunks equal to it, norms
+    of shorter intervals, or halves a sum of at least three chunks of at
+    most l - 2 positions each, which the induction makes multiples of
+    2^(h - (l - 1) // 2 + 1).  A split that falls short of the norm may be
+    rounded down by the shift, but it stays below the norm and wins no
+    comparison, so every memoised value is exact.
     """
 
     def __init__(self, x: Vector):
         self.pos = x.support()
         self.vals = [v for _, v in x.entries]
-        self.absvals = [abs(v) for v in self.vals]
-        self.memo: Dict[Tuple[int, int], Tuple[Fraction, Partition]] = {}
+        h = (len(self.vals) - 1) // 2
+        self.scale = math.lcm(*(v.denominator for v in self.vals)) << h
+        self.absvals = [abs(v.numerator) * (self.scale // v.denominator) for v in self.vals]
+        self.memo: Dict[Tuple[int, int], Tuple[int, Partition]] = {}
         self.cover_memo: dict = {}
 
-    def norm(self, i: int, j: int) -> Tuple[Fraction, Partition]:
+    def norm(self, i: int, j: int) -> Tuple[int, Partition]:
         hit = self.memo.get((i, j))
         if hit is not None:
             return hit
@@ -295,7 +312,7 @@ class _TsirelsonSession:
             if k < 2:
                 continue
             val, parts = _cover(self.norm, self.cover_memo, s, j, k, split=True)
-            val = val / 2
+            val >>= 1
             if val > best:
                 best, wit = val, PartNode(Fraction(1, 2), parts)
         self.memo[(i, j)] = (best, wit)
@@ -307,7 +324,7 @@ def _tsirelson_norm(x: Vector) -> NormResult:
         return NormResult(Fraction(0), exact=True)
     session = _TsirelsonSession(x)
     value, wit = session.norm(0, len(x.support()) - 1)
-    return NormResult(value, exact=True, witness=wit)
+    return NormResult(Fraction(value, session.scale), exact=True, witness=wit)
 
 
 class _SchlumprechtSession:
@@ -481,8 +498,10 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
         return NormResult(Fraction(0), exact=True)
     pos = x.support()
     if isinstance(space, TsirelsonSpace):
-        total, parts = _cover(_TsirelsonSession(x).norm, {}, 0, len(pos) - 1, n)
-        return NormResult(total / scale, exact=True, witness=PartNode(Fraction(1, scale), parts))
+        session = _TsirelsonSession(x)
+        total, parts = _cover(session.norm, {}, 0, len(pos) - 1, n)
+        return NormResult(Fraction(total, session.scale * scale), exact=True,
+                          witness=PartNode(Fraction(1, scale), parts))
     results: Dict[Tuple[int, int], NormResult] = {}
 
     def chunk(a: int, b: int) -> Tuple[object, NormResult]:

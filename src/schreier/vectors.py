@@ -116,8 +116,11 @@ def combine(vectors: Sequence[Vector], coefficients: Sequence) -> Vector:
         if a == 0:
             continue
         for c, v in vec.entries:
-            out[c] = out.get(c, Fraction(0)) + a * v
-    return Vector.from_dict(out)
+            if c in out:
+                out[c] += a * v
+            else:
+                out[c] = a * v
+    return Vector(tuple((c, v) for c, v in sorted(out.items()) if v))
 
 
 # ---------------------------------------------------------------------------

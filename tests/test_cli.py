@@ -275,6 +275,11 @@ def test_parse_error_exit(capsys):
     ["diag", "alpha", "--n", "1", "--floor", "2", "--horizon", "2", "--blocks", {"blocks": [2, 3]}],
     ["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "8",
      "--blocks", {"blocks": ["2:1", "3:1"]}],
+    # an empty corpus
+    ["scc", "blocks", "--xi", "2", "--zeta", "1", "--eps", "1/3", "--blocks", {"blocks": []}],
+    ["diag", "alpha", "--n", "1", "--floor", "2", "--horizon", "2", "--blocks", {"blocks": []}],
+    ["distort", "search", "--space", "T", "--second", "interval:2", "--family", "S(1)",
+     "--t", "6/5", "--blocks", {"blocks": []}],
 ])
 def test_usage_error_exit(capsys, tmp_path, argv):
     argv = list(argv)

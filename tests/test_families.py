@@ -243,6 +243,31 @@ def test_index_sequence_kinds():
     assert NATURALS.is_identity
 
 
+@pytest.mark.parametrize("seq", [
+    IndexSequence.explicit([1, 4, 7, 9, 15]),
+    IndexSequence.explicit([3]),
+    IndexSequence.explicit([]),
+    IndexSequence.table([2, 5, 6], 9, 3),
+    IndexSequence.table([1], 2, 1),
+    IndexSequence.arithmetic(3, 4),
+    NATURALS,
+])
+def test_position_of_inverts_value_at(seq):
+    values = []
+    for i in range(1, 30):
+        try:
+            values.append(seq.value_at(i))
+        except SequenceExhausted:
+            break
+    for i, v in enumerate(values, start=1):
+        assert seq.position_of(v) == i
+    # unattained values below the last one read, and past an explicit end
+    top = max(values, default=0)
+    for v in range(top + 5 if seq.tail_start is None else top):
+        if v not in values:
+            assert seq.position_of(v) is None
+
+
 # ---------------------------------------------------------------------------
 # maximal enumeration
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from schreier.norms import (
     L1,
     LpSpace,
     MixedSchreierSpace,
+    PartNode,
     SchlumprechtSpace,
     T,
     evaluate_partition,
@@ -95,6 +96,13 @@ def test_norm_result_invariants():
 # ---------------------------------------------------------------------------
 
 
+# denominators whose lcm is well above their maximum, so a T session that
+# scales by anything less than the lcm rounds some coordinate
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9)
+coefficients = st.sampled_from(DENOMINATORS).flatmap(
+    lambda d: st.integers(-4 * d, 4 * d).filter(bool).map(lambda a: Fraction(a, d)))
+
+
 @st.composite
 def wide_vectors(draw, max_support=7):
     """Support size m <= max_support with every coordinate >= m, so the
@@ -102,10 +110,31 @@ def wide_vectors(draw, max_support=7):
     number of positions and every chunk count is reached."""
     m = draw(st.integers(1, max_support))
     coords = draw(st.lists(st.integers(m, 3 * m), min_size=m, max_size=m, unique=True))
-    values = draw(st.lists(
-        st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool),
-        min_size=m, max_size=m))
+    values = draw(st.lists(coefficients, min_size=m, max_size=m))
     return Vector.from_dict(dict(zip(sorted(coords), values)))
+
+
+def halving_depth(w):
+    if isinstance(w, PartNode):
+        return 1 + max(halving_depth(c) for c in w.children)
+    return 0
+
+
+def test_tsirelson_nested_halvings():
+    # (1/2)(x_3 + (1/2)(x_4 + (1/2)(x_5 + x_6 + x_7) + x_8 + x_9) + x_10):
+    # three nested halvings on eight coordinates, the most a witness can
+    # nest there, and the value needs all three
+    x = vec((3, 5), (4, 3), (5, 1), (6, 1), (7, 1), (8, 3), (9, 1), (10, 7))
+    r = norm(T, x)
+    assert r.value == Fraction(65, 8) == tsirelson_oracle(x)
+    assert halving_depth(r.witness) == 3 and r.achieved(x)
+    r = interval_norm(T, x, 2)
+    assert r.value == tsirelson_interval_oracle(x, 2) and r.achieved(x)
+    assert norm_j(T, x, 2).value == r.value / 2
+    # one halving over the denominators 2, 3 and 5, whose lcm is 30
+    y = vec((3, Fraction(1, 2)), (4, Fraction(-1, 3)), (5, Fraction(1, 5)))
+    r = norm(T, y)
+    assert r.value == Fraction(31, 60) and r.achieved(y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,6 +174,19 @@ def test_kernel_tsirelson_monotone_and_unconditional(x, data):
     signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(pos), max_size=len(pos)))
     flipped = Vector.from_dict({c: s * v for (c, v), s in zip(x.entries, signs)})
     assert norm(T, flipped).value == value
+
+
+small_vectors = st.dictionaries(st.integers(1, 9), coefficients, min_size=1, max_size=5).map(
+    Vector.from_dict)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_vectors, small_vectors, st.integers(1, 3))
+def test_kernel_tsirelson_triangle_inequality(x, y, n):
+    assert norm(T, x + y).value <= norm(T, x).value + norm(T, y).value
+    assert interval_norm(T, x + y, n).value <= interval_norm(T, x, n).value + interval_norm(T, y, n).value
+    j = n + 1
+    assert norm_j(T, x + y, j).value <= norm_j(T, x, j).value + norm_j(T, y, j).value
 
 
 # ---------------------------------------------------------------------------

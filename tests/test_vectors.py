@@ -178,3 +178,22 @@ def test_vector_algebra():
     assert x.linf() == 2
     assert x.restrict(range(1, 3)) == vec((1, Fraction(1, 2)))
     assert combine([x, y], [1, -1]) == x - y
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(vectors, rationals), max_size=4))
+def test_combine_matches_vector_algebra(terms):
+    expected = Vector()
+    for x, a in terms:
+        expected = expected + x * a
+    got = combine([x for x, _ in terms], [a for _, a in terms])
+    assert got == expected
+    assert all(v != 0 for _, v in got.entries)
+
+
+def test_combine_drops_exact_cancellations():
+    x = vec((1, Fraction(1, 2)), (3, Fraction(2, 3)), (5, 1))
+    y = vec((1, 1), (3, Fraction(4, 3)), (4, 7))
+    assert combine([x, y], [2, Fraction(-1, 1)]) == vec((4, -7), (5, 2))
+    assert combine([x, y, x], [1, 0, -1]).is_zero
+    assert combine([x, x, x], [Fraction(1, 3), Fraction(2, 3), -1]).is_zero
