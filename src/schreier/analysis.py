@@ -301,9 +301,7 @@ def _candidate_vectors(space: NormSpace, bs: BlockSequence) -> List[Tuple[str, V
             ris = build_ris(space, sizes, bs)
         except (BudgetExhausted, ValueError):
             continue
-        total = ris.blocks[0]
-        for b in ris.blocks[1:]:
-            total = total + b
+        total = combine(ris.blocks, [1] * len(ris.blocks))
         r = norm(space, total)
         if r.exact and r.value > 0:
             indices = tuple(sorted(set(itertools.chain.from_iterable(ris.origins))))

@@ -35,6 +35,7 @@ from .families import (
 )
 from .norms import NormSpace, norm
 from .ordinals import ONE, Ordinal, compare, fundamental, omega_power
+from .reports import BudgetExhausted
 from .vectors import (
     Average,
     BlockSequence,
@@ -42,6 +43,7 @@ from .vectors import (
     SumNode,
     Vector,
     block_combine,
+    combine,
     negate,
     validate_functional,
 )
@@ -53,14 +55,6 @@ MAX_REPEATED_AVERAGE_LEAVES = 20_000
 # restarts per block of `l1_to_c0_blocking`, and the largest stage it uses
 L1_TO_C0_SCC_BUDGET = 60
 L1_TO_C0_STAGE_CAP = 1
-
-
-class BudgetExhausted(Exception):
-    """A construction search ran out of restarts; carries the best attempt."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 def rational_sqrt_below(K: Fraction) -> Fraction:
@@ -200,13 +194,8 @@ def scc_on_blocks(
     """
     phis = [b.support()[0] for b in bs.blocks]
     base = scc_basic(xi, zeta, eps, IndexSequence.explicit(phis), budget)
-    coeff_by_phi = {c: v for c, v in base.vector.entries}
-    out = Vector()
-    for phi, block in zip(phis, bs.blocks):
-        c = coeff_by_phi.get(phi)
-        if c:
-            out = out + block * c
-    return out, base
+    coeff_by_phi = dict(base.vector.entries)
+    return combine(bs.blocks, [coeff_by_phi.get(phi, 0) for phi in phis]), base
 
 
 # ---------------------------------------------------------------------------

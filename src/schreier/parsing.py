@@ -3,7 +3,9 @@
 Recursive descent with precise error positions.  Printers emit the same
 grammars canonically, and parsing a printed value returns an equal value;
 ordinal literals that are not in normal form are normalised rather than
-rejected (the sum is folded through ordinal addition).
+rejected (the sum is folded through ordinal addition).  `norms` and
+`vectors` are imported by the functions that build spaces, vectors and
+functionals, so a command that reads none of them loads neither.
 
     ordinal   := term ('+' term)*
     term      := nat | 'w' ('^' expbase)? ('*' nat)?
@@ -20,6 +22,8 @@ rejected (the sum is folded through ordinal addition).
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
+
 from .families import (
     BracketFamily,
     CardinalityFamily,
@@ -29,17 +33,11 @@ from .families import (
     RelabeledFamily,
     SchreierFamily,
 )
-from .norms import (
-    C0Space,
-    L1Space,
-    LpSpace,
-    MixedSchreierSpace,
-    NormSpace,
-    SchlumprechtSpace,
-    TsirelsonSpace,
-)
 from .ordinals import ONE, OMEGA, Ordinal, add, finite, omega_power, to_text
-from .vectors import Average, Functional, SumNode, Unit, Vector
+
+if TYPE_CHECKING:
+    from .norms import NormSpace
+    from .vectors import Functional, Vector
 
 
 class ParseError(ValueError):
@@ -261,6 +259,8 @@ def _coordinate(sc: _Scanner) -> int:
 
 
 def parse_vector(text: str) -> Vector:
+    from .vectors import Vector
+
     text = text.strip()
     if not text or text == "0":
         return Vector()
@@ -317,23 +317,25 @@ def parse_space(text: str) -> NormSpace:
 
 
 def _space(sc: _Scanner) -> NormSpace:
+    from . import norms
+
     if sc.take("l1"):
-        return L1Space()
+        return norms.L1Space()
     if sc.take("lp("):
         p = sc.number()
         sc.expect(")")
-        return LpSpace(p)
+        return norms.LpSpace(p)
     if sc.take("c0"):
-        return C0Space()
+        return norms.C0Space()
     if sc.take("T"):
-        return TsirelsonSpace()
+        return norms.TsirelsonSpace()
     if sc.take("S("):
         sc.expect("tol=")
         tol = sc.number()
         sc.expect(")")
-        return SchlumprechtSpace(tol)
+        return norms.SchlumprechtSpace(tol)
     if sc.take("S"):
-        return SchlumprechtSpace()
+        return norms.SchlumprechtSpace()
     if sc.take("X("):
         xi = _ordinal(sc)
         cap = 64
@@ -341,22 +343,24 @@ def _space(sc: _Scanner) -> NormSpace:
             sc.expect("cap=")
             cap = sc.nat()
         sc.expect(")")
-        return MixedSchreierSpace(xi, cap)
+        return norms.MixedSchreierSpace(xi, cap)
     raise sc.error("expected l1, lp(p), c0, T, S(tol=..) or X(..)")
 
 
 def print_space(space: NormSpace) -> str:
-    if isinstance(space, L1Space):
+    from . import norms
+
+    if isinstance(space, norms.L1Space):
         return "l1"
-    if isinstance(space, LpSpace):
+    if isinstance(space, norms.LpSpace):
         return f"lp({space.p:g})"
-    if isinstance(space, C0Space):
+    if isinstance(space, norms.C0Space):
         return "c0"
-    if isinstance(space, TsirelsonSpace):
+    if isinstance(space, norms.TsirelsonSpace):
         return "T"
-    if isinstance(space, SchlumprechtSpace):
+    if isinstance(space, norms.SchlumprechtSpace):
         return f"S(tol={space.tolerance:g})"
-    if isinstance(space, MixedSchreierSpace):
+    if isinstance(space, norms.MixedSchreierSpace):
         return f"X({to_text(space.xi)},cap={space.depth_cap})"
     raise TypeError(f"not a space: {space!r}")
 
@@ -367,6 +371,8 @@ def print_space(space: NormSpace) -> str:
 
 
 def print_functional(f: Functional) -> str:
+    from .vectors import Average, SumNode, Unit
+
     if isinstance(f, Unit):
         return f"U({'+' if f.sign > 0 else '-'}{f.coord})"
     if isinstance(f, Average):
@@ -387,6 +393,8 @@ def parse_functional(text: str) -> Functional:
 
 
 def _functional(sc: _Scanner) -> Functional:
+    from .vectors import Average, SumNode, Unit
+
     if sc.take("U("):
         sign = 1
         if sc.take("-"):

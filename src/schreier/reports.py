@@ -1,4 +1,4 @@
-"""Small result records shared across modules.
+"""Small result records, and the budget error, shared across modules.
 
 Searches and verifiers in this package never claim more than they checked:
 every report carries the horizon it was certified to and whether a budget
@@ -33,6 +33,14 @@ class WitnessReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class BudgetExhausted(Exception):
+    """A construction search ran out of restarts; carries the best attempt."""
+
+    def __init__(self, message: str, best=None):
+        super().__init__(message)
+        self.best = best
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -83,13 +83,10 @@ class Vector:
         return Vector(tuple((c, v) for c, v in self.entries if c in keep))
 
     def __add__(self, other: "Vector") -> "Vector":
-        data = dict(self.entries)
-        for c, v in other.entries:
-            data[c] = data.get(c, Fraction(0)) + v
-        return Vector.from_dict(data)
+        return combine((self, other), (1, 1))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return self + (other * Fraction(-1))
+        return combine((self, other), (1, -1))
 
     def __mul__(self, scalar) -> "Vector":
         s = Fraction(scalar)
@@ -115,11 +112,15 @@ def combine(vectors: Sequence[Vector], coefficients: Sequence) -> Vector:
         a = Fraction(a)
         if a == 0:
             continue
+        # `+`, `-` and plain sums pass coefficient 1, which needs no product
+        unit = a == 1
         for c, v in vec.entries:
+            if not unit:
+                v = a * v
             if c in out:
-                out[c] += a * v
+                out[c] += v
             else:
-                out[c] = a * v
+                out[c] = v
     return Vector(tuple((c, v) for c, v in sorted(out.items()) if v))
 
 

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from schreier import norms
+from schreier import analysis, norms
 from schreier.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from schreier.constructions import BudgetExhausted
 from schreier.families import BracketFamily, CardinalityFamily, IndexSequence, RelabeledFamily, SchreierFamily
 from schreier.norms import C0Space, L1Space, LpSpace, MixedSchreierSpace, SchlumprechtSpace, TsirelsonSpace
 from schreier.ordinals import Ordinal, finite
@@ -216,6 +217,18 @@ def test_scc_budget_exit_code(capsys):
                        "--eps", "1/100", "--seq", "arith(2,1)", "--budget", "3")
     assert code == EXIT_BUDGET
     assert report["budget_exhausted"] is True
+
+
+def test_budget_error_outside_a_handler_exit_code(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise BudgetExhausted("no restarts left")
+
+    monkeypatch.setattr(analysis, "spreading_profile", exhausted)
+    code = main(["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "8"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "no restarts left"}
 
 
 def test_unconverged_interval_norm_exit_code(capsys):

@@ -1,34 +1,53 @@
-"""Every module-level import in the package is used by its module, and
-every module-level private helper is used somewhere in the package."""
+"""Every import in the package is used where it is bound, every
+module-level private helper is used somewhere in the package, the package
+exposes the same public names as always, and each CLI command loads only
+the modules it uses."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+import schreier
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "schreier"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def imported_names(tree: ast.Module):
-    """(bound name, line) for each import statement at module level."""
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0], node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                yield alias.asname or alias.name, node.lineno
+def bound_names(node):
+    """The names one import statement binds."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+def names_read(node: ast.AST):
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
+    """Names imported at module level are used in the module; names
+    imported inside a function are used in that function."""
     tree = ast.parse(path.read_text())
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
+    used = names_read(tree)
+    unused = [f"{name} (line {node.lineno})"
+              for node in tree.body for name in bound_names(node) if name not in used]
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used = names_read(fn)
+            unused += [f"{name} (line {node.lineno}, in {fn.name})"
+                       for node in ast.walk(fn) for name in bound_names(node) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
@@ -55,3 +74,88 @@ def test_no_unreferenced_private_helpers():
         and uses[node.name] == sum(name == node.name for name in referenced_names(node))
     ]
     assert not dead, f"private helpers nothing in the package uses: {', '.join(dead)}"
+
+
+# ---------------------------------------------------------------------------
+# the public API
+# ---------------------------------------------------------------------------
+
+# every name the package has always exported, by the submodule defining it
+PUBLIC = {
+    "ordinals": ["ONE", "OMEGA", "Ordinal", "ZERO", "add", "compare", "finite", "fundamental",
+                 "omega_power"],
+    "families": ["A", "BracketFamily", "CardinalityFamily", "EVENS", "Family", "IndexSequence",
+                 "NATURALS", "RelabeledFamily", "S", "SchreierFamily", "construct_L",
+                 "construct_L_bracket", "construct_N", "enumerate_maximal", "family_mass",
+                 "finset", "member", "member_exhaustive", "spread_of", "threshold_search",
+                 "verify_bracket_inclusion", "verify_union_property"],
+    "vectors": ["Average", "BlockSequence", "Functional", "SumNode", "Unit", "Vector",
+                "block_combine", "evaluate", "negate", "validate_functional"],
+    "norms": ["C0", "C0Space", "L1", "L1Space", "LpSpace", "MixedSchreierSpace", "NormResult",
+              "SchlumprechtSpace", "T", "TsirelsonSpace", "generate_W", "interval_norm", "norm",
+              "norm_j"],
+    "constructions": ["BudgetExhausted", "ImprovedBlocking", "PropertyPn", "SccResult",
+                      "build_l1_average", "build_ris", "build_schreier_functional",
+                      "c0_to_l1_blocking", "james_blocking_step", "l1_to_c0_blocking",
+                      "scc_basic", "scc_on_blocks", "two_norm_blocking"],
+    "analysis": ["DistortionReport", "DistortionWitness", "IntervalNormSpec",
+                 "SpreadingEstimate", "alpha_index_diagnostic", "distortion_witness",
+                 "l1_lower_constant", "ratio_bound_check", "spreading_profile", "standard_corpus",
+                 "interval_distortion_experiment", "predicted_interval_ratio"],
+    "reports": ["WitnessReport", "to_jsonable"],
+}
+
+
+def test_public_names_are_listed():
+    public = [n for n in dir(schreier) if not n.startswith("_")]
+    assert sorted(public) == sorted(n for names in PUBLIC.values() for n in names)
+    assert "__version__" in dir(schreier)
+    assert schreier.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("module", PUBLIC)
+def test_public_names_are_the_submodules_own(module):
+    mod = import_module(f"schreier.{module}")
+    for name in PUBLIC[module]:
+        assert getattr(schreier, name) is getattr(mod, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        schreier.no_such_name
+    with pytest.raises(ImportError):
+        from schreier import no_such_name  # noqa: F401
+
+
+# ---------------------------------------------------------------------------
+# import footprint of CLI commands
+# ---------------------------------------------------------------------------
+
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from schreier import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["ordinal", "add", "--a", "w^2*2+w", "--b", "w^2"],
+     ["norms", "vectors", "constructions", "analysis"]),
+    (["schreier", "member", "--family", "S(2)", "--set", "2,3,4,5,6"],
+     ["norms", "vectors", "constructions", "analysis"]),
+    (["verify", "bracket", "--lhs", "S(1)", "--rhs", "S(2)", "--horizon", "10"],
+     ["norms", "vectors", "constructions", "analysis"]),
+    (["norm", "eval", "--space", "T", "--vector", "3:1,4:1,5:1"],
+     ["constructions", "analysis"]),
+], ids=["ordinal add", "schreier member", "verify bracket", "norm eval"])
+def test_cli_loads_only_what_the_command_uses(argv, unused):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    loaded = [m for m in unused if f"schreier.{m}" in result["modules"]]
+    assert not loaded, f"{' '.join(argv[:2])} loaded {loaded}"
