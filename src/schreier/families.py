@@ -26,7 +26,13 @@ state along the DFS and extend it by one element at a time.  On top of
 membership the module provides maximal-set enumeration, horizon-certified
 threshold and inclusion searches, the index-sequence constructions that
 push brackets into higher families, and exact maximisation of a weight
-function over a family.
+function over a family (`family_mass`).  That maximisation has two paths:
+a closed form for the size-determined families S_0, S_1 and A_n, where the
+greedy state of a first element m is the room left, so m plus that many
+of the largest later weights is optimal; and for every other family one
+depth-first search that carries the greedy state, cuts branches that
+cannot strictly beat the best mass, and merges nodes whose states, with
+rooms capped at the positions left, accept the same extensions.
 
 Finite sets are plain tuples of naturals, strictly increasing.  The empty
 set is a member of every family here.
@@ -35,6 +41,7 @@ set is a member of every family here.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1191,102 +1198,87 @@ class MassResult:
 def family_mass(coeffs: Dict[int, Fraction], fam: Family) -> MassResult:
     """Exact max over members G of the family of sum of coeffs over G.
 
-    Coefficients must be non-negative with finite support.  Closed forms
-    cover A_n, S_0 and S_1; S_2 runs an exact scan over decomposition
-    states; everything else falls back to branch-and-bound over member
-    extensions with a residual-sum bound.
+    Coefficients must be non-negative with finite support on naturals >= 1.
+    A size-determined family (S_0, S_1, A_n) takes, for each first element
+    m, m plus the `_start(fam, m)` largest coefficients after it: that is
+    the room left, and every set of that size above m is a member.  Every
+    other family runs a depth-first search over support positions that
+    carries the greedy state of the chosen set.  It cuts a branch whose
+    mass plus the residual sum cannot strictly beat the best so far, and
+    skips a node whose mass is no larger than that of an earlier node with
+    the same key (next position, `_capped` state): equal keys accept the
+    same extensions, so the earlier node's futures dominate, and the best
+    never decreases.  Argmax ties go to the first set in DFS order.
     """
-    support = sorted(i for i, c in coeffs.items() if c > 0)
     if any(c < 0 for c in coeffs.values()):
         raise ValueError("coefficients must be non-negative")
-    vals = {i: Fraction(coeffs[i]) for i in support}
-    if not support:
-        return MassResult(Fraction(0), ())
+    if any(i < 1 for i in coeffs):
+        raise ValueError(f"coordinates must be naturals >= 1, got {min(coeffs)}")
+    support = sorted(i for i, c in coeffs.items() if c > 0)
+    vals = [Fraction(coeffs[i]) for i in support]
+    # integer numerators over one common denominator keep every sum exact
+    scale = math.lcm(*(v.denominator for v in vals))
+    weight = {i: v.numerator * (scale // v.denominator) for i, v in zip(support, vals)}
     fam = canonicalize(fam)
+    best_mass, best_set = 0, ()
 
-    if isinstance(fam, SchreierFamily) and fam.index.is_zero:
-        best = max(support, key=lambda i: vals[i])
-        return MassResult(vals[best], (best,))
-    if isinstance(fam, CardinalityFamily):
-        chosen = sorted(sorted(support, key=lambda i: vals[i], reverse=True)[: fam.bound])
-        return MassResult(sum((vals[i] for i in chosen), Fraction(0)), tuple(chosen))
-    if isinstance(fam, SchreierFamily) and fam.index == ONE:
-        best_mass, best_set = Fraction(0), ()
-        for pos, m in enumerate(support):
-            rest = sorted(support[pos + 1 :], key=lambda i: vals[i], reverse=True)[: m - 1]
-            g = tuple(sorted([m] + rest))
-            mass = sum((vals[i] for i in g), Fraction(0))
+    if is_size_determined(fam):
+        ranked = sorted(support, key=weight.__getitem__, reverse=True)
+        for m in support:
+            room = _start(fam, m)
+            if room is None:
+                continue
+            rest = list(itertools.islice((i for i in ranked if i > m), room))
+            mass = weight[m] + sum(weight[i] for i in rest)
             if mass > best_mass:
-                best_mass, best_set = mass, g
-        return MassResult(best_mass, best_set)
-    if isinstance(fam, SchreierFamily) and fam.index == add(ONE, ONE):
-        return _mass_s2(support, vals)
-    return _mass_branch_and_bound(support, vals, fam)
+                best_mass, best_set = mass, (m, *sorted(rest))
+        return MassResult(Fraction(best_mass, scale), best_set)
 
-
-def _mass_s2(support: List[int], vals: Dict[int, Fraction]) -> MassResult:
-    """Exact S_2 mass by a left-to-right scan over decomposition states.
-
-    State (blocks_left, room_in_block) after each position; blocks_left is
-    fixed by the first element taken (d <= min G), room tracks how many
-    more elements the open block may take (|block| <= its min).
-    """
     n = len(support)
-    best_mass, best_set = Fraction(0), ()
-    # states map (blocks_left, room) -> (mass, chosen tuple); bounded by
-    # the number of remaining positions, so the table stays small
-    for start in range(n):
-        m = support[start]
-        d0 = min(m, n - start)
-        states: Dict[Tuple[int, int], Tuple[Fraction, FinSet]] = {
-            (d0 - 1, min(m - 1, n - start - 1)): (vals[m], (m,))
-        }
-        if vals[m] > best_mass:
-            best_mass, best_set = vals[m], (m,)
-        for pos in range(start + 1, n):
-            x = support[pos]
-            remaining = n - pos - 1
-            nxt: Dict[Tuple[int, int], Tuple[Fraction, FinSet]] = {}
+    # suffix[t] is the weight of support positions t..n-1
+    suffix = list(itertools.accumulate((weight[i] for i in reversed(support)), initial=0))[::-1]
+    seen: Dict[tuple, int] = {}
 
-            def push(key, mass, chosen):
-                key = (min(key[0], remaining), min(key[1], remaining))
-                cur = nxt.get(key)
-                if cur is None or mass > cur[0]:
-                    nxt[key] = (mass, chosen)
-
-            for (d_left, room), (mass, chosen) in states.items():
-                push((d_left, room), mass, chosen)  # skip x
-                if room > 0:  # extend the open block
-                    push((d_left, room - 1), mass + vals[x], chosen + (x,))
-                if d_left > 0:  # open a new block at x
-                    push((d_left - 1, x - 1), mass + vals[x], chosen + (x,))
-            states = nxt
-            for mass, chosen in states.values():
-                if mass > best_mass:
-                    best_mass, best_set = mass, chosen
-    return MassResult(best_mass, best_set)
-
-
-def _mass_branch_and_bound(
-    support: List[int], vals: Dict[int, Fraction], fam: Family
-) -> MassResult:
-    suffix = [Fraction(0)] * (len(support) + 1)
-    for i in range(len(support) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + vals[support[i]]
-    best = {"mass": Fraction(0), "set": ()}
-
-    def rec(current: FinSet, mass: Fraction, start: int) -> None:
-        if mass > best["mass"]:
-            best["mass"], best["set"] = mass, current
-        for idx in range(start, len(support)):
-            if mass + suffix[idx] <= best["mass"]:
+    def dfs(q: int, state, mass: int, chosen: FinSet) -> None:
+        nonlocal best_mass, best_set
+        for idx in range(q, n):
+            if mass + suffix[idx] <= best_mass:
                 return
-            cand = current + (support[idx],)
-            if member(cand, fam).member:
-                rec(cand, mass + vals[support[idx]], idx + 1)
+            x = support[idx]
+            nxt = _push(fam, state, x) if chosen else _start(fam, x)
+            if nxt is None:
+                continue
+            grown, more = mass + weight[x], chosen + (x,)
+            if grown > best_mass:
+                best_mass, best_set = grown, more
+            key = (idx + 1, _capped(fam, nxt, n - idx - 1))
+            if seen.get(key, -1) >= grown:
+                continue
+            seen[key] = grown
+            dfs(idx + 1, nxt, grown, more)
 
-    rec((), Fraction(0), 0)
-    return MassResult(best["mass"], best["set"])
+    dfs(0, None, 0, ())
+    return MassResult(Fraction(best_mass, scale), best_set)
+
+
+def _capped(fam: Family, state, left: int):
+    """A key for the greedy state when at most `left` elements can follow:
+    states with equal keys accept the same extensions.  Integer rooms are
+    capped at left, since more room than that is never used up; limit
+    states and relabeled-outer bracket states carry their set E and are
+    their own key."""
+    if isinstance(fam, RelabeledFamily):
+        return _capped(fam.base, state, left)
+    if type(state) is int:
+        return min(state, left)
+    if isinstance(fam, BracketFamily):
+        if not is_plain(fam.outer):
+            return state
+        return _capped(fam.outer, state[0], left), _capped(fam.inner, state[1], left)
+    if fam.index.is_successor:
+        room, inner_state, inner = state
+        return min(room, left), _capped(inner, inner_state, left)
+    return state
 
 
 def clear_caches() -> None:

@@ -53,7 +53,6 @@ non-increasing in j.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -113,13 +112,10 @@ class SchlumprechtSpace:
 @dataclass(frozen=True)
 class MixedSchreierSpace:
     xi: Ordinal
-    depth_cap: int = 64
 
     def __post_init__(self) -> None:
         if self.xi.is_zero:
             raise ValueError("the mixed Schreier space needs xi >= 1")
-        if self.depth_cap < 1:
-            raise ValueError("depth cap must be >= 1")
 
 
 NormSpace = Union[L1Space, C0Space, LpSpace, TsirelsonSpace, SchlumprechtSpace, MixedSchreierSpace]
@@ -380,19 +376,18 @@ class _MixedSession:
     bounds of a session that reports non-convergence.
     """
 
-    def __init__(self, x: Vector, xi: Ordinal, depth_cap: int):
+    def __init__(self, x: Vector, xi: Ordinal):
         self.pos = x.support()
         self.vals = [v for _, v in x.entries]
         self.absvals = [abs(v) for v in self.vals]
         self.prefix = list(itertools.accumulate(self.absvals, initial=Fraction(0)))
         self.fam = SchreierFamily(omega_power(xi))
-        self.depth_cap = depth_cap
         self.budget = MIXED_TICK_BUDGET
         self.converged = True
         self.norm_memo: Dict[Tuple[int, int], Tuple[Fraction, Functional]] = {}
         self.cover_memo: dict = {}
 
-    def norm(self, i: int, j: int, depth: int = 0) -> Tuple[Fraction, Functional]:
+    def norm(self, i: int, j: int) -> Tuple[Fraction, Functional]:
         key = (i, j)
         hit = self.norm_memo.get(key)
         if hit is not None:
@@ -400,23 +395,19 @@ class _MixedSession:
         t = max(range(i, j + 1), key=self.absvals.__getitem__)
         best: Fraction = self.absvals[t]
         wit: Functional = Unit(-1 if self.vals[t] < 0 else 1, self.pos[t])
-        if depth >= self.depth_cap:
-            self.converged = False
-        else:
-            chunk = functools.partial(self.norm, depth=depth + 1)
 
-            def piece(a: int, b: int, size: int):
-                self.budget -= 1
-                if self.budget < 0:
-                    self.converged = False
-                elif (a, b) != (i, j):  # (i, j) alone is the degenerate self map
-                    val, chunk_wits = _cover(chunk, self.cover_memo, a, b, size)
-                    return val / size, size, Average(size, chunk_wits)
-                return None
+        def piece(a: int, b: int, size: int):
+            self.budget -= 1
+            if self.budget < 0:
+                self.converged = False
+            elif (a, b) != (i, j):  # (i, j) alone is the degenerate self map
+                val, chunk_wits = _cover(self.norm, self.cover_memo, a, b, size)
+                return val / size, size, Average(size, chunk_wits)
+            return None
 
-            best, pieces = _admissible_sum(self.fam, self.pos, self.prefix, i, j, 2, piece, best)
-            if pieces is not None:
-                wit = SumNode(pieces)
+        best, pieces = _admissible_sum(self.fam, self.pos, self.prefix, i, j, 2, piece, best)
+        if pieces is not None:
+            wit = SumNode(pieces)
         self.norm_memo[key] = (best, wit)
         return best, wit
 
@@ -424,7 +415,7 @@ class _MixedSession:
 def _mixed_norm(space: MixedSchreierSpace, x: Vector) -> NormResult:
     if x.is_zero:
         return NormResult(Fraction(0), exact=True)
-    session = _MixedSession(x, space.xi, space.depth_cap)
+    session = _MixedSession(x, space.xi)
     value, wit = session.norm(0, len(x.support()) - 1)
     return NormResult(value, exact=session.converged, converged=session.converged, witness=wit)
 
@@ -439,9 +430,9 @@ def norm(space: NormSpace, x: Vector) -> NormResult:
 
     Exact rational for l1, c0, Tsirelson and the mixed Schreier space
     (there the result is a certified lower bound with converged=False if
-    the budget or depth cap is hit); float with declared tolerance for lp
-    and Schlumprecht.  Exact results carry a witness that re-evaluates to
-    the value.
+    MIXED_TICK_BUDGET runs out); float with declared tolerance for lp and
+    Schlumprecht.  Exact results carry a witness that re-evaluates to the
+    value.
     """
     if isinstance(space, L1Space):
         if x.is_zero:

@@ -15,7 +15,7 @@ functionals, so a command that reads none of them loads neither.
     seq       := '[' nat (',' nat)* ']' | 'arith(' nat ',' nat ')' | 'even'
     vector    := coord ':' rational (',' coord ':' rational)*
     space     := 'l1' | 'c0' | 'lp(' number ')' | 'T' | 'S(tol=' number ')'
-                 | 'X(' ordinal (',cap=' nat)? ')'
+                 | 'X(' ordinal ')'
     set       := nat (',' nat)*  (or the empty string)
 """
 
@@ -338,12 +338,8 @@ def _space(sc: _Scanner) -> NormSpace:
         return norms.SchlumprechtSpace()
     if sc.take("X("):
         xi = _ordinal(sc)
-        cap = 64
-        if sc.take(","):
-            sc.expect("cap=")
-            cap = sc.nat()
         sc.expect(")")
-        return norms.MixedSchreierSpace(xi, cap)
+        return norms.MixedSchreierSpace(xi)
     raise sc.error("expected l1, lp(p), c0, T, S(tol=..) or X(..)")
 
 
@@ -361,7 +357,7 @@ def print_space(space: NormSpace) -> str:
     if isinstance(space, norms.SchlumprechtSpace):
         return f"S(tol={space.tolerance:g})"
     if isinstance(space, norms.MixedSchreierSpace):
-        return f"X({to_text(space.xi)},cap={space.depth_cap})"
+        return f"X({to_text(space.xi)})"
     raise TypeError(f"not a space: {space!r}")
 
 

@@ -21,6 +21,10 @@ These deliberately avoid the production algorithms' shortcuts:
   the members of a family by testing every subset with the exhaustive
   decider, where the production enumerations extend greedy states.
 
+* `mass_oracle` maximises a coefficient sum over every subset of the
+  support that the exhaustive decider accepts, where `family_mass` uses a
+  closed form or a pruned search over capped greedy states.
+
 * `alpha_oracle` maximises the alpha-index diagnostic over every interval
   piece system of each target block with the exhaustive decider and no
   pruning, where the production search shares the X(xi) norm's pruned
@@ -75,6 +79,16 @@ def dfs_leaves_oracle(fam, first: int, horizon: int) -> List[Tuple[int, ...]]:
 def members_over_oracle(fam, universe: Sequence[int]) -> List[Tuple[int, ...]]:
     """Every member with support inside universe, in DFS (lexicographic) order."""
     return sorted(E for E in _subsets(universe) if member_exhaustive(E, fam))
+
+
+def mass_oracle(coeffs: Dict[int, Fraction], fam) -> Fraction:
+    """Largest coefficient sum over the members inside the support."""
+    support = sorted(c for c, v in coeffs.items() if v > 0)
+    return max(
+        sum((coeffs[c] for c in E), Fraction(0))
+        for E in _subsets(support)
+        if member_exhaustive(E, fam)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from schreier.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from schreier.constructions import BudgetExhausted
 from schreier.families import BracketFamily, CardinalityFamily, IndexSequence, RelabeledFamily, SchreierFamily
 from schreier.norms import C0Space, L1Space, LpSpace, MixedSchreierSpace, SchlumprechtSpace, TsirelsonSpace
-from schreier.ordinals import Ordinal, finite
+from schreier.ordinals import OMEGA, Ordinal, finite
 from schreier.parsing import (
     ParseError,
     parse_family,
@@ -71,8 +71,8 @@ def test_parse_space_examples():
     assert parse_space("lp(2.5)").p == 2.5
     assert isinstance(parse_space("T"), TsirelsonSpace)
     assert parse_space("S(tol=1e-08)").tolerance == 1e-8
-    xs = parse_space("X(w,cap=9)")
-    assert isinstance(xs, MixedSchreierSpace) and xs.depth_cap == 9
+    xs = parse_space("X(w)")
+    assert isinstance(xs, MixedSchreierSpace) and xs.xi == OMEGA
 
 
 def test_parse_errors_carry_offsets():
@@ -142,7 +142,7 @@ def _random_space(rng):
             LpSpace(1.0 + rng.randint(1, 40) / 8),
             TsirelsonSpace(),
             SchlumprechtSpace(10.0 ** -rng.randint(6, 12)),
-            MixedSchreierSpace(_random_ordinal(rng, 1) + finite(1), rng.randint(1, 99)),
+            MixedSchreierSpace(_random_ordinal(rng, 1) + finite(1)),
         ]
     )
 
@@ -231,8 +231,9 @@ def test_budget_error_outside_a_handler_exit_code(capsys, monkeypatch):
     assert json.loads(captured.err) == {"error": "no restarts left"}
 
 
-def test_unconverged_interval_norm_exit_code(capsys):
-    code, report = run(capsys, "norm", "interval", "--space", "X(1,cap=1)",
+def test_unconverged_interval_norm_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", 8)
+    code, report = run(capsys, "norm", "interval", "--space", "X(1)",
                        "--vector", "2:1,3:1,4:1,5:1", "--n", "2")
     assert code == EXIT_BUDGET
     assert report["values"]["value"] == "9/4"
@@ -268,6 +269,7 @@ def test_parse_error_exit(capsys):
     # parse errors
     ["schreier", "member", "--family", "S(1)", "--set", "0,2"],
     ["norm", "eval", "--space", "T", "--vector", "0:1"],
+    ["norm", "eval", "--space", "X(w,cap=9)", "--vector", "2:1"],
     # argparse errors, which would otherwise exit with 2 (EXIT_BUDGET)
     ["schreier", "nosuch"],
     ["norm", "eval", "--space", "T"],

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dfs_leaves_oracle, members_over_oracle
+from oracles import dfs_leaves_oracle, mass_oracle, members_over_oracle
+from schreier import families
 from schreier.families import (
     A,
     BracketFamily,
@@ -446,25 +447,50 @@ def test_family_mass_examples():
     assert res.argmax == (4, 5, 6, 7)
 
 
-def brute_mass(coeffs, fam):
-    support = sorted(c for c in coeffs if coeffs[c] > 0)
-    best, best_set = Fraction(0), ()
-    for E in subsets(support):
-        if member(E, fam).member:
-            m = sum((coeffs[i] for i in E), Fraction(0))
-            if m > best:
-                best, best_set = m, E
-    return best
+MASS_FAMILIES = [
+    S(0), S(1), S(2), S(3), A(2), A(3), S(OMEGA), S(add(OMEGA, ONE)),
+    BracketFamily(S(1), A(2)),
+    BracketFamily(S(2), S(1)),
+    RelabeledFamily(S(2), EVENS),
+    BracketFamily(RelabeledFamily(S(1), EVENS), A(2)),
+]
 
 
-def test_family_mass_against_brute_force():
+@pytest.mark.parametrize("fam", MASS_FAMILIES, ids=repr)
+def test_family_mass_against_brute_force(fam):
     rng = random.Random(21)
-    fams = [S(0), S(1), S(2), A(2), A(3), S(OMEGA)]
-    for _ in range(60):
-        support = sorted(rng.sample(range(1, 14), rng.randint(1, 8)))
+    for _ in range(12):
+        support = sorted(rng.sample(range(1, 16), rng.randint(1, 12)))
+        if rng.random() < 0.5:
+            support = [2 * c for c in support]  # on the labels of EVENS
         coeffs = {c: Fraction(rng.randint(0, 6), 7) for c in support}
-        fam = rng.choice(fams)
-        assert family_mass(coeffs, fam).mass == brute_mass(coeffs, fam)
+        res = family_mass(coeffs, fam)
+        assert res.mass == mass_oracle(coeffs, fam), coeffs
+        assert member_exhaustive(res.argmax, fam), coeffs
+        assert sum((coeffs[c] for c in res.argmax), Fraction(0)) == res.mass
+
+
+def test_family_mass_pinned_s2():
+    # the argmax opens three blocks at 3, (3, 4, 5) (6..11) (12..17); two
+    # greedy states at the same position differ only in their block count
+    coeffs = {2: 10, 3: 1, 4: 1, 5: 10}
+    coeffs.update({c: 3 for c in range(6, 18)})
+    res = family_mass(coeffs, S(2))
+    assert res.mass == 48 and res.argmax == tuple(range(3, 18))
+
+
+def test_family_mass_leaves_member_memo_alone():
+    coeffs = {c: Fraction(c % 5, 4) for c in range(2, 14)}
+    before = len(families._member_cache)
+    for fam in (S(2), S(OMEGA), BracketFamily(S(1), A(2)), BracketFamily(S(OMEGA), S(2))):
+        family_mass(coeffs, fam)
+    assert len(families._member_cache) == before
+
+
+@pytest.mark.parametrize("fam", [S(0), S(1), S(2), A(2), S(OMEGA), BracketFamily(S(1), A(2))], ids=repr)
+def test_family_mass_rejects_coordinates_below_one(fam):
+    with pytest.raises(ValueError):
+        family_mass({0: Fraction(1), 3: Fraction(1, 2)}, fam)
 
 
 def test_family_mass_rejects_negative():

@@ -189,6 +189,21 @@ def test_kernel_tsirelson_triangle_inequality(x, y, n):
     assert norm_j(T, x + y, j).value <= norm_j(T, x, j).value + norm_j(T, y, j).value
 
 
+# five coordinates, so x, y and x + y all have support <= 5
+window_vectors = st.dictionaries(st.integers(3, 7), coefficients, min_size=1, max_size=5).map(
+    Vector.from_dict)
+
+
+@settings(max_examples=15, deadline=None)
+@given(window_vectors, window_vectors, st.integers(1, 3))
+def test_mixed_norm_triangle_inequality(x, y, n):
+    X = MixedSchreierSpace(finite(1))
+    assert norm(X, x + y).value <= norm(X, x).value + norm(X, y).value
+    assert interval_norm(X, x + y, n).value <= interval_norm(X, x, n).value + interval_norm(X, y, n).value
+    j = n + 1
+    assert norm_j(X, x + y, j).value <= norm_j(X, x, j).value + norm_j(X, y, j).value
+
+
 # ---------------------------------------------------------------------------
 # closed forms and Schlumprecht
 # ---------------------------------------------------------------------------
@@ -280,16 +295,19 @@ def test_interval_norm_additive_on_l1():
             assert interval_norm(L1, x, n).value == x.l1()
 
 
-def test_interval_norms_carry_chunk_convergence():
-    capped = MixedSchreierSpace(finite(1), depth_cap=1)
+def test_interval_norms_carry_chunk_convergence(monkeypatch):
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", 8)
+    X = MixedSchreierSpace(finite(1))
     x = vec((2, 1), (3, 1), (4, 1), (5, 1))
-    for r in (interval_norm(capped, x, 2), norm_j(capped, x, 2)):
+    r = interval_norm(X, x, 2)
+    assert r.value == Fraction(9, 4)
+    for r in (r, norm_j(X, x, 2)):
         assert not r.exact and not r.converged
     # the best cover takes the four singletons, which converge; the
     # unconverged longer chunks lost, but their values are lower bounds
-    r = interval_norm(capped, x, 4)
+    r = interval_norm(X, x, 4)
     assert r.value == 4 and all(isinstance(c, Unit) for c in r.witness.children)
-    assert all(norm(capped, Vector.basis(c)).converged for c in x.support())
+    assert all(norm(X, Vector.basis(c)).converged for c in x.support())
     assert not r.exact and not r.converged
 
 
@@ -359,13 +377,26 @@ def test_mixed_norm_witness_validates():
             assert validate_functional(r.witness, finite(1)).ok
 
 
-def test_mixed_norm_depth_cap_gives_lower_bound():
-    capped = MixedSchreierSpace(finite(1), depth_cap=1)
-    full = MixedSchreierSpace(finite(1))
+def test_mixed_norm_small_budget_gives_lower_bound(monkeypatch):
+    X = MixedSchreierSpace(finite(1))
     x = vec((2, 1), (3, 1), (4, 1), (5, 1))
-    r = norm(capped, x)
+    full = norm(X, x).value
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", 8)
+    r = norm(X, x)
     assert not r.converged and not r.exact
-    assert x.linf() <= r.value <= norm(full, x).value
+    assert x.linf() <= r.value <= full
+
+
+def test_mixed_norm_long_support_under_budget(monkeypatch):
+    # the recursion only descends to shorter intervals, so its depth stays
+    # below the support size; a budget bounds the work at any support
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", 200)
+    rng = random.Random(52)
+    x = Vector.from_dict({c: Fraction(rng.randint(1, 9), 9) for c in range(2, 122)})
+    r = norm(MixedSchreierSpace(finite(1)), x)
+    assert not r.exact and not r.converged
+    assert x.linf() < r.value <= x.l1()
+    assert evaluate(r.witness, x) == r.value
 
 
 def test_mixed_norm_tick_budget_gives_lower_bound(monkeypatch):
