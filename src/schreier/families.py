@@ -196,9 +196,20 @@ EVENS = IndexSequence.arithmetic(2, 2)
 # ---------------------------------------------------------------------------
 
 
+# Family expressions key the member memo and the other memo tables, so each
+# computes its field hash once, at construction, and keeps it outside the
+# dataclass fields; the value is the one the dataclass hash would give.
+
+
 @dataclass(frozen=True)
 class SchreierFamily:
     index: Ordinal
+
+    def __post_init__(self) -> None:
+        vars(self)["_hash"] = hash((self.index,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -208,6 +219,10 @@ class CardinalityFamily:
     def __post_init__(self) -> None:
         if self.bound < 0:
             raise ValueError("cardinality bound must be >= 0")
+        vars(self)["_hash"] = hash((self.bound,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -215,11 +230,23 @@ class BracketFamily:
     outer: "Family"
     inner: "Family"
 
+    def __post_init__(self) -> None:
+        vars(self)["_hash"] = hash((self.outer, self.inner))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 @dataclass(frozen=True)
 class RelabeledFamily:
     base: "Family"
     labels: IndexSequence
+
+    def __post_init__(self) -> None:
+        vars(self)["_hash"] = hash((self.base, self.labels))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Family = Union[SchreierFamily, CardinalityFamily, BracketFamily, RelabeledFamily]
@@ -1041,7 +1068,7 @@ def _bracket_shape(fam: Family):
     return None
 
 
-def _max_block_size(inner: Family, first: int, window: List[int]) -> int:
+def _max_block_size(inner: Family, first: int, window: Sequence[int]) -> int:
     """Largest size of an inner-family member with min = first inside window.
 
     window holds the admissible values above first, ascending.  Because the
@@ -1050,10 +1077,60 @@ def _max_block_size(inner: Family, first: int, window: List[int]) -> int:
     so a downward scan over k is exact.
     """
     for k in range(len(window) + 1, 0, -1):
-        cand = (first,) + tuple(sorted(window[len(window) - (k - 1):]))
+        cand = (first,) + tuple(window[len(window) - (k - 1):])
         if member(cand, inner).member:
             return k
     return 0
+
+
+def _dominance_blocks(
+    minima_fam: Family, inner_fam: Family, whole_labels: Optional[IndexSequence], horizon: int
+) -> Iterator[Tuple[FinSet, List[Tuple[FinSet, FinSet, FinSet]]]]:
+    """Each nonempty minima pattern of a bracket shape within the horizon,
+    with what each of its blocks contributes: (compressed, left_packed,
+    top_packed).
+
+    Block i runs from its minimum a up to, not including, the next minimum
+    (past the top of the ground for the last block), and holds at most k =
+    `_max_block_size` inner elements.  Its compressed part is the k values
+    from a (from L(a) when the whole bracket is relabeled by L), its
+    left-packed part a..a+k-1 and its top-packed part a with the k-1
+    largest values of its window, a genuine inner member by spreading.
+    With the inner family fixed, a block depends on a and the next minimum
+    alone, so each such pair is worked out once per call.
+    """
+    if whole_labels is None:
+        # blocks live in value space; minima patterns are members of the
+        # (possibly relabeled) outer family inside [1, horizon]
+        values = None
+        if isinstance(minima_fam, RelabeledFamily):
+            ground = minima_fam.labels.values_within(1, horizon)
+        else:
+            ground = range(1, horizon + 1)
+        top = horizon
+    else:
+        # whole bracket relabeled by L: members are L(C); enumerate in
+        # position space and map compressions through L
+        values = whole_labels.values_within(1, horizon)
+        ground = range(1, len(values) + 1)
+        top = len(values)
+    contributions: Dict[Tuple[int, int], Tuple[FinSet, FinSet, FinSet]] = {}
+
+    def block(a: int, nxt: int) -> Tuple[FinSet, FinSet, FinSet]:
+        k = _max_block_size(inner_fam, a, range(a + 1, nxt))
+        base = a if values is None else values[a - 1]
+        contributions[a, nxt] = parts = (
+            tuple(range(base, base + k)),
+            tuple(range(a, a + k)),
+            (a,) + tuple(range(nxt - k + 1, nxt)),
+        )
+        return parts
+
+    for Apat in _all_members_over(minima_fam, ground):
+        if Apat:
+            # block i ends below the next minimum, the last one at the top
+            ends = zip(Apat, Apat[1:] + (top + 1,))
+            yield Apat, [contributions.get(key) or block(*key) for key in ends]
 
 
 def verify_bracket_inclusion(lhs: Family, rhs: Family, horizon: int) -> WitnessReport:
@@ -1067,18 +1144,7 @@ def verify_bracket_inclusion(lhs: Family, rhs: Family, horizon: int) -> WitnessR
     * member sweep (method "powerset") at small horizons: every lhs
       member, by DFS with the rhs state carried along, so the
       counterexample is the first escaping member in DFS order;
-    * spread-dominance for bracket-shaped lhs against a hereditary and
-      spreading rhs: every member E of F[G] is a spread of its per-block
-      left-compression E_c, and E_c is contained in the compression with
-      every block at maximal feasible size, so checking one compressed set
-      per minima pattern covers every member exactly.  When the inner
-      family is size-determined (S_0, S_1, A_n) the compressed set is
-      itself a genuine lhs member and a failure is a genuine
-      counterexample.
-
-    The dominance pass enumerates all minima patterns; if there are more
-    than BRACKET_PATTERN_BUDGET, the report comes back not-ok with
-    budget_exhausted set rather than silently passing.
+    * spread-dominance (`_verify_by_dominance`) at larger horizons.
     """
     lhs_c, rhs_c = canonicalize(lhs), canonicalize(rhs)
     if lhs_c == rhs_c:
@@ -1101,7 +1167,24 @@ def verify_bracket_inclusion(lhs: Family, rhs: Family, horizon: int) -> WitnessR
             True, detail=f"{checked} members checked",
             certified_horizon=horizon, method="powerset", stats={"members": checked},
         )
+    return _verify_by_dominance(lhs_c, rhs_c, horizon)
 
+
+def _verify_by_dominance(lhs_c: Family, rhs_c: Family, horizon: int) -> WitnessReport:
+    """Spread-dominance check of canonical lhs_c against rhs_c, at any horizon.
+
+    Applies to a bracket-shaped lhs against a hereditary and spreading rhs:
+    every member E of F[G] is a spread of its per-block left-compression
+    E_c, and E_c is contained in the compression with every block at
+    maximal feasible size, so checking one compressed set per minima
+    pattern covers every member exactly.  When the inner family is
+    size-determined (S_0, S_1, A_n) the compressed set is itself a genuine
+    lhs member and a failure is a genuine counterexample.
+
+    The pass enumerates all minima patterns; if there are more than
+    BRACKET_PATTERN_BUDGET, the report comes back not-ok with
+    budget_exhausted set rather than silently passing.
+    """
     shape = _bracket_shape(lhs_c)
     if shape is None or not is_plain(rhs_c):
         return WitnessReport(
@@ -1116,52 +1199,21 @@ def verify_bracket_inclusion(lhs: Family, rhs: Family, horizon: int) -> WitnessR
             certified_horizon=None, budget_exhausted=True, method="none",
         )
 
-    if whole_labels is None:
-        # blocks live in value space; minima patterns are members of the
-        # (possibly relabeled) outer family inside [1, horizon]
-        if isinstance(minima_fam, RelabeledFamily):
-            ground = minima_fam.labels.values_within(1, horizon)
-        else:
-            ground = list(range(1, horizon + 1))
-    else:
-        # whole bracket relabeled by L: members are L(C); enumerate in
-        # position space and map compressions through L
-        values = whole_labels.values_within(1, horizon)
-        ground = list(range(1, len(values) + 1))
-
     patterns = 0
     undecided: Optional[FinSet] = None
-    genuine_inner = is_size_determined(inner_fam)
-    for Apat in _all_members_over(minima_fam, ground):
-        if not Apat:
-            continue
+    # left-packed blocks of feasible size are genuine members of a
+    # size-determined inner family; top-packed ones of any spreading one
+    raw_part = 1 if is_size_determined(inner_fam) else 2
+    for _, blocks in _dominance_blocks(minima_fam, inner_fam, whole_labels, horizon):
         patterns += 1
         if patterns > BRACKET_PATTERN_BUDGET:
             return WitnessReport(
                 False, detail=f"more than {BRACKET_PATTERN_BUDGET} minima patterns",
                 certified_horizon=None, budget_exhausted=True, method="dominance",
             )
-        compressed: List[int] = []
-        left_packed: List[int] = []
-        top_packed: List[int] = []
-        upper_bound = horizon if whole_labels is None else len(values)
-        for i, a in enumerate(Apat):
-            upper = (Apat[i + 1] - 1) if i + 1 < len(Apat) else upper_bound
-            window = list(range(a + 1, upper + 1))
-            k = _max_block_size(inner_fam, a, window)
-            base = a if whole_labels is None else values[a - 1]
-            compressed.extend(range(base, base + k))
-            left_packed.extend(range(a, a + k))
-            # the top-packed block is a genuine inner member by spreading
-            top_packed.extend([a] + window[len(window) - (k - 1) :] if k > 1 else [a])
-        comp = tuple(compressed)
+        comp = tuple(itertools.chain.from_iterable([b[0] for b in blocks]))
         if not member(comp, rhs_c).member:
-            if genuine_inner:
-                # left-packed blocks of feasible size are genuine members
-                # of a size-determined inner family
-                raw = tuple(left_packed)
-            else:
-                raw = tuple(top_packed)
+            raw = tuple(itertools.chain.from_iterable(b[raw_part] for b in blocks))
             genuine = raw if whole_labels is None else whole_labels.apply(raw)
             if member(genuine, lhs_c).member and not member(genuine, rhs_c).member:
                 return WitnessReport(

@@ -29,7 +29,13 @@ from typing import Tuple
 
 @dataclass(frozen=True)
 class Ordinal:
-    """Cantor normal form: tuple of (exponent, coefficient) pairs."""
+    """Cantor normal form: tuple of (exponent, coefficient) pairs.
+
+    The hash and the predicates `is_zero`, `is_successor` and `is_limit`
+    are computed once, at construction, and kept as read-only attributes
+    outside the dataclass fields: ordinals key every family memo, and
+    hashing the nested exponents afresh on each lookup dominated them.
+    """
 
     terms: Tuple[Tuple["Ordinal", int], ...] = ()
 
@@ -43,12 +49,20 @@ class Ordinal:
             if prev is not None and compare(exp, prev) >= 0:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
+        successor = bool(self.terms) and self.terms[-1][0].is_zero
+        # frozen: derived attributes go straight into the instance dict
+        vars(self).update(
+            _hash=hash((self.terms,)),
+            _predecessor=None,
+            is_zero=not self.terms,
+            is_successor=successor,
+            is_limit=bool(self.terms) and not successor,
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- structure predicates -------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def is_finite(self) -> bool:
@@ -62,22 +76,15 @@ class Ordinal:
             raise ValueError(f"{self} is not finite")
         return self.terms[0][1]
 
-    @property
-    def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0].is_zero
-
-    @property
-    def is_limit(self) -> bool:
-        return bool(self.terms) and not self.terms[-1][0].is_zero
-
     def predecessor(self) -> "Ordinal":
         """Predecessor of a successor ordinal."""
-        if not self.is_successor:
-            raise ValueError(f"{self} is not a successor")
-        exp, coeff = self.terms[-1]
-        if coeff > 1:
-            return Ordinal(self.terms[:-1] + ((exp, coeff - 1),))
-        return Ordinal(self.terms[:-1])
+        if self._predecessor is None:
+            if not self.is_successor:
+                raise ValueError(f"{self} is not a successor")
+            exp, coeff = self.terms[-1]
+            head = self.terms[:-1]
+            vars(self)["_predecessor"] = Ordinal(head + ((exp, coeff - 1),) if coeff > 1 else head)
+        return self._predecessor
 
     @property
     def leading_exponent(self) -> "Ordinal":

@@ -195,21 +195,30 @@ def _family_atom(sc: _Scanner) -> Family:
 
 
 def _sequence(sc: _Scanner) -> IndexSequence:
+    start = sc.pos
+    prefix, tail = (), (None, None)
     if sc.take("["):
         values = [sc.nat()]
         while sc.take(","):
             values.append(sc.nat())
         sc.expect("]")
-        return IndexSequence.explicit(values)
-    if sc.take("arith("):
+        prefix = tuple(values)
+    elif sc.take("arith("):
         a = sc.nat()
         sc.expect(",")
         d = sc.nat()
         sc.expect(")")
-        return IndexSequence.arithmetic(a, d)
-    if sc.take("even"):
-        return IndexSequence.arithmetic(2, 2)
-    raise sc.error("expected [..], arith(a,d) or even")
+        tail = (a, d)
+    elif sc.take("even"):
+        tail = (2, 2)
+    else:
+        raise sc.error("expected [..], arith(a,d) or even")
+    try:
+        return IndexSequence(prefix, *tail)
+    except ValueError as exc:
+        # well-formed text that names no index sequence (not increasing,
+        # or a value below 1) is reported where the sequence starts
+        raise ParseError(str(exc), sc.text, start) from None
 
 
 def print_family(fam: Family) -> str:

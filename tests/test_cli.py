@@ -83,6 +83,10 @@ def test_parse_errors_carry_offsets():
         parse_set("3,2")
     with pytest.raises(ParseError):
         parse_vector("2:1/0")
+    # a sequence that parses but is not strictly increasing points at its start
+    with pytest.raises(ParseError) as exc:
+        parse_family("S(2)([3,2])")
+    assert exc.value.offset == 5
 
 
 def test_parsers_reject_coordinate_zero():
@@ -270,6 +274,11 @@ def test_parse_error_exit(capsys):
     ["schreier", "member", "--family", "S(1)", "--set", "0,2"],
     ["norm", "eval", "--space", "T", "--vector", "0:1"],
     ["norm", "eval", "--space", "X(w,cap=9)", "--vector", "2:1"],
+    # well-formed index sequences that are not strictly increasing from 1
+    ["schreier", "member", "--family", "S(2)([3,2])", "--set", "2"],
+    ["schreier", "member", "--family", "S(w)(arith(0,1))", "--set", "2"],
+    ["schreier", "member", "--family", "S(w)(arith(1,0))", "--set", "2"],
+    ["scc", "basic", "--xi", "2", "--zeta", "1", "--eps", "1/3", "--seq", "[4,3]"],
     # argparse errors, which would otherwise exit with 2 (EXIT_BUDGET)
     ["schreier", "nosuch"],
     ["norm", "eval", "--space", "T"],

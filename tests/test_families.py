@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -15,6 +17,7 @@ from schreier import families
 from schreier.families import (
     A,
     BracketFamily,
+    CardinalityFamily,
     EVENS,
     IndexSequence,
     NATURALS,
@@ -38,10 +41,16 @@ from schreier.families import (
     verify_bracket_inclusion,
     verify_union_property,
     _all_members_over,
+    _bracket_shape,
+    _dominance_blocks,
     _extension_candidates,
     _state_of,
+    _verify_by_dominance,
+    _walk,
 )
-from schreier.ordinals import OMEGA, ONE, add, finite, omega_power
+from schreier.ordinals import OMEGA, ONE, add, finite, fundamental, omega_power
+from schreier.parsing import parse_family, print_family
+from schreier.reports import to_jsonable
 
 
 def subsets(universe):
@@ -420,6 +429,147 @@ def test_verify_dominance_undecided_is_flagged():
     lhs = BracketFamily(RelabeledFamily(S(1), EVENS), S(2))
     rep = verify_bracket_inclusion(lhs, S(2), 24)
     assert not rep.ok and rep.budget_exhausted
+
+
+def _criterion_02_inclusions():
+    """The three bracket inclusions of acceptance criterion 02."""
+    L = construct_L(OMEGA, ONE, EVENS, 60)
+    rng = random.Random(2024)
+    values, prev = [], 0
+    for v in L.values_within(1, 60):
+        prev = max(v + 2 * rng.randint(0, 2), prev + 2)
+        values.append(prev)
+    spread = IndexSequence.explicit(values)
+    L3 = construct_L_bracket(finite(1), finite(1), 40)
+    return [
+        (BracketFamily(RelabeledFamily(S(OMEGA), L), S(1)), S(add(ONE, OMEGA))),
+        (BracketFamily(RelabeledFamily(S(OMEGA), spread), S(1)), S(add(ONE, OMEGA))),
+        (RelabeledFamily(BracketFamily(S(1), S(1)), L3), S(2)),
+    ]
+
+
+def _split_blocks(E, fam):
+    """The blocks, in the bracket's own coordinates, of the member
+    witness of E in a bracket-shaped fam."""
+    wit = member(E, fam).witness
+    if isinstance(wit, families.RelabelWitness):
+        wit = wit.inner
+    return wit.blocks
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_dominance_pass_matches_member_sweep(case):
+    lhs, rhs = _criterion_02_inclusions()[case]
+    lhs_c, rhs_c = canonicalize(lhs), canonicalize(rhs)
+    minima_fam, inner_fam, labels = _bracket_shape(lhs_c)
+    for horizon in range(10, 17):
+        top = horizon if labels is None else len(labels.values_within(1, horizon))
+        base = (lambda a: a) if labels is None else labels.value_at
+        pass_blocks = dict(_dominance_blocks(minima_fam, inner_fam, labels, horizon))
+        # each block against a `_walk` sweep of the inner family in its window
+        for Apat, blocks in pass_blocks.items():
+            for i, (a, (comp, left, top_packed)) in enumerate(zip(Apat, blocks)):
+                upper = Apat[i + 1] - 1 if i + 1 < len(Apat) else top
+                k = max(len(E) for E, _, _ in _walk(inner_fam, range(a + 1, upper + 1), (a,)))
+                assert comp == tuple(range(base(a), base(a) + k)), (horizon, Apat, i)
+                assert left == tuple(range(a, a + k)), (horizon, Apat, i)
+                assert len(top_packed) == k and top_packed[0] == a, (horizon, Apat, i)
+                assert k == 1 or top_packed[-1] == upper, (horizon, Apat, i)
+                assert member(top_packed, inner_fam).member, (horizon, Apat, i)
+        # every lhs member of the sweep splits into blocks that fit the
+        # pass's blocks for the same minima
+        for E, _, _ in _walk(lhs_c, range(1, horizon + 1)):
+            if not E:
+                continue
+            split = _split_blocks(E, lhs_c)
+            fits = pass_blocks[tuple(b[0] for b in split)]
+            assert all(len(b) <= len(f[0]) for b, f in zip(split, fits)), (horizon, E)
+        # the verdicts agree with the sweep, also on a false inclusion
+        for target in (rhs_c, S(1)):
+            walk = _walk(lhs_c, range(1, horizon + 1), rhs=target)
+            escaped = next((E for E, _, out in walk if out), None)
+            dominance = _verify_by_dominance(lhs_c, target, horizon)
+            assert dominance.method == "dominance"
+            assert dominance.ok == (escaped is None), (horizon, target)
+            if not dominance.ok and not dominance.budget_exhausted:
+                cx = dominance.counterexample
+                assert member(cx, lhs_c).member and not member(cx, target).member
+
+
+# ---------------------------------------------------------------------------
+# hash and equality of family expressions
+# ---------------------------------------------------------------------------
+
+
+_indices = st.sampled_from(["0", "1", "2", "3", "w", "w+1", "w*2+3", "w^2", "w^w"])
+_labels = st.one_of(
+    st.builds(IndexSequence.arithmetic, st.integers(1, 5), st.integers(1, 4)),
+    st.builds(
+        lambda vals: IndexSequence.explicit(sorted(vals)),
+        st.sets(st.integers(1, 40), min_size=1, max_size=6),
+    ),
+)
+family_expressions = st.recursive(
+    st.one_of(st.builds(lambda t: parse_family(f"S({t})"), _indices), st.builds(A, st.integers(0, 6))),
+    lambda kids: st.one_of(
+        st.builds(BracketFamily, kids, kids), st.builds(RelabeledFamily, kids, _labels)
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_expressions)
+def test_equal_families_hash_equal(fam):
+    # a twin built independently, through the grammar
+    twin = parse_family(print_family(fam))
+    assert twin is not fam and twin == fam and hash(twin) == hash(fam)
+    # the stored hash is the one the dataclass would compute
+    assert hash(fam) == hash(tuple(getattr(fam, f.name) for f in dataclasses.fields(fam)))
+    assert canonicalize(twin) == canonicalize(fam)
+    assert hash(canonicalize(twin)) == hash(canonicalize(fam))
+
+
+def test_equal_families_share_memo_entries():
+    pairs = [
+        (canonicalize(BracketFamily(S(1), S(1))), S(2)),
+        (S(fundamental(omega_power(OMEGA), 3)), parse_family("S(w^3)")),
+        (RelabeledFamily(BracketFamily(S(1), A(2)), IndexSequence.arithmetic(2, 2)),
+         RelabeledFamily(BracketFamily(S(1), A(2)), EVENS)),
+        (RelabeledFamily(S(1), IndexSequence.explicit([2, 4, 6])), parse_family("S(1)([2,4,6])")),
+        (A(3), CardinalityFamily(3)),
+    ]
+    for x, y in pairs:
+        assert x is not y and x == y and hash(x) == hash(y), x
+        member((2, 4, 6), x)
+        size = len(families._member_cache)
+        member((2, 4, 6), y)
+        assert len(families._member_cache) == size, x
+
+
+def test_family_hash_is_read_only_and_hidden():
+    fam = parse_family("S(1)[A(2)](even)")
+    parts = (fam, fam.base, fam.base.outer, fam.base.inner)
+    for part in parts:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            part._hash = 0
+        assert "_hash" not in [f.name for f in dataclasses.fields(part)]
+    assert repr(fam.base) == (
+        "BracketFamily(outer=SchreierFamily(index=Ordinal[1]), inner=CardinalityFamily(bound=2))"
+    )
+    assert to_jsonable(fam) == {
+        "type": "RelabeledFamily",
+        "base": {
+            "type": "BracketFamily",
+            "outer": {
+                "type": "SchreierFamily",
+                "index": {"type": "Ordinal", "terms": [[{"type": "Ordinal", "terms": []}, 1]]},
+            },
+            "inner": {"type": "CardinalityFamily", "bound": 2},
+        },
+        "labels": {"type": "IndexSequence", "prefix": [], "tail_start": 2, "tail_step": 2},
+    }
+    assert "hash" not in json.dumps(to_jsonable(fam))
 
 
 def test_canonicalize():

@@ -3,6 +3,8 @@ fundamental-sequence properties."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from schreier.ordinals import (
     to_text,
 )
 from schreier.parsing import parse_ordinal
+from schreier.reports import to_jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -161,3 +164,47 @@ def test_total_order_sample():
             for c in sample:
                 if compare(a, b) <= 0 and compare(b, c) <= 0:
                     assert compare(a, c) <= 0
+
+
+# ---------------------------------------------------------------------------
+# hash and equality of the stored attributes
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(ordinals, ordinals)
+def test_equal_ordinals_hash_equal(a, b):
+    # built independently: parsed from text, and summed by the oracle
+    twin = parse_ordinal(to_text(a))
+    assert twin == a and hash(twin) == hash(a) == hash((a.terms,))
+    total, oracle_total = add(a, b), oracle_add(a, b)
+    assert total == oracle_total and hash(total) == hash(oracle_total)
+    # the stored predicates read the normal form
+    last_finite = bool(a.terms) and a.terms[-1][0].terms == ()
+    assert a.is_zero == (a.terms == ())
+    assert a.is_successor == last_finite
+    assert a.is_limit == (bool(a.terms) and not last_finite)
+    if a.is_successor:
+        assert add(a.predecessor(), ONE) == a
+        assert a.predecessor() is a.predecessor()
+
+
+def test_fundamental_hashes_as_parsed():
+    w3 = fundamental(omega_power(OMEGA), 3)
+    parsed = parse_ordinal("w^3")
+    assert w3 is not parsed and w3 == parsed and hash(w3) == hash(parsed)
+    assert {w3: "hit"}[parsed] == "hit"
+
+
+def test_stored_attributes_are_read_only_and_hidden():
+    a = parse_ordinal("w^2+3")
+    a.predecessor()  # stores the predecessor as well
+    for name in ("is_zero", "is_successor", "is_limit", "terms"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, True)
+    assert [f.name for f in dataclasses.fields(a)] == ["terms"]
+    assert repr(a) == "Ordinal[w^2+3]"
+    jsonable = to_jsonable(a)
+    assert set(jsonable) == {"type", "terms"}
+    for word in ("hash", "is_", "predecessor"):
+        assert word not in json.dumps(jsonable)
