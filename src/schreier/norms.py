@@ -26,17 +26,22 @@ Spaces:
     intervals; the recursion below computes its least fixpoint exactly and
     assembles a norming functional witnessing each value from below.
 
+Each space evaluates the interval restrictions of one vector in one
+session, whose memoised `norm(i, j)` gives the value and witness on support
+positions i..j.  `norm` reads positions 0..n-1; the interval norms (norm_j,
+interval_norm) read every chunk of their covers from the same session.
+
 The Tsirelson, Schlumprecht and mixed evaluators and the interval norms
-(norm_j, interval_norm) share one kernel, `_cover`: the best sum of chunk
-values over at most k contiguous chunks covering support positions s..j,
-memoised under the key (s, j, min(k, j - s + 1)).  "At most k" gives the
-same sup as "exactly k": when a piece E splits into E' < E'',
-|E x| <= |E' x| + |E'' x| by the triangle inequality and
-1-unconditionality, so splitting a chunk never lowers the sum, and the
-split keeps the first piece's minimum, so admissibility holds too.  (The
-Schlumprecht weight depends on k; its session says why the kernel is
-still exact there.)  A norm that is itself a sup over splits asks the
-kernel for at least two chunks, so it never needs its own value.
+share one kernel, `_cover`: the best sum of chunk values over at most k
+contiguous chunks covering support positions s..j, memoised under the key
+(s, j, min(k, j - s + 1)).  "At most k" gives the same sup as "exactly k":
+when a piece E splits into E' < E'', |E x| <= |E' x| + |E'' x| by the
+triangle inequality and 1-unconditionality, so splitting a chunk never
+lowers the sum, and the split keeps the first piece's minimum, so
+admissibility holds too.  (The Schlumprecht weight depends on k; its
+session says why the kernel is still exact there.)  A norm that is itself
+a sup over splits asks the kernel for at least two chunks, so it never
+needs its own value.
 
 The X(xi) norm and `analysis.alpha_index_diagnostic` share a second
 kernel, `_admissible_sum`, the pruned search over admissible, very fast
@@ -108,6 +113,10 @@ class TsirelsonSpace:
 class SchlumprechtSpace:
     tolerance: float = 1e-9
 
+    def __post_init__(self) -> None:
+        if not self.tolerance > 0:
+            raise ValueError("the Schlumprecht tolerance must be positive")
+
 
 @dataclass(frozen=True)
 class MixedSchreierSpace:
@@ -170,17 +179,6 @@ class NormResult:
         if not self.exact or self.witness is None:
             return True
         return evaluate_partition(self.witness, x) == self.value
-
-
-def _leaf(x: Vector, coord: int) -> PartLeaf:
-    return PartLeaf(coord, -1 if x[coord] < 0 else 1)
-
-
-def _best_leaf(x: Vector) -> Tuple[Fraction, Optional[PartLeaf]]:
-    if x.is_zero:
-        return Fraction(0), None
-    coord = max(x.support(), key=lambda c: abs(x[c]))
-    return abs(x[coord]), _leaf(x, coord)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +259,7 @@ def _admissible_sum(fam, pos, prefix, i: int, j: int, floor: int, piece, best):
 
 
 # ---------------------------------------------------------------------------
-# Tsirelson and Schlumprecht evaluators
+# sessions: one evaluator of the interval restrictions of x per space
 # ---------------------------------------------------------------------------
 
 
@@ -287,10 +285,12 @@ class _TsirelsonSession:
     comparison, so every memoised value is exact.
     """
 
+    exact, converged, tolerance = True, True, 0.0
+
     def __init__(self, x: Vector):
         self.pos = x.support()
         self.vals = [v for _, v in x.entries]
-        h = (len(self.vals) - 1) // 2
+        h = max(len(self.vals) - 1, 0) // 2
         self.scale = math.lcm(*(v.denominator for v in self.vals)) << h
         self.absvals = [abs(v.numerator) * (self.scale // v.denominator) for v in self.vals]
         self.memo: Dict[Tuple[int, int], Tuple[int, Partition]] = {}
@@ -315,14 +315,6 @@ class _TsirelsonSession:
         return best, wit
 
 
-def _tsirelson_norm(x: Vector) -> NormResult:
-    if x.is_zero:
-        return NormResult(Fraction(0), exact=True)
-    session = _TsirelsonSession(x)
-    value, wit = session.norm(0, len(x.support()) - 1)
-    return NormResult(Fraction(value, session.scale), exact=True, witness=wit)
-
-
 class _SchlumprechtSession:
     """Same DP shape as Tsirelson with weight 1/log2(k+1) and no
     admissibility constraint; float arithmetic with a declared tolerance.
@@ -333,7 +325,10 @@ class _SchlumprechtSession:
     1/log2(k+1) never exceeds the sup.
     """
 
-    def __init__(self, x: Vector):
+    exact, converged, scale = False, True, None
+
+    def __init__(self, x: Vector, tolerance: float):
+        self.tolerance = tolerance
         self.vals = [abs(float(v)) for _, v in x.entries]
         self.memo: Dict[Tuple[int, int], Tuple[float, None]] = {}
         self.cover_memo: dict = {}
@@ -350,19 +345,6 @@ class _SchlumprechtSession:
         return best, None
 
 
-def _schlumprecht_norm(x: Vector, tolerance: float) -> NormResult:
-    if x.is_zero:
-        return NormResult(0.0, exact=False, tolerance=tolerance)
-    session = _SchlumprechtSession(x)
-    value, _ = session.norm(0, len(x.support()) - 1)
-    return NormResult(value, exact=False, tolerance=tolerance)
-
-
-# ---------------------------------------------------------------------------
-# mixed Schreier space evaluator
-# ---------------------------------------------------------------------------
-
-
 class _MixedSession:
     """Exact recursion for the mixed Schreier norm with functional witnesses.
 
@@ -376,6 +358,8 @@ class _MixedSession:
     bounds of a session that reports non-convergence.
     """
 
+    exact, scale, tolerance = True, None, 0.0
+
     def __init__(self, x: Vector, xi: Ordinal):
         self.pos = x.support()
         self.vals = [v for _, v in x.entries]
@@ -386,6 +370,13 @@ class _MixedSession:
         self.converged = True
         self.norm_memo: Dict[Tuple[int, int], Tuple[Fraction, Functional]] = {}
         self.cover_memo: dict = {}
+
+    def chunk(self, i: int, j: int) -> Tuple[Fraction, Functional]:
+        """norm(i, j), evaluated with the tick budget a session of its own
+        would start with if no earlier chunk evaluated it."""
+        if (i, j) not in self.norm_memo:
+            self.budget = MIXED_TICK_BUDGET
+        return self.norm(i, j)
 
     def norm(self, i: int, j: int) -> Tuple[Fraction, Functional]:
         key = (i, j)
@@ -412,12 +403,65 @@ class _MixedSession:
         return best, wit
 
 
-def _mixed_norm(space: MixedSchreierSpace, x: Vector) -> NormResult:
-    if x.is_zero:
-        return NormResult(Fraction(0), exact=True)
-    session = _MixedSession(x, space.xi)
-    value, wit = session.norm(0, len(x.support()) - 1)
-    return NormResult(value, exact=session.converged, converged=session.converged, witness=wit)
+class _ClosedSession:
+    """l1, c0 and lp on support positions i..j: the l1 mass as a difference
+    of prefix sums, the first largest |x_c|, or the p-th root of the sum of
+    p-th powers, added in support order."""
+
+    converged, scale = True, None
+
+    def __init__(self, space: Union[L1Space, C0Space, LpSpace], x: Vector):
+        self.space, self.memo = space, {}
+        self.exact = not isinstance(space, LpSpace)
+        self.tolerance = 0.0 if self.exact else 1e-12
+        if self.exact:
+            self.leaves = tuple(PartLeaf(c, -1 if v < 0 else 1) for c, v in x.entries)
+            self.absvals = [abs(v) for _, v in x.entries]
+        else:
+            self.powers = [abs(float(v)) ** space.p for _, v in x.entries]
+        if isinstance(space, L1Space):
+            self.prefix = list(itertools.accumulate(self.absvals, initial=Fraction(0)))
+
+    def norm(self, i: int, j: int) -> tuple:
+        hit = self.memo.get((i, j))
+        if hit is None:
+            if isinstance(self.space, L1Space):
+                hit = (self.prefix[j + 1] - self.prefix[i],
+                       PartNode(Fraction(1), self.leaves[i : j + 1]))
+            elif isinstance(self.space, C0Space):
+                t = max(range(i, j + 1), key=self.absvals.__getitem__)
+                hit = self.absvals[t], self.leaves[t]
+            else:
+                hit = sum(self.powers[i : j + 1]) ** (1.0 / self.space.p), None
+            self.memo[(i, j)] = hit
+        return hit
+
+
+def _session(space: NormSpace, x: Vector):
+    """The evaluator of x's interval restrictions in the given space:
+    `norm(i, j)` gives (value, witness) for support positions i..j.  Values
+    are final, or integer numerators over `scale` when that is set; they
+    are exact rationals with witnesses when `exact` is set, else floats
+    within `tolerance`; `converged` turns false once a budget ran out."""
+    if isinstance(space, (L1Space, C0Space, LpSpace)):
+        return _ClosedSession(space, x)
+    if isinstance(space, TsirelsonSpace):
+        return _TsirelsonSession(x)
+    if isinstance(space, SchlumprechtSpace):
+        return _SchlumprechtSession(x, space.tolerance)
+    if isinstance(space, MixedSchreierSpace):
+        return _MixedSession(x, space.xi)
+    raise TypeError(f"not a norm space: {space!r}")
+
+
+def _result(session, total, witness, tolerance: float, scale: int = 1) -> NormResult:
+    """The NormResult of a session value (or sum of values) over `scale`."""
+    if session.scale:
+        total = Fraction(total, session.scale * scale)
+    elif scale != 1:
+        total = total / scale
+    exact = session.exact and session.converged
+    return NormResult(total, exact, session.converged, witness, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -434,24 +478,12 @@ def norm(space: NormSpace, x: Vector) -> NormResult:
     Schlumprecht.  Exact results carry a witness that re-evaluates to the
     value.
     """
-    if isinstance(space, L1Space):
-        if x.is_zero:
-            return NormResult(Fraction(0), exact=True)
-        leaves = tuple(_leaf(x, c) for c in x.support())
-        return NormResult(x.l1(), exact=True, witness=PartNode(Fraction(1), leaves))
-    if isinstance(space, C0Space):
-        value, wit = _best_leaf(x)
-        return NormResult(value, exact=True, witness=wit)
-    if isinstance(space, LpSpace):
-        value = sum(abs(float(v)) ** space.p for _, v in x.entries) ** (1.0 / space.p)
-        return NormResult(value, exact=False, tolerance=1e-12)
-    if isinstance(space, TsirelsonSpace):
-        return _tsirelson_norm(x)
-    if isinstance(space, SchlumprechtSpace):
-        return _schlumprecht_norm(x, space.tolerance)
-    if isinstance(space, MixedSchreierSpace):
-        return _mixed_norm(space, x)
-    raise TypeError(f"not a norm space: {space!r}")
+    session = _session(space, x)
+    if x.is_zero:
+        zero = Fraction(0) if session.exact else 0.0
+        return NormResult(zero, session.exact, tolerance=session.tolerance)
+    value, wit = session.norm(0, len(x.entries) - 1)
+    return _result(session, value, wit, session.tolerance)
 
 
 def norm_j(space: NormSpace, x: Vector, j: int) -> NormResult:
@@ -477,42 +509,23 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
 
     Covering chunks suffice: filling a gap never lowers a chunk norm
     (support monotonicity) and splitting a chunk never lowers the sum
-    (triangle inequality).  For T the chunk values come from one session
-    over the whole of x; other spaces evaluate each chunk with `norm`.
+    (triangle inequality).  Every chunk value comes from one session over
+    the whole of x, so a chunk reuses the sub-intervals that other chunks
+    already evaluated.  An X(xi) chunk not yet evaluated starts from a full
+    MIXED_TICK_BUDGET, as it would in a session of its own.
 
     The result is exact and converged only when every chunk evaluated is:
     a chunk that lost the comparison may still be an underestimate.  At
     most n chunks enter the sum, so its error is at most n times the
-    largest chunk tolerance, before the 1/scale.
+    chunk tolerance, before the 1/scale.
     """
     if x.is_zero:
         return NormResult(Fraction(0), exact=True)
-    pos = x.support()
-    if isinstance(space, TsirelsonSpace):
-        session = _TsirelsonSession(x)
-        total, parts = _cover(session.norm, {}, 0, len(pos) - 1, n)
-        return NormResult(Fraction(total, session.scale * scale), exact=True,
-                          witness=PartNode(Fraction(1, scale), parts))
-    results: Dict[Tuple[int, int], NormResult] = {}
-
-    def chunk(a: int, b: int) -> Tuple[object, NormResult]:
-        r = results.get((a, b))
-        if r is None:
-            r = results[(a, b)] = norm(space, x.restrict(pos[a : b + 1]))
-        return r.value, r
-
-    total, chunks = _cover(chunk, {}, 0, len(pos) - 1, n)
-    witness = None
-    if all(r.witness is not None for r in chunks):
-        witness = PartNode(Fraction(1, scale), tuple(r.witness for r in chunks))
-    evaluated = results.values()
-    return NormResult(
-        total / scale,
-        exact=all(r.exact for r in evaluated),
-        converged=all(r.converged for r in evaluated),
-        witness=witness,
-        tolerance=n * max(r.tolerance for r in evaluated) / scale,
-    )
+    session = _session(space, x)
+    chunk = session.chunk if isinstance(session, _MixedSession) else session.norm
+    total, parts = _cover(chunk, {}, 0, len(x.entries) - 1, n)
+    witness = PartNode(Fraction(1, scale), parts) if session.exact else None
+    return _result(session, total, witness, n * session.tolerance / scale, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -328,28 +328,31 @@ def parse_space(text: str) -> NormSpace:
 def _space(sc: _Scanner) -> NormSpace:
     from . import norms
 
+    start = sc.pos
     if sc.take("l1"):
         return norms.L1Space()
     if sc.take("lp("):
-        p = sc.number()
-        sc.expect(")")
-        return norms.LpSpace(p)
-    if sc.take("c0"):
+        make, arg = norms.LpSpace, sc.number()
+    elif sc.take("c0"):
         return norms.C0Space()
-    if sc.take("T"):
+    elif sc.take("T"):
         return norms.TsirelsonSpace()
-    if sc.take("S("):
+    elif sc.take("S("):
         sc.expect("tol=")
-        tol = sc.number()
-        sc.expect(")")
-        return norms.SchlumprechtSpace(tol)
-    if sc.take("S"):
+        make, arg = norms.SchlumprechtSpace, sc.number()
+    elif sc.take("S"):
         return norms.SchlumprechtSpace()
-    if sc.take("X("):
-        xi = _ordinal(sc)
-        sc.expect(")")
-        return norms.MixedSchreierSpace(xi)
-    raise sc.error("expected l1, lp(p), c0, T, S(tol=..) or X(..)")
+    elif sc.take("X("):
+        make, arg = norms.MixedSchreierSpace, _ordinal(sc)
+    else:
+        raise sc.error("expected l1, lp(p), c0, T, S(tol=..) or X(..)")
+    sc.expect(")")
+    try:
+        return make(arg)
+    except ValueError as exc:
+        # a well-formed descriptor that names no space (lp(1), S(tol=0),
+        # X(0)) is reported where the descriptor starts
+        raise ParseError(str(exc), sc.text, start) from None
 
 
 def print_space(space: NormSpace) -> str:

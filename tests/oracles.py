@@ -13,6 +13,11 @@ These deliberately avoid the production algorithms' shortcuts:
   values over every system of at most n successive interval pieces, gaps
   allowed, where the production kernel only looks at covering chunks.
 
+* `interval_cover_oracle` evaluates every chunk of every cover of the
+  support by at most n interval chunks with `norm` on the restricted
+  vector, in a session of its own, where `interval_norm` and `norm_j`
+  read every chunk from one session over the whole vector.
+
 * `schlumprecht_oracle` is the unmemoised recursion over exactly k
   contiguous chunks that the production evaluator replaced with the
   memoised "at most k" kernel.
@@ -48,7 +53,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from schreier.analysis import ALPHA_TARGET_BLOCKS
 from schreier.families import SchreierFamily, member, member_exhaustive
-from schreier.norms import MixedSchreierSpace, norm
+from schreier.norms import MixedSchreierSpace, NormResult, NormSpace, PartNode, norm
 from schreier.ordinals import Ordinal, fundamental, omega_power
 from schreier.vectors import BlockSequence, SumNode, Vector, evaluate, validate_functional
 
@@ -161,6 +166,55 @@ def tsirelson_interval_oracle(x: Vector, n: int) -> Fraction:
     return max(
         sum((tsirelson_oracle(x.restrict(pos[a : b + 1]), memo) for a, b in system), Fraction(0))
         for system in _interval_systems(len(pos), 0, n)
+    )
+
+
+def _covers(n: int, start: int, count: int) -> Iterator[List[Tuple[int, int]]]:
+    """Covers of positions start..n-1 by at most `count` successive
+    interval chunks (a, b), no gaps."""
+    yield [(start, n - 1)]
+    if count > 1:
+        for m in range(start, n - 1):
+            for rest in _covers(n, m + 1, count - 1):
+                yield [(start, m)] + rest
+
+
+def interval_cover_oracle(space: NormSpace, x: Vector, n: int, scale: int = 1) -> NormResult:
+    """(1/scale) * the best sum of `norm(space, x.restrict(chunk))` over
+    every cover of the support by at most n interval chunks.
+
+    Sums nest from the right, v_1 + (v_2 + ...), as the chunk-cover
+    kernel adds them, so float sums agree to the bit.  The result is exact
+    and converged if every chunk of every cover is, its tolerance is n
+    times the largest chunk tolerance over scale, and its witness joins
+    the chunk witnesses of the first best cover when every chunk has one.
+    """
+    if x.is_zero:
+        return NormResult(Fraction(0), exact=True)
+    pos = x.support()
+    results: Dict[Tuple[int, int], NormResult] = {}
+    best = chunks = None
+    for cover in _covers(len(pos), 0, n):
+        rs = []
+        for a, b in cover:
+            if (a, b) not in results:
+                results[(a, b)] = norm(space, x.restrict(pos[a : b + 1]))
+            rs.append(results[(a, b)])
+        total = rs[-1].value
+        for r in reversed(rs[:-1]):
+            total = r.value + total
+        if best is None or total > best:
+            best, chunks = total, rs
+    witness = None
+    if all(r.witness is not None for r in chunks):
+        witness = PartNode(Fraction(1, scale), tuple(r.witness for r in chunks))
+    evaluated = results.values()
+    return NormResult(
+        best / scale,
+        exact=all(r.exact for r in evaluated),
+        converged=all(r.converged for r in evaluated),
+        witness=witness,
+        tolerance=n * max(r.tolerance for r in evaluated) / scale,
     )
 
 

@@ -37,6 +37,7 @@ from schreier.families import (
     BracketFamily,
     EVENS,
     IndexSequence,
+    NATURALS,
     RelabeledFamily,
     S,
     SchreierFamily,
@@ -166,6 +167,22 @@ def test_criterion_02_refinement_constructions():
                "construct_N all verified; spread of L re-verified "
                f"({rep_ii.stats.get('patterns', 0)} + "
                f"{rep_sp.stats.get('patterns', 0)} minima patterns)")
+
+
+def test_criterion_02_bracket_refinement_at_a_limit_index():
+    """Check (iii) at xi = 1 passes by canonical rewriting alone (L is all
+    naturals and S(1)[S(1)] is S(2)); at xi = w the bracket construction
+    spreads L, and the inclusion holds only through the dominance pass."""
+    L = construct_L_bracket(OMEGA, ONE, 30)
+    rhs = SchreierFamily(add(ONE, OMEGA))
+    rep = verify_bracket_inclusion(RelabeledFamily(BracketFamily(S(OMEGA), S(1)), L), rhs, 30)
+    assert rep.ok, rep.detail
+    assert rep.method == "dominance" and rep.stats["patterns"] > 0
+    # without the spread the same inclusion fails
+    bare = verify_bracket_inclusion(RelabeledFamily(BracketFamily(S(OMEGA), S(1)), NATURALS), rhs, 30)
+    assert not bare.ok
+    _passed(2, f"construct_L_bracket(w,1,30) verified by dominance "
+               f"({rep.stats['patterns']} minima patterns); all naturals fail")
 
 
 def test_criterion_03_bracket_pair_relabel_absorbs():

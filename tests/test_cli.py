@@ -89,6 +89,13 @@ def test_parse_errors_carry_offsets():
     assert exc.value.offset == 5
 
 
+@pytest.mark.parametrize("text", ["lp(1)", "lp(0.5)", "X(0)", "S(tol=0)", "S(tol=-1)"])
+def test_space_descriptor_errors_point_at_the_descriptor(text):
+    with pytest.raises(ParseError) as exc:
+        parse_space(text)
+    assert exc.value.offset == 0
+
+
 def test_parsers_reject_coordinate_zero():
     with pytest.raises(ParseError) as exc:
         parse_set("0,2")
@@ -279,6 +286,11 @@ def test_parse_error_exit(capsys):
     ["schreier", "member", "--family", "S(w)(arith(0,1))", "--set", "2"],
     ["schreier", "member", "--family", "S(w)(arith(1,0))", "--set", "2"],
     ["scc", "basic", "--xi", "2", "--zeta", "1", "--eps", "1/3", "--seq", "[4,3]"],
+    # well-formed space descriptors that name no space
+    ["norm", "eval", "--space", "lp(1)", "--vector", "2:1"],
+    ["norm", "eval", "--space", "lp(0.5)", "--vector", "2:1"],
+    ["norm", "eval", "--space", "X(0)", "--vector", "2:1"],
+    ["norm", "eval", "--space", "S(tol=-1)", "--vector", "2:1"],
     # argparse errors, which would otherwise exit with 2 (EXIT_BUDGET)
     ["schreier", "nosuch"],
     ["norm", "eval", "--space", "T"],

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    interval_cover_oracle,
     schlumprecht_oracle,
     tsirelson_interval_oracle,
     tsirelson_oracle,
@@ -22,6 +23,8 @@ from schreier.norms import (
     L1,
     LpSpace,
     MixedSchreierSpace,
+    NormResult,
+    PartLeaf,
     PartNode,
     SchlumprechtSpace,
     T,
@@ -218,6 +221,16 @@ def test_closed_forms():
     assert abs(lp.value - math.sqrt(0.25 + 1 + 0.5625)) < 1e-9
 
 
+def test_c0_witness_is_the_first_largest_coordinate():
+    x = vec((2, 1), (3, -2), (5, 2), (7, -2), (8, 1))
+    r = norm(C0, x)
+    assert r.value == 2 and r.witness == PartLeaf(3, -1)
+    # the first cut that reaches 4 follows coordinate 3, and 5 comes
+    # before 7 in the second chunk
+    r = interval_norm(C0, x, 2)
+    assert r.value == 4 and r.witness.children == (PartLeaf(3, -1), PartLeaf(5, 1))
+
+
 def test_schlumprecht_pair():
     r = norm(SchlumprechtSpace(), vec((1, 1), (2, 1)))
     assert not r.exact
@@ -339,6 +352,62 @@ def test_interval_norms_achieved_on_mixed_space():
         for j in (2, 3):
             r = norm_j(X, x, j)
             assert r.exact and r.converged and r.achieved(x)
+
+
+# every space, with X(xi) at a successor and at a limit index
+COVER_SPACES = [L1, C0, LpSpace(3.0), T, SchlumprechtSpace(),
+                MixedSchreierSpace(finite(1)), MixedSchreierSpace(OMEGA)]
+cover_vectors = st.dictionaries(st.integers(1, 12), coefficients, min_size=1, max_size=6).map(
+    Vector.from_dict)
+
+
+@pytest.mark.parametrize("space", COVER_SPACES, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(x=cover_vectors, n=st.integers(1, 4))
+def test_interval_norms_match_cover_oracle(space, x, n):
+    pairs = [(interval_norm(space, x, n), interval_cover_oracle(space, x, n))]
+    if n >= 2:
+        pairs.append((norm_j(space, x, n), interval_cover_oracle(space, x, n, scale=n)))
+    for r, expected in pairs:
+        assert r.value == expected.value
+        assert (r.exact, r.converged, r.tolerance) == (expected.exact, expected.converged, expected.tolerance)
+        assert (r.witness is None) == (expected.witness is None) == (not r.exact)
+        assert r.achieved(x) and expected.achieved(x)
+
+
+def test_budgeted_mixed_interval_norm_is_a_witnessed_lower_bound(monkeypatch):
+    X = MixedSchreierSpace(finite(1))
+    x = Vector.from_dict({c: Fraction(1) for c in range(4, 10)})
+    full = {n: interval_norm(X, x, n) for n in (1, 2)}
+    assert all(r.exact and r.converged for r in full.values())
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", 20)
+    # norm_j(., 2) is interval_norm(., 2) over 2
+    for n, scale, r in ((1, 1, interval_norm(X, x, 1)), (2, 1, interval_norm(X, x, 2)),
+                        (2, 2, norm_j(X, x, 2))):
+        assert not r.exact and not r.converged
+        assert x.linf() <= r.value * scale < full[n].value
+        assert evaluate_partition(r.witness, x) == r.value
+
+
+ZERO_RESULTS = [
+    (L1, NormResult(Fraction(0), exact=True)),
+    (C0, NormResult(Fraction(0), exact=True)),
+    (LpSpace(3.0), NormResult(0.0, exact=False, tolerance=1e-12)),
+    (T, NormResult(Fraction(0), exact=True)),
+    (SchlumprechtSpace(1e-6), NormResult(0.0, exact=False, tolerance=1e-6)),
+    (MixedSchreierSpace(finite(1)), NormResult(Fraction(0), exact=True)),
+]
+
+
+@pytest.mark.parametrize("space, expected", ZERO_RESULTS, ids=repr)
+def test_zero_vector_results(space, expected):
+    # repr tells Fraction(0) from 0.0, which compare equal
+    assert repr(norm(space, Vector())) == repr(expected)
+    # the interval norms of the zero vector are an exact 0 in every space
+    zero = repr(NormResult(Fraction(0), exact=True))
+    for n in (1, 3):
+        assert repr(interval_norm(space, Vector(), n)) == zero
+    assert repr(norm_j(space, Vector(), 2)) == zero
 
 
 # ---------------------------------------------------------------------------
