@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -41,7 +40,7 @@ from .norms import (
     norm,
 )
 from .ordinals import ONE, Ordinal, add, fundamental, omega_power
-from .reports import WitnessReport
+from .reports import Factory, Record, WitnessReport
 from .vectors import BlockSequence, Vector, combine
 
 # rounds of the exact mass-shifting descent that refines the l1 lower constant
@@ -65,8 +64,7 @@ ALPHA_TARGET_BLOCKS = 3
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntervalNormSpec:
+class IntervalNormSpec(Record, frozen=True):
     """|.|_n in the ambient space: sup of sums over n successive intervals."""
 
     n: int
@@ -90,15 +88,14 @@ def second_norm_value(space: NormSpace, spec: SecondNorm, x: Vector):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpreadingEstimate:
+class SpreadingEstimate(Record):
     family: Family
     horizon: int
     l1_lower: Fraction
     l1_upper: Fraction
     c0_lower: Fraction
     c0_upper: Fraction
-    witnesses: Dict[str, Tuple[FinSet, Tuple[Fraction, ...]]] = field(default_factory=dict)
+    witnesses: Dict[str, Tuple[FinSet, Tuple[Fraction, ...]]] = Factory(dict)
 
     def reverify(self, space: NormSpace, bs: BlockSequence) -> bool:
         """Every stored witness must re-evaluate to its bound."""
@@ -246,8 +243,7 @@ def spreading_profile(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DistortionWitness:
+class DistortionWitness(Record):
     index_set: FinSet
     membership: MembershipResult
     x: Vector
@@ -268,8 +264,7 @@ class DistortionWitness:
         return Fraction(rx) / Fraction(ry) == self.ratio
 
 
-@dataclass
-class DistortionReport:
+class DistortionReport(Record):
     found: Optional[DistortionWitness]
     best_ratio: Fraction
     best_pair: Optional[Tuple[str, str]]
@@ -402,8 +397,7 @@ def standard_corpus(space: NormSpace, n: int) -> List[Tuple[str, BlockSequence]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IntervalExperimentReport:
+class IntervalExperimentReport(Record):
     xi: Ordinal
     n: int
     k: int
@@ -487,8 +481,7 @@ def interval_distortion_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RatioCheckReport:
+class RatioCheckReport(Record):
     delta: Fraction
     samples: int
     violations: List[dict]

@@ -26,7 +26,7 @@ from typing import Optional
 # Each verb handler imports the modules it needs.  `families` is the
 # exception and must load before build_parser() runs: compiling it (with no
 # cached bytecode) is a command's memory high-water mark, and on top of the
-# parser it raised every command's peak RSS by about 4%, 18.6 to 19.4 MB.
+# parser it raised every command's peak RSS by about 2%, 17.8 to 18.2 MB.
 from . import families, parsing
 from .families import SchreierFamily
 from .ordinals import add, compare, fundamental

@@ -20,7 +20,6 @@ exact rationals t with t*t <= K; no irrational roots enter the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -35,7 +34,7 @@ from .families import (
 )
 from .norms import NormSpace, norm
 from .ordinals import ONE, Ordinal, compare, fundamental, omega_power
-from .reports import BudgetExhausted
+from .reports import BudgetExhausted, Record
 from .vectors import (
     Average,
     BlockSequence,
@@ -72,8 +71,7 @@ def rational_sqrt_below(K: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SccResult:
+class SccResult(Record):
     vector: Vector
     support_set: FinSet
     xi: Ordinal
@@ -318,16 +316,14 @@ def build_schreier_functional(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ImprovedBlocking:
+class ImprovedBlocking(Record):
     blocking: BlockSequence
     support_sets: List[FinSet]
     combinations: List[Tuple[FinSet, Tuple[Fraction, ...], Fraction]]
     target: Fraction
 
 
-@dataclass
-class PropertyPn:
+class PropertyPn(Record):
     n: int
     verified_constant: Fraction
     horizon: int

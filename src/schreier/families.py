@@ -43,12 +43,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .ordinals import ZERO, ONE, Ordinal, compare, add, finite, fundamental
-from .reports import WitnessReport
+from .reports import Record, WitnessReport
 
 FinSet = Tuple[int, ...]
 
@@ -90,8 +89,7 @@ class SequenceExhausted(Exception):
     """An explicit-prefix index sequence was read past its end."""
 
 
-@dataclass(frozen=True)
-class IndexSequence:
+class IndexSequence(Record, frozen=True):
     """Strictly increasing map i -> m_i (1-indexed).
 
     Three kinds, by which fields are set:
@@ -198,11 +196,10 @@ EVENS = IndexSequence.arithmetic(2, 2)
 
 # Family expressions key the member memo and the other memo tables, so each
 # computes its field hash once, at construction, and keeps it outside the
-# dataclass fields; the value is the one the dataclass hash would give.
+# record fields; the value is the one the record hash would give.
 
 
-@dataclass(frozen=True)
-class SchreierFamily:
+class SchreierFamily(Record, frozen=True):
     index: Ordinal
 
     def __post_init__(self) -> None:
@@ -212,8 +209,7 @@ class SchreierFamily:
         return self._hash
 
 
-@dataclass(frozen=True)
-class CardinalityFamily:
+class CardinalityFamily(Record, frozen=True):
     bound: int
 
     def __post_init__(self) -> None:
@@ -225,8 +221,7 @@ class CardinalityFamily:
         return self._hash
 
 
-@dataclass(frozen=True)
-class BracketFamily:
+class BracketFamily(Record, frozen=True):
     outer: "Family"
     inner: "Family"
 
@@ -237,8 +232,7 @@ class BracketFamily:
         return self._hash
 
 
-@dataclass(frozen=True)
-class RelabeledFamily:
+class RelabeledFamily(Record, frozen=True):
     base: "Family"
     labels: IndexSequence
 
@@ -317,13 +311,11 @@ def is_size_determined(fam: Family) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeafWitness:
+class LeafWitness(Record, frozen=True):
     rule: str
 
 
-@dataclass(frozen=True)
-class SplitWitness:
+class SplitWitness(Record, frozen=True):
     """Decomposition into successive blocks with its sub-witnesses."""
 
     blocks: Tuple[FinSet, ...]
@@ -331,15 +323,13 @@ class SplitWitness:
     minima_witness: "Witness"
 
 
-@dataclass(frozen=True)
-class LimitWitness:
+class LimitWitness(Record, frozen=True):
     n: int
     stage: Ordinal
     inner: "Witness"
 
 
-@dataclass(frozen=True)
-class RelabelWitness:
+class RelabelWitness(Record, frozen=True):
     preimage: FinSet
     inner: "Witness"
 
@@ -347,8 +337,7 @@ class RelabelWitness:
 Witness = Union[LeafWitness, SplitWitness, LimitWitness, RelabelWitness]
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record, frozen=True):
     member: bool
     witness: Optional[Witness] = None
 
@@ -735,8 +724,7 @@ def recheck_witness(E, fam: Family, witness: Witness) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MaximalEnumeration:
+class MaximalEnumeration(Record):
     sets: List[FinSet]
     truncated: List[bool]
     all_truncated: bool
@@ -803,8 +791,7 @@ def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumerati
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ThresholdResult:
+class ThresholdResult(Record):
     n: int
     certified_horizon: int
     rejections: List[Tuple[int, FinSet]]
@@ -1241,8 +1228,7 @@ def _verify_by_dominance(lhs_c: Family, rhs_c: Family, horizon: int) -> WitnessR
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MassResult:
+class MassResult(Record):
     mass: Fraction
     argmax: FinSet
 

@@ -60,12 +60,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .families import SchreierFamily, member
 from .ordinals import Ordinal, omega_power
+from .reports import Record
 from .vectors import (
     Average,
     Functional,
@@ -85,18 +85,15 @@ MIXED_TICK_BUDGET = 30_000_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class L1Space:
+class L1Space(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
-class C0Space:
+class C0Space(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
-class LpSpace:
+class LpSpace(Record, frozen=True):
     p: float
 
     def __post_init__(self) -> None:
@@ -104,13 +101,11 @@ class LpSpace:
             raise ValueError("lp requires p > 1 (use l1 for p = 1)")
 
 
-@dataclass(frozen=True)
-class TsirelsonSpace:
+class TsirelsonSpace(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
-class SchlumprechtSpace:
+class SchlumprechtSpace(Record, frozen=True):
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -118,8 +113,7 @@ class SchlumprechtSpace:
             raise ValueError("the Schlumprecht tolerance must be positive")
 
 
-@dataclass(frozen=True)
-class MixedSchreierSpace:
+class MixedSchreierSpace(Record, frozen=True):
     xi: Ordinal
 
     def __post_init__(self) -> None:
@@ -139,14 +133,12 @@ T = TsirelsonSpace()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartLeaf:
+class PartLeaf(Record, frozen=True):
     coord: int
     sign: int
 
 
-@dataclass(frozen=True)
-class PartNode:
+class PartNode(Record, frozen=True):
     """weight * (sum of children); the partition-tree witness."""
 
     weight: Fraction
@@ -166,8 +158,7 @@ def evaluate_partition(w: Union[Partition, Functional], x: Vector):
     return evaluate(w, x)
 
 
-@dataclass
-class NormResult:
+class NormResult(Record):
     value: Union[Fraction, float]
     exact: bool
     converged: bool = True
@@ -475,13 +466,13 @@ def norm(space: NormSpace, x: Vector) -> NormResult:
     Exact rational for l1, c0, Tsirelson and the mixed Schreier space
     (there the result is a certified lower bound with converged=False if
     MIXED_TICK_BUDGET runs out); float with declared tolerance for lp and
-    Schlumprecht.  Exact results carry a witness that re-evaluates to the
-    value.
+    Schlumprecht.  The zero vector has the exact norm 0 in every space, as
+    in the interval norms.  Exact results carry a witness that re-evaluates
+    to the value.
     """
-    session = _session(space, x)
     if x.is_zero:
-        zero = Fraction(0) if session.exact else 0.0
-        return NormResult(zero, session.exact, tolerance=session.tolerance)
+        return NormResult(Fraction(0), exact=True)
+    session = _session(space, x)
     value, wit = session.norm(0, len(x.entries) - 1)
     return _result(session, value, wit, session.tolerance)
 
@@ -533,8 +524,7 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WGeneration:
+class WGeneration(Record):
     functionals: List[Functional]
     truncated: bool
     depth: int

@@ -22,18 +22,18 @@ Everything here is an immutable value; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
+from .reports import Record
 
-@dataclass(frozen=True)
-class Ordinal:
+
+class Ordinal(Record, frozen=True):
     """Cantor normal form: tuple of (exponent, coefficient) pairs.
 
     The hash and the predicates `is_zero`, `is_successor` and `is_limit`
     are computed once, at construction, and kept as read-only attributes
-    outside the dataclass fields: ordinals key every family memo, and
+    outside the record fields: ordinals key every family memo, and
     hashing the nested exponents afresh on each lookup dominated them.
     """
 

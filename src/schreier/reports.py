@@ -1,5 +1,9 @@
 """Small result records, and the budget error, shared across modules.
 
+Every record of the package (ordinals, families, witnesses, vectors,
+spaces and results) is a plain class on `Record`: its fields are its
+annotations, in order, and equality, hashing and repr follow from them.
+
 Searches and verifiers in this package never claim more than they checked:
 every report carries the horizon it was certified to and whether a budget
 cut the search short.
@@ -7,14 +11,101 @@ cut the search short.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Optional
 
 
-@dataclass
-class WitnessReport:
+class Factory:
+    """A field default made afresh for every record by calling `make`."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+
+_MISSING = object()
+
+
+def _frozen_setattr(self, name: str, value: Any) -> None:
+    import dataclasses
+
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    import dataclasses
+
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Record:
+    """A value record: the fields are the subclass's annotations, in order.
+
+    A class attribute of a field's name is its default (a `Factory` makes
+    one per record).  The subclass gets an `__init__` taking the fields in
+    order, which then calls `__post_init__` if the class has one; `==`
+    between records of the same class comparing the field tuples; and the
+    repr `Name(field=value, ...)`.  Methods the class defines itself are
+    kept.  `class R(Record, frozen=True)` makes the record immutable:
+    assigning or deleting an attribute raises `FrozenInstanceError`, and
+    the hash is that of the field tuple.  Other records are mutable and
+    unhashable.
+
+    These are the semantics of `dataclasses.dataclass`, and the methods
+    are generated from source once per class as it does, but without the
+    import of `dataclasses` (and `inspect`) and its per-class cost, which
+    every command paid at start-up.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, frozen: bool = False) -> None:
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        ns: Dict[str, Any] = {"_MISSING": _MISSING, "_setattr": object.__setattr__}
+        params, body = [], []
+        for name in names:
+            value = name
+            default = cls.__dict__.get(name, _MISSING)
+            if isinstance(default, Factory):
+                ns[f"_make_{name}"] = default.make
+                params.append(f"{name}=_MISSING")
+                value = f"_make_{name}() if {name} is _MISSING else {name}"
+                delattr(cls, name)
+            elif default is not _MISSING:
+                ns[f"_default_{name}"] = default
+                params.append(f"{name}=_default_{name}")
+            else:
+                params.append(name)
+            body.append(f"_setattr(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        mine = "(" + "".join(f"self.{n}, " for n in names) + ")"
+        theirs = "(" + "".join(f"other.{n}, " for n in names) + ")"
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        exec(
+            f"def __init__(self, {', '.join(params)}):\n"
+            f"    {'; '.join(body) or 'pass'}\n"
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return {mine} == {theirs}\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash({mine})\n"
+            "def __repr__(self):\n"
+            f"    return f'{cls.__qualname__}({shown})'\n",
+            ns,
+        )
+        for method in ("__init__", "__eq__", "__repr__"):
+            if method not in cls.__dict__:
+                setattr(cls, method, ns[method])
+        if cls.__dict__.get("__hash__") is None:
+            cls.__hash__ = ns["__hash__"] if frozen else None
+        if frozen:
+            cls.__setattr__ = _frozen_setattr
+            cls.__delattr__ = _frozen_delattr
+        cls._fields = names
+
+
+class WitnessReport(Record):
     """Outcome of a check, with the evidence that decided it.
 
     `ok` is the verdict.  On success `witness` holds whatever certifies it;
@@ -29,7 +120,7 @@ class WitnessReport:
     certified_horizon: Optional[int] = None
     budget_exhausted: bool = False
     method: Optional[str] = None
-    stats: Dict[str, Any] = field(default_factory=dict)
+    stats: Dict[str, Any] = Factory(dict)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -55,10 +146,10 @@ def to_jsonable(obj: Any) -> Any:
         return obj
     if isinstance(obj, (int, float, str)):
         return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if isinstance(obj, Record):
         out = {"type": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            out[f.name] = to_jsonable(getattr(obj, f.name))
+        for name in obj._fields:
+            out[name] = to_jsonable(getattr(obj, name))
         return out
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}

@@ -25,13 +25,12 @@ validity decidable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .families import FinSet, SchreierFamily, member, successive
 from .ordinals import Ordinal, omega_power
-from .reports import WitnessReport
+from .reports import Record, WitnessReport
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +38,7 @@ from .reports import WitnessReport
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Vector:
+class Vector(Record, frozen=True):
     """Finitely supported sequence with exact rational entries."""
 
     entries: Tuple[Tuple[int, Fraction], ...] = ()
@@ -129,8 +127,7 @@ def combine(vectors: Sequence[Vector], coefficients: Sequence) -> Vector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockSequence:
+class BlockSequence(Record, frozen=True):
     """Ordered list of vectors with successive supports.
 
     `origins` records, per block, the set of indices of the underlying
@@ -207,8 +204,7 @@ def block_combine(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(Record, frozen=True):
     sign: int
     coord: int
 
@@ -219,8 +215,7 @@ class Unit:
             raise ValueError("coordinate must be >= 1")
 
 
-@dataclass(frozen=True)
-class Average:
+class Average(Record, frozen=True):
     """(1/size) times the sum of the children; size is declared, >= 2."""
 
     size: int
@@ -235,8 +230,7 @@ class Average:
             raise ValueError("average needs at least one child")
 
 
-@dataclass(frozen=True)
-class SumNode:
+class SumNode(Record, frozen=True):
     """Unweighted sum of averages; the Schreier-admissible combination node."""
 
     children: Tuple[Average, ...]
@@ -263,7 +257,8 @@ def functional_support(f: Functional) -> FinSet:
 def evaluate(f: Functional, x: Vector) -> Fraction:
     """Exact pairing f(x)."""
     if isinstance(f, Unit):
-        return Fraction(f.sign) * x[f.coord]
+        value = x[f.coord]
+        return value if f.sign == 1 else -value
     if isinstance(f, Average):
         total = sum((evaluate(c, x) for c in f.children), Fraction(0))
         return total / f.size

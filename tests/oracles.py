@@ -288,26 +288,23 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def _successive_systems(indices: Tuple[int, ...]) -> Iterator[List[Tuple[int, ...]]]:
+def _successive_systems(indices: Tuple[int, ...]) -> List[List[Tuple[int, ...]]]:
     """All systems S_1 < ... < S_d of disjoint nonempty subsets of the
     given increasing index tuple: each index is skipped or joins a piece,
     and pieces are segregated by order (every piece lies fully before the
     next)."""
-
-    def rec(i: int) -> Iterator[List[Tuple[int, ...]]]:
-        if i == len(indices):
-            yield []
-            return
-        yield from rec(i + 1)  # skip indices[i]
+    # systems[i] lists the systems of indices[i:], built from the back
+    systems: List[List[List[Tuple[int, ...]]]] = [[] for _ in indices] + [[[]]]
+    for i in reversed(range(len(indices))):
+        out = list(systems[i + 1])  # skip indices[i]
         remaining = indices[i + 1 :]
         for r in range(len(remaining) + 1):
             for extra in combinations(range(len(remaining)), r):
                 piece = (indices[i],) + tuple(remaining[e] for e in extra)
                 nxt = i + 1 + (extra[-1] + 1 if extra else 0)
-                for rest in rec(nxt):
-                    yield [piece] + rest
-
-    yield from rec(0)
+                out.extend([piece] + rest for rest in systems[nxt])
+        systems[i] = out
+    return systems[0]
 
 
 def wmax_certificate(space: MixedSchreierSpace, x: Vector) -> Tuple[bool, str]:
@@ -342,44 +339,47 @@ def wmax_certificate(space: MixedSchreierSpace, x: Vector) -> Tuple[bool, str]:
             return False, f"stored witness invalid on {sub}"
         vals[idx] = r.value
 
-    cover_memo: Dict[Tuple[Tuple[int, ...], int], Fraction] = {}
+    # the closure checks run on integer numerators over one common denominator
+    scale = math.lcm(*(v.denominator for v in vals.values()))
+    nums = {idx: v.numerator * (scale // v.denominator) for idx, v in vals.items()}
+    cover_memo: Dict[Tuple[Tuple[int, ...], int], int] = {}
 
-    def bestcover(piece: Tuple[int, ...], m: int) -> Fraction:
+    def bestcover(piece: Tuple[int, ...], m: int) -> int:
         # compositions of the piece into <= m successive chunks
         key = (piece, min(m, len(piece)))
         if key in cover_memo:
             return cover_memo[key]
         m = min(m, len(piece))
-        best = vals[piece]
+        best = nums[piece]
         if m > 1:
             for cut in range(1, len(piece)):
-                head = piece[:cut]
-                best = max(best, vals[head] + bestcover(piece[cut:], m - 1))
+                best = max(best, nums[piece[:cut]] + bestcover(piece[cut:], m - 1))
         cover_memo[key] = best
         return best
 
     for mask in range(1, 1 << n):
         idx = tuple(i for i in range(n) if mask >> i & 1)
-        v = vals[idx]
-        if any(v < abs(x[pos[i]]) for i in idx):
+        v = nums[idx]
+        if any(v < abs(x[pos[i]]) * scale for i in idx):
             return False, f"unit closure fails on {idx}"
         for system in _successive_systems(idx):
             if not system:
                 continue
             d = len(system)
-            avg_bound = sum(vals[tuple(p)] for p in system) / max(2, d)
-            if v < avg_bound:
+            if v * max(2, d) < sum(nums[p] for p in system):
                 return False, f"average closure fails on {idx} at {system}"
             minima = tuple(pos[p[0]] for p in system)
             if member(minima, fam).member:
-                total = Fraction(0)
+                sizes = []
                 prev_size = 0
                 prev_max = 0
                 for p in system:
-                    j = max(2, prev_size + 1, prev_max + 1)
-                    total += bestcover(tuple(p), j) / j
-                    prev_size = j
+                    prev_size = max(2, prev_size + 1, prev_max + 1)
+                    sizes.append(prev_size)
                     prev_max = pos[p[-1]]
-                if v < total:
+                # v < sum of bestcover(p, j) / j, over the common multiple of the sizes j
+                common = math.lcm(*sizes)
+                total = sum(bestcover(p, j) * (common // j) for p, j in zip(system, sizes))
+                if v * common < total:
                     return False, f"admissible-sum closure fails on {idx} at {system}"
     return True, "certified"

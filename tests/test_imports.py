@@ -149,7 +149,11 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
      ["norms", "vectors", "constructions", "analysis"]),
     (["norm", "eval", "--space", "T", "--vector", "3:1,4:1,5:1"],
      ["constructions", "analysis"]),
-], ids=["ordinal add", "schreier member", "verify bracket", "norm eval"])
+    (["scc", "basic", "--xi", "2", "--zeta", "1", "--eps", "1/3", "--seq", "arith(2,1)"],
+     ["analysis"]),
+    (["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "8"], []),
+], ids=["ordinal add", "schreier member", "verify bracket", "norm eval", "scc basic",
+        "smodel profile"])
 def test_cli_loads_only_what_the_command_uses(argv, unused):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env=env,
@@ -158,4 +162,7 @@ def test_cli_loads_only_what_the_command_uses(argv, unused):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
     loaded = [m for m in unused if f"schreier.{m}" in result["modules"]]
+    assert not loaded, f"{' '.join(argv[:2])} loaded {loaded}"
+    # records are plain classes: no command pays for the dataclass machinery
+    loaded = [m for m in ("dataclasses", "inspect") if m in result["modules"]]
     assert not loaded, f"{' '.join(argv[:2])} loaded {loaded}"

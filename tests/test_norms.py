@@ -392,9 +392,9 @@ def test_budgeted_mixed_interval_norm_is_a_witnessed_lower_bound(monkeypatch):
 ZERO_RESULTS = [
     (L1, NormResult(Fraction(0), exact=True)),
     (C0, NormResult(Fraction(0), exact=True)),
-    (LpSpace(3.0), NormResult(0.0, exact=False, tolerance=1e-12)),
+    (LpSpace(3.0), NormResult(Fraction(0), exact=True)),
     (T, NormResult(Fraction(0), exact=True)),
-    (SchlumprechtSpace(1e-6), NormResult(0.0, exact=False, tolerance=1e-6)),
+    (SchlumprechtSpace(1e-6), NormResult(Fraction(0), exact=True)),
     (MixedSchreierSpace(finite(1)), NormResult(Fraction(0), exact=True)),
 ]
 
