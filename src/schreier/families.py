@@ -17,22 +17,18 @@ sequence M.  Limit stages use the canonical fundamental sequences from
 `ordinals`; limit membership is decided by the existential rule above and
 never assumes the stages are nested.
 
-Membership is exact and witness-producing.  The production decider splits
-a set greedily into maximal blocks, which is complete when the outer
-family is spreading, and backtracks only under a relabeled outer family;
-`member_exhaustive` is an independent brute-force decider kept for
-cross-checking.  Enumerations do not ask the decider: they carry a greedy
-state along the DFS and extend it by one element at a time.  On top of
-membership the module provides maximal-set enumeration, horizon-certified
-threshold and inclusion searches, the index-sequence constructions that
-push brackets into higher families, and exact maximisation of a weight
-function over a family (`family_mass`).  That maximisation has two paths:
-a closed form for the size-determined families S_0, S_1 and A_n, where the
-greedy state of a first element m is the room left, so m plus that many
-of the largest later weights is optimal; and for every other family one
-depth-first search that carries the greedy state, cuts branches that
-cannot strictly beat the best mass, and merges nodes whose states, with
-rooms capped at the positions left, accept the same extensions.
+Each family expression is compiled once, on first use, into a kernel that
+answers every membership question about it.  A kernel decides membership
+exactly and with a witness: it splits a set greedily into maximal blocks,
+which is complete when the outer family is spreading and the inner one
+hereditary, and backtracks everywhere else.  `member` memoises those
+answers, and `member_exhaustive` is an independent brute-force decider kept
+for cross-checking.  A kernel also carries a greedy state that it extends
+by one element at a time along a DFS; the maximal-set enumeration, the
+horizon-certified threshold and inclusion searches, and the exact
+maximisation of a weight function over a family (`family_mass`) ride on
+it.  The module also builds the index sequences that push brackets into
+higher families.
 
 Finite sets are plain tuples of naturals, strictly increasing.  The empty
 set is a member of every family here.
@@ -282,30 +278,6 @@ def canonicalize(fam: Family) -> Family:
     return fam
 
 
-def is_plain(fam: Family) -> bool:
-    """True for families built from S/A by brackets only (no relabeling).
-
-    Plain families are hereditary and spreading; relabeled ones are
-    hereditary but in general not spreading.
-    """
-    if isinstance(fam, (SchreierFamily, CardinalityFamily)):
-        return True
-    if isinstance(fam, BracketFamily):
-        return is_plain(fam.outer) and is_plain(fam.inner)
-    return False
-
-
-def is_size_determined(fam: Family) -> bool:
-    """True when membership depends only on (min, cardinality).
-
-    Holds for S_0, S_1 and A_n; for these, every left-packed interval of a
-    feasible size is itself a member, which the inclusion verifier exploits.
-    """
-    if isinstance(fam, CardinalityFamily):
-        return True
-    return isinstance(fam, SchreierFamily) and fam.index in (ZERO, ONE)
-
-
 # ---------------------------------------------------------------------------
 # membership witnesses
 # ---------------------------------------------------------------------------
@@ -346,227 +318,273 @@ class MembershipResult(Record, frozen=True):
 
 
 # ---------------------------------------------------------------------------
-# membership: greedy with backtracking
+# membership kernels
 # ---------------------------------------------------------------------------
+#
+# A kernel's `decide` asks `member` every sub-question, so the memo holds
+# those too.  Its greedy state stands for a nonempty member E and decides
+# E + (x,), for x > max E, in O(depth) without the memo.  S_0, S_1 and A_n
+# hold the room left; F[G] holds the states of the block minima in F and of
+# the open block in G, and S_{x+1} is S_1[S_x]; a limit S_lam holds (n, the
+# kernel of S_lam[n], its state, E) for its least live stage n, the n that
+# LimitWitness records, and replays later stages only when stage n dies;
+# F(M) holds the state of the preimage.  F[G] with a relabeled F, which is
+# not spreading, or with a G that is not hereditary has no greedy state.
 
 _member_cache: Dict[Tuple[Family, FinSet], MembershipResult] = {}
+_kernels: Dict[Family, "_Kernel"] = {}
+_NOT_MEMBER = MembershipResult(False)
+_EMPTY_MEMBER = MembershipResult(True, LeafWitness("empty set"))
 
 
 def member(E, fam: Family) -> MembershipResult:
-    """Exact membership of E in the family, with a witness when it holds.
-
-    Successor and bracket decompositions are split greedily into maximal
-    member blocks, which is complete when the outer family is spreading;
-    a relabeled outer family gets full backtracking behind the greedy
-    choice.  Limit Schreier membership tests n = 1..min E against stage
-    lam[n] and records the n used.
-    """
+    """Exact membership of E in the family, with a witness when it holds."""
     E = tuple(E)
-    key = (fam, E)
+    k = _kernels.get(fam) or _kernel(fam)
+    # keyed by the kernel's own family instance, so lookups match by identity
+    key = (k.fam, E)
     hit = _member_cache.get(key)
     if hit is None:
-        hit = _member_uncached(E, fam)
-        _member_cache[key] = hit
+        hit = _member_cache[key] = k.decide(E) if E else _EMPTY_MEMBER
     return hit
 
 
-def _member_uncached(E: FinSet, fam: Family) -> MembershipResult:
-    if not E:
-        return MembershipResult(True, LeafWitness("empty set"))
+def _kernel(fam: Family) -> "_Kernel":
+    """The kernel of fam, compiled on first use and shared by equal families:
+    the one place that dispatches on the family expression."""
+    k = _kernels.get(fam)
+    if k is not None:
+        return k
     if isinstance(fam, CardinalityFamily):
-        ok = len(E) <= fam.bound
-        return MembershipResult(ok, LeafWitness(f"|E|={len(E)}<={fam.bound}") if ok else None)
-    if isinstance(fam, SchreierFamily):
+        k = _Room(fam, lambda x: fam.bound - 1 if fam.bound else None,
+                  lambda E: f"|E|={len(E)}<={fam.bound}")
+    elif isinstance(fam, SchreierFamily):
         xi = fam.index
         if xi.is_zero:
-            ok = len(E) <= 1
-            return MembershipResult(ok, LeafWitness("singleton") if ok else None)
-        if xi == ONE:
-            ok = len(E) <= E[0]
-            return MembershipResult(ok, LeafWitness(f"|E|={len(E)}<=min E={E[0]}") if ok else None)
-        if xi.is_successor:
-            sub = SchreierFamily(xi.predecessor())
-            found = _split_search(E, sub, d_limit=E[0], outer=None)
-            if found is None:
-                return MembershipResult(False)
-            blocks, wits = found
-            return MembershipResult(
-                True,
-                SplitWitness(blocks, wits, LeafWitness(f"d={len(blocks)}<=min E={E[0]}")),
-            )
-        # limit stage: exists n <= min E with E in S_{xi[n]}
-        for n in range(1, E[0] + 1):
-            stage = fundamental(xi, n)
-            inner = member(E, SchreierFamily(stage))
-            if inner.member:
-                return MembershipResult(True, LimitWitness(n, stage, inner.witness))
-        return MembershipResult(False)
-    if isinstance(fam, BracketFamily):
-        found = _split_search(E, fam.inner, d_limit=len(E), outer=fam.outer)
-        if found is None:
-            return MembershipResult(False)
-        blocks, wits = found
-        minima = tuple(b[0] for b in blocks)
-        return MembershipResult(True, SplitWitness(blocks, wits, member(minima, fam.outer).witness))
-    if isinstance(fam, RelabeledFamily):
-        pre = fam.labels.preimage(E)
-        if pre is None:
-            return MembershipResult(False)
-        inner = member(pre, fam.base)
-        if not inner.member:
-            return MembershipResult(False)
-        return MembershipResult(True, RelabelWitness(pre, inner.witness))
-    raise TypeError(f"not a family expression: {fam!r}")
+            k = _Room(fam, lambda x: 0, lambda E: "singleton")
+        elif xi == ONE:
+            k = _Room(fam, lambda x: x - 1, lambda E: f"|E|={len(E)}<=min E={E[0]}")
+        elif xi.is_successor:
+            k = _Successor(fam, _kernel(S(1)), _kernel(SchreierFamily(xi.predecessor())))
+        else:
+            k = _Limit(fam)
+    elif isinstance(fam, BracketFamily):
+        outer, inner = _kernel(fam.outer), _kernel(fam.inner)
+        k = (_Bracket if outer.plain and inner.hereditary else _SetBracket)(fam, outer, inner)
+    elif isinstance(fam, RelabeledFamily):
+        k = _Relabeled(fam, _kernel(fam.base))
+    else:
+        raise TypeError(f"not a family expression: {fam!r}")
+    _kernels[fam] = k
+    return k
 
 
-def _split_search(
-    E: FinSet,
-    inner: Family,
-    d_limit: int,
-    outer: Optional[Family],
-) -> Optional[Tuple[Tuple[FinSet, ...], Tuple[Witness, ...]]]:
-    """Split E into successive inner-family blocks, greedy-first.
+class _Kernel:
+    """The compiled form of one family expression.  `plain` marks families
+    built from S and A by brackets only, hereditary and spreading; F(M) is
+    hereditary, in general not spreading, when F is, and `hereditary` marks
+    F[G] only for F plain and G hereditary."""
 
-    With `outer` set, the minima of the blocks must form a member of it;
-    otherwise the block count must stay within d_limit (the S_1 rule with
-    the minimum already fixed by E).  Partial minima are pruned through the
-    outer family, which is sound because every family expressible here is
-    closed under taking initial segments of its members.
+    plain = hereditary = True
 
-    Block i of the greedy split ends no earlier than block i of any valid
-    split, so its minima spread an initial segment of that split's minima;
-    only a relabeled outer family, which is not spreading, needs more.
-    """
-    greedy = outer is None or is_plain(outer)
+    def __init__(self, fam: Family) -> None:
+        self.fam = fam
 
-    def rec(start: int, minima: List[int], acc: List[Tuple[FinSet, Witness]]):
-        if start == len(E):
-            if outer is not None and not member(tuple(minima), outer).member:
+    def state_of(self, E: FinSet):
+        """Greedy state of a nonempty E, or None when E is not a member."""
+        state = self.start(E[0])
+        for x in E[1:]:
+            if state is None:
                 return None
-            return acc
-        if outer is None and len(acc) == d_limit:
-            return None
-        new_minima = minima + [E[start]]
-        if outer is not None and not member(tuple(new_minima), outer).member:
-            # initial segments of outer members stay in outer, so no
-            # extension of this prefix of minima can succeed either
-            return None
-        # longest prefix first = greedy; shorter blocks only when not greedy
-        for end in range(len(E), start, -1):
-            block = E[start:end]
-            res = member(block, inner)
-            if not res.member:
-                continue
-            out = rec(end, new_minima, acc + [(block, res.witness)])
-            if out is not None or greedy:
-                return out
-        return None
+            state = self.push(state, x)
+        return state
 
-    found = rec(0, [], [])
-    if found is None:
-        return None
-    blocks = tuple(b for b, _ in found)
-    wits = tuple(w for _, w in found)
-    return blocks, wits
+    def capped(self, state, left: int):
+        """A key for the state when at most `left` elements can follow: equal
+        keys accept the same extensions.  A state carrying its E is its key."""
+        return state
 
 
-# ---------------------------------------------------------------------------
-# membership: incremental greedy state for enumeration
-# ---------------------------------------------------------------------------
-#
-# A greedy state stands for a nonempty member E and decides E + (x,), for
-# x > max E, in O(depth) without the memo.  S_0, S_1 and A_n hold the room
-# left; F[G] holds the states of the block minima in F and of the open
-# block in G, and S_{x+1} = S_1[S_x] adds S_x; a limit S_lam holds
-# (n, S_lam[n], its state, E) for its least live stage n, the n that
-# LimitWitness records, and replays later stages only when stage n dies;
-# F(M) holds the state of the preimage.  F[G] with a relabeled F, which is
-# not spreading, has no greedy state: its state is E, and a push asks member.
+class _Room(_Kernel):
+    """S_0, S_1 and A_n: the state is the room left, `start(x)` at x, so
+    every set of a feasible size above its minimum is a member.  `rule(E)`
+    names the bound in the witness."""
 
-_S1 = SchreierFamily(ONE)
+    def __init__(self, fam: Family, start, rule) -> None:
+        super().__init__(fam)
+        self.start, self.rule = start, rule
 
-
-def _start(fam: Family, x: int):
-    """Greedy state of the singleton (x,), or None when it is not a member."""
-    if isinstance(fam, CardinalityFamily):
-        return fam.bound - 1 if fam.bound else None
-    if isinstance(fam, SchreierFamily):
-        xi = fam.index
-        if xi.is_zero:
-            return 0
-        if xi == ONE:
-            return x - 1
-        if xi.is_successor:
-            inner = SchreierFamily(xi.predecessor())
-            return x - 1, _start(inner, x), inner
-        return _least_stage(xi, (x,), 1)
-    if isinstance(fam, RelabeledFamily):
-        pos = fam.labels.position_of(x)
-        return None if pos is None else _start(fam.base, pos)
-    if isinstance(fam, BracketFamily):
-        if not is_plain(fam.outer):
-            return (x,) if member((x,), fam).member else None
-        outer, inner = _start(fam.outer, x), _start(fam.inner, x)
-        return None if outer is None or inner is None else (outer, inner)
-    raise TypeError(f"not a family expression: {fam!r}")
-
-
-def _push(fam: Family, state, x: int):
-    """Greedy state of E + (x,) from the state of E, for x > max E; None
-    when E + (x,) is not a member."""
-    if isinstance(fam, RelabeledFamily):
-        pos = fam.labels.position_of(x)
-        return None if pos is None else _push(fam.base, state, pos)
-    if type(state) is int:  # S_0, S_1, A_n: the room left
+    def push(self, state: int, x: int):
         return state - 1 if state else None
-    if isinstance(fam, BracketFamily):
-        if not is_plain(fam.outer):
-            E = state + (x,)
-            return E if member(E, fam).member else None
-        return _push_block(fam.outer, fam.inner, state[0], state[1], x)
-    xi = fam.index
-    if xi.is_successor:
-        room, inner_state, inner = state
-        nxt = _push_block(_S1, inner, room, inner_state, x)
-        return None if nxt is None else nxt + (inner,)
-    n, stage, stage_state, E = state
-    E += (x,)
-    stage_state = _push(stage, stage_state, x)
-    if stage_state is None:
-        return _least_stage(xi, E, n + 1)
-    return n, stage, stage_state, E
+
+    def capped(self, state: int, left: int):
+        # more room than the positions left is never used up
+        return min(state, left)
+
+    def decide(self, E: FinSet) -> MembershipResult:
+        room = self.start(E[0])
+        if room is None or len(E) > room + 1:
+            return _NOT_MEMBER
+        return MembershipResult(True, LeafWitness(self.rule(E)))
 
 
-def _push_block(outer: Family, inner: Family, outer_state, inner_state, x: int):
-    """x joins the open block when the inner family allows, else opens a
-    new block, which the outer family must accept."""
-    nxt = _push(inner, inner_state, x)
-    if nxt is not None:
-        return outer_state, nxt
-    outer_state = _push(outer, outer_state, x)
-    nxt = None if outer_state is None else _start(inner, x)
-    return None if nxt is None else (outer_state, nxt)
+class _Bracket(_Kernel):
+    """F[G].  With F spreading and G hereditary the greedy split into maximal
+    G-blocks is complete: block i of it ends no earlier than block i of any
+    valid split, so its minima spread an initial segment of those minima."""
 
+    def __init__(self, fam: Family, outer: _Kernel, inner: _Kernel) -> None:
+        super().__init__(fam)
+        self.outer, self.inner = outer, inner
+        self.plain = outer.plain and inner.plain
+        self.hereditary = outer.plain and inner.hereditary
 
-def _state_of(fam: Family, E: FinSet):
-    """Greedy state of a nonempty E, or None when E is not a member."""
-    state = _start(fam, E[0])
-    for x in E[1:]:
-        if state is None:
+    def start(self, x: int):
+        outer, inner = self.outer.start(x), self.inner.start(x)
+        return None if outer is None or inner is None else (outer, inner)
+
+    def push(self, state, x: int):
+        # x joins the open block when the inner family allows, else opens
+        # a new block, which the outer family must accept
+        outer, inner = state
+        nxt = self.inner.push(inner, x)
+        if nxt is not None:
+            return outer, nxt
+        outer = self.outer.push(outer, x)
+        nxt = None if outer is None else self.inner.start(x)
+        return None if nxt is None else (outer, nxt)
+
+    def capped(self, state, left: int):
+        return self.outer.capped(state[0], left), self.inner.capped(state[1], left)
+
+    def opens(self, minima: FinSet, E: FinSet) -> bool:
+        """Whether blocks with these minima may start; partial minima
+        prune, as every family here keeps initial segments of members."""
+        return member(minima, self.outer.fam).member
+
+    def minima_witness(self, minima: FinSet, E: FinSet) -> Witness:
+        return member(minima, self.outer.fam).witness
+
+    def split(self, E: FinSet, start: int = 0, minima: FinSet = (), found: tuple = ()):
+        """The first split of E into inner blocks that the outer family
+        accepts, longest block first, as (block, witness) pairs; None when
+        there is none.  A bracket that is not hereditary backtracks to
+        shorter blocks when a later one fails."""
+        if start == len(E):
+            return found
+        minima += (E[start],)
+        if not self.opens(minima, E):
             return None
-        state = _push(fam, state, x)
-    return state
+        for end in range(len(E), start, -1):
+            res = member(E[start:end], self.inner.fam)
+            if res.member:
+                done = self.split(E, end, minima, found + ((E[start:end], res.witness),))
+                if done is not None or self.hereditary:
+                    return done
+        return None
+
+    def decide(self, E: FinSet) -> MembershipResult:
+        found = self.split(E)
+        if found is None:
+            return _NOT_MEMBER
+        blocks, wits = zip(*found)
+        minima_witness = self.minima_witness(tuple(b[0] for b in blocks), E)
+        return MembershipResult(True, SplitWitness(blocks, wits, minima_witness))
 
 
-def _least_stage(xi: Ordinal, E: FinSet, n: int):
-    """Limit state of E in S_xi from stage n on, or None when no stage
-    n..min E holds E."""
-    for m in range(n, E[0] + 1):
-        stage = SchreierFamily(fundamental(xi, m))
-        state = _state_of(stage, E)
-        if state is not None:
-            return m, stage, state, E
-    return None
+class _Successor(_Bracket):
+    """S_{x+1} = S_1[S_x]: at most min E blocks, with the minimum fixed by E."""
+
+    def opens(self, minima: FinSet, E: FinSet) -> bool:
+        return len(minima) <= E[0]
+
+    def minima_witness(self, minima: FinSet, E: FinSet) -> Witness:
+        return LeafWitness(f"d={len(minima)}<=min E={E[0]}")
+
+
+class _SetBracket(_Bracket):
+    """F[G] with a relabeled F or a non-hereditary G: its state is E; a push asks member."""
+
+    def start(self, x: int):
+        return self.push((), x)
+
+    def push(self, state, x: int):
+        E = state + (x,)
+        return E if member(E, self.fam).member else None
+
+    capped = _Kernel.capped
+
+
+class _Limit(_Kernel):
+    """S_lam at a limit lam; `stages[n]` is the kernel of S_lam[n]."""
+
+    def __init__(self, fam: Family) -> None:
+        super().__init__(fam)
+        self.stages: List[Optional[_Kernel]] = [None]
+
+    def stage(self, n: int) -> _Kernel:
+        stages = self.stages
+        while len(stages) <= n:
+            stages.append(_kernel(SchreierFamily(fundamental(self.fam.index, len(stages)))))
+        return stages[n]
+
+    def start(self, x: int):
+        return self.least_stage((x,), 1)
+
+    def push(self, state, x: int):
+        n, stage, stage_state, E = state
+        E += (x,)
+        stage_state = stage.push(stage_state, x)
+        if stage_state is None:
+            return self.least_stage(E, n + 1)
+        return n, stage, stage_state, E
+
+    def least_stage(self, E: FinSet, n: int):
+        """Limit state of E from stage n on; None when no stage up to min E holds E."""
+        for m in range(n, E[0] + 1):
+            stage = self.stage(m)
+            state = stage.state_of(E)
+            if state is not None:
+                return m, stage, state, E
+        return None
+
+    def decide(self, E: FinSet) -> MembershipResult:
+        # exists n <= min E with E in S_{lam[n]}
+        for n in range(1, E[0] + 1):
+            stage = self.stage(n).fam
+            inner = member(E, stage)
+            if inner.member:
+                return MembershipResult(True, LimitWitness(n, stage.index, inner.witness))
+        return _NOT_MEMBER
+
+
+class _Relabeled(_Kernel):
+    """F(M): the state of the preimage in F."""
+
+    plain = False
+
+    def __init__(self, fam: Family, base: _Kernel) -> None:
+        super().__init__(fam)
+        self.base, self.position = base, fam.labels.position_of
+        self.hereditary = base.hereditary
+
+    def start(self, x: int):
+        pos = self.position(x)
+        return None if pos is None else self.base.start(pos)
+
+    def push(self, state, x: int):
+        pos = self.position(x)
+        return None if pos is None else self.base.push(state, pos)
+
+    def capped(self, state, left: int):
+        return self.base.capped(state, left)
+
+    def decide(self, E: FinSet) -> MembershipResult:
+        pre = self.fam.labels.preimage(E)
+        inner = None if pre is None else member(pre, self.base.fam)
+        if inner is None or not inner.member:
+            return _NOT_MEMBER
+        return MembershipResult(True, RelabelWitness(pre, inner.witness))
 
 
 def _walk(
@@ -576,26 +594,29 @@ def _walk(
     elements of the ascending universe, in DFS pre-order and increasing
     element order, as (E, leaf, escaped).
 
-    Greedy states ride along the DFS, so an extension costs one `_push` per
+    Greedy states ride along the DFS, so an extension costs one push per
     family.  A leaf has no extension by a later universe element.  With rhs
     given, a member outside rhs comes back escaped, and its extensions,
     which lie outside rhs as well because rhs is hereditary, are skipped.
     """
-    state = _start(fam, root[0]) if root else None
+    k = _kernel(fam)
+    start, push = k.start, k.push
+    r = None if rhs is None else _kernel(rhs)
+    state = start(root[0]) if root else None
     if root and state is None:
         return
     stack = [(root, state, None, 0)]
     while stack:
-        E, state, rhs_state, start = stack.pop()
-        if rhs is not None and E:
-            rhs_state = _push(rhs, rhs_state, E[-1]) if len(E) > 1 else _start(rhs, E[0])
+        E, state, rhs_state, first = stack.pop()
+        if r is not None and E:
+            rhs_state = r.push(rhs_state, E[-1]) if len(E) > 1 else r.start(E[0])
             if rhs_state is None:
                 yield E, False, True
                 continue
         kids = []
-        for i in range(start, len(universe)):
+        for i in range(first, len(universe)):
             x = universe[i]
-            nxt = _push(fam, state, x) if E else _start(fam, x)
+            nxt = push(state, x) if E else start(x)
             if nxt is not None:
                 kids.append((E + (x,), nxt, rhs_state, i + 1))
         yield E, not kids, False
@@ -689,31 +710,25 @@ def recheck_witness(E, fam: Family, witness: Witness) -> bool:
     if isinstance(witness, LimitWitness):
         if not (isinstance(fam, SchreierFamily) and fam.index.is_limit):
             return False
-        if witness.n > E[0] or fundamental(fam.index, witness.n) != witness.stage:
+        if not 1 <= witness.n <= E[0] or fundamental(fam.index, witness.n) != witness.stage:
             return False
         return recheck_witness(E, SchreierFamily(witness.stage), witness.inner)
     if isinstance(witness, SplitWitness):
-        blocks = witness.blocks
-        if tuple(itertools.chain.from_iterable(blocks)) != E or not successive(blocks):
+        blocks, wits = witness.blocks, witness.block_witnesses
+        # one witness per block: zip would drop the blocks past the last one
+        if (tuple(itertools.chain.from_iterable(blocks)) != E or not successive(blocks)
+                or len(wits) != len(blocks)):
             return False
         if isinstance(fam, SchreierFamily) and fam.index.is_successor and fam.index != ONE:
-            sub = SchreierFamily(fam.index.predecessor())
-            if len(blocks) > E[0]:
-                return False
-            return all(recheck_witness(b, sub, w) for b, w in zip(blocks, witness.block_witnesses))
-        if isinstance(fam, BracketFamily):
+            inner, outer_ok = SchreierFamily(fam.index.predecessor()), len(blocks) <= E[0]
+        elif isinstance(fam, BracketFamily):
             minima = tuple(b[0] for b in blocks)
-            if not recheck_witness(minima, fam.outer, witness.minima_witness):
-                return False
-            return all(
-                recheck_witness(b, fam.inner, w)
-                for b, w in zip(blocks, witness.block_witnesses)
-            )
-        return False
-    if isinstance(witness, RelabelWitness):
-        if not isinstance(fam, RelabeledFamily):
+            inner, outer_ok = fam.inner, recheck_witness(minima, fam.outer, witness.minima_witness)
+        else:
             return False
-        if fam.labels.apply(witness.preimage) != E:
+        return outer_ok and all(recheck_witness(b, inner, w) for b, w in zip(blocks, wits))
+    if isinstance(witness, RelabelWitness):
+        if not isinstance(fam, RelabeledFamily) or fam.labels.preimage(E) != witness.preimage:
             return False
         return recheck_witness(witness.preimage, fam.base, witness.inner)
     return False
@@ -768,6 +783,7 @@ def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumerati
     """
     sets: List[FinSet] = []
     truncated: List[bool] = []
+    k = _kernel(fam)
     probe_values = _extension_candidates(fam, horizon, horizon + 4 * max(horizon, 16))[:4]
     for current in iter_maximal(fam, first, horizon):
         # a DFS leaf need not be maximal (A_3 from 1 at horizon 4 yields the
@@ -775,13 +791,13 @@ def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumerati
         # maximal when no single element between its own joins it, and for
         # a spreading family the largest such element is the one to try
         gaps = [y for y in _extension_candidates(fam, first, current[-1]) if y not in current]
-        if is_plain(fam):
+        if k.plain:
             gaps = gaps[-1:]
-        if any(_state_of(fam, tuple(sorted(current + (y,)))) is not None for y in gaps):
+        if any(k.state_of(tuple(sorted(current + (y,)))) is not None for y in gaps):
             continue
         sets.append(current)
-        state = _state_of(fam, current)
-        truncated.append(any(_push(fam, state, v) is not None for v in probe_values))
+        state = k.state_of(current)
+        truncated.append(any(k.push(state, v) is not None for v in probe_values))
     all_truncated = bool(sets) and all(truncated)
     return MaximalEnumeration(sets, truncated, all_truncated)
 
@@ -1173,14 +1189,15 @@ def _verify_by_dominance(lhs_c: Family, rhs_c: Family, horizon: int) -> WitnessR
     budget_exhausted set rather than silently passing.
     """
     shape = _bracket_shape(lhs_c)
-    if shape is None or not is_plain(rhs_c):
+    if shape is None or not _kernel(rhs_c).plain:
         return WitnessReport(
             False, detail="no exact strategy applies at this horizon; "
             "use a horizon <= 16 for a powerset sweep",
             certified_horizon=None, budget_exhausted=True, method="none",
         )
     minima_fam, inner_fam, whole_labels = shape
-    if not is_plain(inner_fam):
+    inner = _kernel(inner_fam)
+    if not inner.plain:
         return WitnessReport(
             False, detail="inner family too irregular for the dominance pass",
             certified_horizon=None, budget_exhausted=True, method="none",
@@ -1190,7 +1207,7 @@ def _verify_by_dominance(lhs_c: Family, rhs_c: Family, horizon: int) -> WitnessR
     undecided: Optional[FinSet] = None
     # left-packed blocks of feasible size are genuine members of a
     # size-determined inner family; top-packed ones of any spreading one
-    raw_part = 1 if is_size_determined(inner_fam) else 2
+    raw_part = 1 if isinstance(inner, _Room) else 2
     for _, blocks in _dominance_blocks(minima_fam, inner_fam, whole_labels, horizon):
         patterns += 1
         if patterns > BRACKET_PATTERN_BUDGET:
@@ -1238,13 +1255,13 @@ def family_mass(coeffs: Dict[int, Fraction], fam: Family) -> MassResult:
 
     Coefficients must be non-negative with finite support on naturals >= 1.
     A size-determined family (S_0, S_1, A_n) takes, for each first element
-    m, m plus the `_start(fam, m)` largest coefficients after it: that is
-    the room left, and every set of that size above m is a member.  Every
+    m, m plus as many of the largest coefficients after it as its greedy
+    state has room left: every set of that size above m is a member.  Every
     other family runs a depth-first search over support positions that
     carries the greedy state of the chosen set.  It cuts a branch whose
     mass plus the residual sum cannot strictly beat the best so far, and
     skips a node whose mass is no larger than that of an earlier node with
-    the same key (next position, `_capped` state): equal keys accept the
+    the same key (next position, capped state): equal keys accept the
     same extensions, so the earlier node's futures dominate, and the best
     never decreases.  Argmax ties go to the first set in DFS order.
     """
@@ -1258,12 +1275,13 @@ def family_mass(coeffs: Dict[int, Fraction], fam: Family) -> MassResult:
     scale = math.lcm(*(v.denominator for v in vals))
     weight = {i: v.numerator * (scale // v.denominator) for i, v in zip(support, vals)}
     fam = canonicalize(fam)
+    k = _kernel(fam)
     best_mass, best_set = 0, ()
 
-    if is_size_determined(fam):
+    if isinstance(k, _Room):
         ranked = sorted(support, key=weight.__getitem__, reverse=True)
         for m in support:
-            room = _start(fam, m)
+            room = k.start(m)
             if room is None:
                 continue
             rest = list(itertools.islice((i for i in ranked if i > m), room))
@@ -1283,13 +1301,13 @@ def family_mass(coeffs: Dict[int, Fraction], fam: Family) -> MassResult:
             if mass + suffix[idx] <= best_mass:
                 return
             x = support[idx]
-            nxt = _push(fam, state, x) if chosen else _start(fam, x)
+            nxt = k.push(state, x) if chosen else k.start(x)
             if nxt is None:
                 continue
             grown, more = mass + weight[x], chosen + (x,)
             if grown > best_mass:
                 best_mass, best_set = grown, more
-            key = (idx + 1, _capped(fam, nxt, n - idx - 1))
+            key = (idx + 1, k.capped(nxt, n - idx - 1))
             if seen.get(key, -1) >= grown:
                 continue
             seen[key] = grown
@@ -1299,28 +1317,10 @@ def family_mass(coeffs: Dict[int, Fraction], fam: Family) -> MassResult:
     return MassResult(Fraction(best_mass, scale), best_set)
 
 
-def _capped(fam: Family, state, left: int):
-    """A key for the greedy state when at most `left` elements can follow:
-    states with equal keys accept the same extensions.  Integer rooms are
-    capped at left, since more room than that is never used up; limit
-    states and relabeled-outer bracket states carry their set E and are
-    their own key."""
-    if isinstance(fam, RelabeledFamily):
-        return _capped(fam.base, state, left)
-    if type(state) is int:
-        return min(state, left)
-    if isinstance(fam, BracketFamily):
-        if not is_plain(fam.outer):
-            return state
-        return _capped(fam.outer, state[0], left), _capped(fam.inner, state[1], left)
-    if fam.index.is_successor:
-        room, inner_state, inner = state
-        return min(room, left), _capped(inner, inner_state, left)
-    return state
-
-
 def clear_caches() -> None:
-    """Drop the module-level memo tables (idempotent pure caches)."""
+    """Drop the module-level memo tables and the compiled kernels
+    (idempotent pure caches)."""
     _member_cache.clear()
+    _kernels.clear()
     _exhaustive_cache.clear()
     _threshold_cache.clear()

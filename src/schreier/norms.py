@@ -552,20 +552,27 @@ def generate_W(
         level.add(Unit(1, c))
         level.add(Unit(-1, c))
     truncated = False
+    # each functional's support, computed once per call
+    supports: Dict[Functional, Tuple[int, ...]] = {}
+
+    def support(f: Functional) -> Tuple[int, ...]:
+        s = supports.get(f)
+        if s is None:
+            s = supports[f] = functional_support(f)
+        return s
 
     def successive_sequences(pool: List[Functional]) -> Iterator[Tuple[Functional, ...]]:
-        by_min: Dict[int, List[Functional]] = {}
+        by_min: Dict[int, List[Tuple[Functional, int]]] = {}
         for f in pool:
-            s = functional_support(f)
-            by_min.setdefault(s[0], []).append(f)
+            s = support(f)
+            by_min.setdefault(s[0], []).append((f, s[-1]))
         mins = sorted(by_min)
 
         def rec(prev_max: int) -> Iterator[Tuple[Functional, ...]]:
             for mn in mins:
                 if mn <= prev_max:
                     continue
-                for f in by_min[mn]:
-                    fmax = functional_support(f)[-1]
+                for f, fmax in by_min[mn]:
                     yield (f,)
                     for rest in rec(fmax):
                         yield (f,) + rest
@@ -576,7 +583,7 @@ def generate_W(
     for _ in range(depth):
         if truncated:
             break
-        pool = sorted(current, key=lambda f: (functional_support(f), repr(f)))
+        pool = sorted(current, key=lambda f: (support(f), repr(f)))
         new: Set[Functional] = set()
         for children in successive_sequences(pool):
             if len(new) + len(current) > budget:
@@ -586,13 +593,13 @@ def generate_W(
         if not truncated:
             averages = sorted(
                 (f for f in current | new if isinstance(f, Average)),
-                key=lambda f: (functional_support(f), repr(f)),
+                key=lambda f: (support(f), repr(f)),
             )
             for seq in successive_sequences(averages):
                 if len(new) + len(current) > budget:
                     truncated = True
                     break
-                minima = tuple(functional_support(a)[0] for a in seq)
+                minima = tuple(support(a)[0] for a in seq)
                 if not member(minima, fam).member:
                     continue
                 resized: List[Average] = []
@@ -602,7 +609,7 @@ def generate_W(
                     size = max(a.size, prev_size + 1, prev_max + 1)
                     resized.append(Average(size, a.children))
                     prev_size = size
-                    prev_max = functional_support(a)[-1]
+                    prev_max = support(a)[-1]
                 new.add(SumNode(tuple(resized)))
         current |= new
     return WGeneration(sorted(current, key=repr), truncated, depth)

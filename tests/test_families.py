@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import dfs_leaves_oracle, mass_oracle, members_over_oracle
 from schreier import families
@@ -44,7 +44,7 @@ from schreier.families import (
     _bracket_shape,
     _dominance_blocks,
     _extension_candidates,
-    _state_of,
+    _kernel,
     _verify_by_dominance,
     _walk,
 )
@@ -90,6 +90,26 @@ def test_witness_recheck():
         res = member(E, fam)
         if res.member:
             assert recheck_witness(E, fam, res.witness)
+
+
+def test_recheck_rejects_forged_witnesses():
+    # one block and no block witness: zip would pair nothing and accept
+    # sets that are not members
+    assert not member((1, 2, 3), S(2)).member and not member_exhaustive((1, 2, 3), S(2))
+    forged = families.SplitWitness(((1, 2, 3),), (), families.LeafWitness("d=1<=min E=1"))
+    assert not recheck_witness((1, 2, 3), S(2), forged)
+    bracket = BracketFamily(S(1), A(1))
+    assert not member((2, 3, 4), bracket).member and not member_exhaustive((2, 3, 4), bracket)
+    forged = families.SplitWitness(((2, 3, 4),), (), families.LeafWitness("|E|=1<=min E=2"))
+    assert not recheck_witness((2, 3, 4), bracket, forged)
+    # a stage index below 1 is refused, not raised on
+    wit = member((3, 5, 7), S(OMEGA)).witness
+    for n in (0, -2):
+        forged = families.LimitWitness(n, wit.stage, wit.inner)
+        assert not recheck_witness((3, 5, 7), S(OMEGA), forged)
+    # a preimage past the end of an explicit relabeling is refused, not raised on
+    fam = RelabeledFamily(S(1), IndexSequence.explicit([2, 4]))
+    assert not recheck_witness((4,), fam, families.RelabelWitness((3,), families.LeafWitness("x")))
 
 
 def test_greedy_equals_exhaustive_small():
@@ -144,8 +164,9 @@ def test_bracket_associativity():
 
 
 # the nine criterion-01 indices, brackets, and the three ways a relabeling
-# can sit in a bracket; the last family has a relabeled outer family, so it
-# has no greedy state and its enumerations ask `member`
+# can sit in a bracket; the last two families, one with a relabeled outer
+# family and one with an inner family that is not hereditary, have no
+# greedy state, and their enumerations ask `member`
 GREEDY_FAMILIES = [
     S(xi) for xi in (
         finite(0), finite(1), finite(2), finite(3), OMEGA, add(OMEGA, ONE),
@@ -158,11 +179,12 @@ GREEDY_FAMILIES = [
     BracketFamily(S(2), RelabeledFamily(S(1), EVENS)),
     RelabeledFamily(BracketFamily(S(1), A(2)), EVENS),
     BracketFamily(RelabeledFamily(S(1), EVENS), A(2)),
+    BracketFamily(A(2), BracketFamily(RelabeledFamily(S(1), EVENS), A(2))),
 ]
 
 
 def greedy_member(E, fam):
-    return not E or _state_of(fam, E) is not None
+    return not E or _kernel(fam).state_of(E) is not None
 
 
 @pytest.mark.parametrize("fam", GREEDY_FAMILIES, ids=repr)
@@ -203,6 +225,43 @@ def test_relabeled_outer_keeps_backtracking():
     res = member(E, fam)
     assert res.member and res.witness.blocks == ((4,), (6, 7))
     assert member_exhaustive(E, fam) and greedy_member(E, fam)
+
+
+# full witness reprs, frozen from the decider before family kernels
+PINNED_WITNESSES = {
+    ("S(w^w)", (3, 5, 7)):
+        "LimitWitness(n=1, stage=Ordinal[w], inner=LimitWitness(n=1, stage=Ordinal[1], "
+        "inner=LeafWitness(rule='|E|=3<=min E=3')))",
+    ("S(w^w)", (4, 5, 6, 7, 8, 9, 10, 11, 12)):
+        "LimitWitness(n=1, stage=Ordinal[w], inner=LimitWitness(n=2, stage=Ordinal[2], "
+        "inner=SplitWitness(blocks=((4, 5, 6, 7), (8, 9, 10, 11, 12)), "
+        "block_witnesses=(LeafWitness(rule='|E|=4<=min E=4'), LeafWitness(rule='|E|=5<=min E=8')), "
+        "minima_witness=LeafWitness(rule='d=2<=min E=4'))))",
+    ("S(w^w)", (1, 2)): "None",
+    ("S(2)[S(1)]", (2, 3, 5, 6, 7, 8, 9, 10)):
+        "SplitWitness(blocks=((2, 3), (5, 6, 7, 8, 9), (10,)), "
+        "block_witnesses=(LeafWitness(rule='|E|=2<=min E=2'), LeafWitness(rule='|E|=5<=min E=5'), "
+        "LeafWitness(rule='|E|=1<=min E=10')), minima_witness=SplitWitness(blocks=((2, 5), (10,)), "
+        "block_witnesses=(LeafWitness(rule='|E|=2<=min E=2'), "
+        "LeafWitness(rule='|E|=1<=min E=10')), minima_witness=LeafWitness(rule='d=2<=min E=2')))",
+    ("A(3)[S(1)]", (1, 2, 3, 4, 5, 6)):
+        "SplitWitness(blocks=((1,), (2, 3), (4, 5, 6)), "
+        "block_witnesses=(LeafWitness(rule='|E|=1<=min E=1'), "
+        "LeafWitness(rule='|E|=2<=min E=2'), LeafWitness(rule='|E|=3<=min E=4')), "
+        "minima_witness=LeafWitness(rule='|E|=3<=3'))",
+    ("S(1)(even)[A(2)]", (4, 6, 7)):
+        "SplitWitness(blocks=((4,), (6, 7)), block_witnesses=(LeafWitness(rule='|E|=1<=2'), "
+        "LeafWitness(rule='|E|=2<=2')), minima_witness=RelabelWitness(preimage=(2, 3), "
+        "inner=LeafWitness(rule='|E|=2<=min E=2')))",
+    ("S(1)(even)[A(2)]", (2, 3, 4)): "None",
+}
+
+
+@pytest.mark.parametrize("text, E", list(PINNED_WITNESSES), ids=repr)
+def test_witnesses_pinned(text, E):
+    res = member(E, parse_family(text))
+    assert repr(res.witness) == PINNED_WITNESSES[text, E]
+    assert res.member == (res.witness is not None)
 
 
 def test_iter_maximal_deep_limits():
@@ -530,6 +589,20 @@ def test_equal_families_hash_equal(fam):
     assert hash(canonicalize(twin)) == hash(canonicalize(fam))
 
 
+@settings(max_examples=300, deadline=None)
+@given(family_expressions, st.sets(st.integers(1, 12), max_size=7), st.booleans())
+# sets on which the greedy split of a relabeled outer family fails
+@example(parse_family("S(1)(arith(3,2))[S(1)]"), {5, 6, 7, 8, 9, 10}, False)
+@example(parse_family("A(2)[S(1)(even)[A(2)]]"), {2, 4, 5}, False)
+@example(parse_family("S(w)(even)[A(3)]"), {4, 5, 6, 7}, False)
+def test_member_matches_exhaustive_on_expressions(fam, elements, evens):
+    # doubling puts the set on the labels of the even relabelings
+    E = tuple(sorted(2 * e if evens else e for e in elements))
+    res = member(E, fam)
+    assert res.member == member_exhaustive(E, fam), E
+    assert not res.member or recheck_witness(E, fam, res.witness), E
+
+
 def test_equal_families_share_memo_entries():
     pairs = [
         (canonicalize(BracketFamily(S(1), S(1))), S(2)),
@@ -541,10 +614,21 @@ def test_equal_families_share_memo_entries():
     ]
     for x, y in pairs:
         assert x is not y and x == y and hash(x) == hash(y), x
+        assert families._kernel(x) is families._kernel(y), x
         member((2, 4, 6), x)
         size = len(families._member_cache)
         member((2, 4, 6), y)
         assert len(families._member_cache) == size, x
+
+
+def test_clear_caches_drops_kernels_and_memo():
+    fam = BracketFamily(S(OMEGA), S(2))
+    before = member((3, 4, 5, 6, 7), fam)
+    assert families._kernels and families._member_cache
+    families.clear_caches()
+    assert not families._kernels and not families._member_cache
+    assert member((3, 4, 5, 6, 7), fam) == before
+    assert families._kernel(fam).fam is fam
 
 
 def test_family_hash_is_read_only_and_hidden():
