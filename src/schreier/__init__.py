@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "norms": (
         "C0 C0Space L1 L1Space LpSpace MixedSchreierSpace NormResult "
-        "SchlumprechtSpace T TsirelsonSpace generate_W interval_norm norm norm_j"
+        "SchlumprechtSpace T TsirelsonSpace interval_norm norm norm_j"
     ),
     "constructions": (
         "BudgetExhausted ImprovedBlocking PropertyPn SccResult build_l1_average "

@@ -8,8 +8,11 @@ report with the shape
 
 Exact rationals are serialised as "p/q" strings.  Exit codes: 0 success,
 1 a verification command found a violation, 2 a budget or horizon was
-exhausted before the answer was certified, 3 a usage or parse error (the
-JSON body {"error": ...} goes to stderr, with "offset" for parse errors).
+exhausted before the answer was certified, or a construction ran out of
+horizon or sequence, 3 a usage or parse error, or any argument the library
+rejects (the JSON body {"error": ...} goes to stderr, with "offset" for
+parse errors).  The library owns its argument rules: it rejects an argument
+with a ValueError, and `main` alone turns that into exit code 3.
 
 Block-sequence corpora are JSON files: {"blocks": ["<vector>", ...]} in
 the vector grammar, with at least one block.
@@ -39,7 +42,8 @@ EXIT_USAGE = 3
 
 
 class UsageError(Exception):
-    """Arguments that parse but cannot be run, reported with EXIT_USAGE."""
+    """Bad arguments that the library never sees (argparse errors, corpus
+    files, rationals), reported with EXIT_USAGE."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,8 +133,6 @@ def _cmd_schreier(args) -> int:
                      {"family": args.family, "set": args.set},
                      {"member": res.member}, res.witness)
     if args.sub == "maximal":
-        if args.first > args.horizon:
-            raise UsageError("--first must be <= --horizon")
         enum = families.enumerate_maximal(fam, args.first, args.horizon)
         return _emit(args, "schreier maximal",
                      {"family": args.family, "first": args.first, "horizon": args.horizon},
@@ -140,8 +142,6 @@ def _cmd_schreier(args) -> int:
                      budget_exhausted=enum.all_truncated)
     if args.sub == "mass":
         coeffs = dict(parsing.parse_vector(args.coeffs).entries)
-        if any(c < 0 for c in coeffs.values()):
-            raise UsageError("--coeffs must be non-negative")
         res = families.family_mass(coeffs, fam)
         return _emit(args, "schreier mass",
                      {"family": args.family, "coeffs": args.coeffs},
@@ -159,10 +159,7 @@ def _cmd_ordinal(args) -> int:
         word = {-1: "less", 0: "equal", 1: "greater"}[c]
         return _emit(args, "ordinal compare", {"a": args.a, "b": args.b}, {"order": word})
     if args.sub == "fundamental":
-        limit = parsing.parse_ordinal(args.limit)
-        if not limit.is_limit:
-            raise UsageError(f"--limit {args.limit} is not a limit ordinal")
-        value = fundamental(limit, args.n)
+        value = fundamental(parsing.parse_ordinal(args.limit), args.n)
         return _emit(args, "ordinal fundamental", {"limit": args.limit, "n": args.n},
                      {"value": parsing.print_ordinal(value)})
     if args.sub == "parse":
@@ -200,10 +197,6 @@ def _cmd_scc(args) -> int:
     zeta = parsing.parse_ordinal(args.zeta)
     eps = _parse_fraction(args.eps)
     labels = parsing.parse_sequence(args.seq)
-    if compare(zeta, xi) >= 0:
-        raise UsageError("--zeta must be below --xi")
-    if eps <= 0:
-        raise UsageError("--eps must be > 0")
     try:
         if args.sub == "basic":
             res = constructions.scc_basic(xi, zeta, eps, labels, budget=args.budget)
@@ -229,8 +222,6 @@ def _cmd_smodel(args) -> int:
     space = parsing.parse_space(args.space)
     fam = parsing.parse_family(args.family)
     bs = _load_blocks(args.blocks, default_length=max(16, args.horizon))
-    if args.horizon > len(bs):
-        raise UsageError(f"--horizon {args.horizon} exceeds the {len(bs)} blocks of the corpus")
     est = analysis.spreading_profile(space, bs, fam, args.horizon)
     return _emit(args, "smodel profile",
                  {"space": args.space, "family": args.family, "horizon": args.horizon},
@@ -243,10 +234,7 @@ def _second_spec(text: str):
     from .analysis import IntervalNormSpec
 
     if text.startswith("interval:"):
-        count = text.split(":", 1)[1]
-        if not count.isdigit() or int(count) < 1:
-            raise UsageError(f"--second {text}: interval:<n> needs an integer n >= 1")
-        return IntervalNormSpec(int(count))
+        return IntervalNormSpec(int(text.split(":", 1)[1]))
     return parsing.parse_space(text)
 
 
@@ -491,13 +479,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    # a ParseError is a ValueError; its own clause keeps its offset
     except parsing.ParseError as exc:
         print(json.dumps({"error": str(exc), "offset": exc.offset}), file=sys.stderr)
         return EXIT_USAGE
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExhausted as exc:
+    except (BudgetExhausted, families.ConstructionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_BUDGET
 

@@ -756,6 +756,22 @@ def _extension_candidates(fam: Family, above: int, limit: int) -> List[int]:
     return list(range(above + 1, limit + 1))
 
 
+def _first_candidates_above(fam: Family, above: int, count: int) -> List[int]:
+    """The first `count` values > above that could extend a member of fam,
+    however far apart the labels of a relabeled family lie (fewer when an
+    explicit sequence ends)."""
+    if not isinstance(fam, RelabeledFamily):
+        return list(range(above + 1, above + count + 1))
+    start = len(fam.labels.values_within(1, above)) + 1
+    out = []
+    for i in range(start, start + count):
+        try:
+            out.append(fam.labels.value_at(i))
+        except SequenceExhausted:
+            break
+    return out
+
+
 def iter_maximal(fam: Family, first: int, horizon: int) -> Iterator[FinSet]:
     """Lazily yield the DFS leaves among members with min = first.
 
@@ -784,7 +800,7 @@ def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumerati
     sets: List[FinSet] = []
     truncated: List[bool] = []
     k = _kernel(fam)
-    probe_values = _extension_candidates(fam, horizon, horizon + 4 * max(horizon, 16))[:4]
+    probe_values = _first_candidates_above(fam, horizon, 4)
     for current in iter_maximal(fam, first, horizon):
         # a DFS leaf need not be maximal (A_3 from 1 at horizon 4 yields the
         # leaf (1, 4) inside (1, 2, 4)); as the family is hereditary, it is

@@ -61,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .families import SchreierFamily, member
 from .ordinals import Ordinal, omega_power
@@ -73,7 +73,6 @@ from .vectors import (
     Unit,
     Vector,
     evaluate,
-    functional_support,
 )
 
 # steps of the X(xi) piece-system search before a session stops and reports
@@ -517,99 +516,3 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
     total, parts = _cover(chunk, {}, 0, len(x.entries) - 1, n)
     witness = PartNode(Fraction(1, scale), parts) if session.exact else None
     return _result(session, total, witness, n * session.tolerance / scale, scale)
-
-
-# ---------------------------------------------------------------------------
-# norming-set generation
-# ---------------------------------------------------------------------------
-
-
-class WGeneration(Record):
-    functionals: List[Functional]
-    truncated: bool
-    depth: int
-
-
-def generate_W(
-    xi: Ordinal, support_window: Sequence[int], depth: int, budget: int = 200_000
-) -> WGeneration:
-    """All norming-set functionals up to the given generation depth,
-    supported in the window, pruned without lowering any achievable value.
-
-    Prunings (value-safe for the sup over the generated set): averages
-    carry the minimal declared size max(2, #children), and inside a sum
-    node the declared sizes are re-raised to the minimal values satisfying
-    the growth conditions; larger declared sizes only shrink the scaling
-    1/size, and the minimal re-declaration dominates any legal one.  The
-    generated set is closed under leaf sign flips by construction.
-
-    Generation stops early (truncated=True) if the budget is exceeded.
-    """
-    window = sorted(set(support_window))
-    fam = SchreierFamily(omega_power(xi))
-    level: Set[Functional] = set()
-    for c in window:
-        level.add(Unit(1, c))
-        level.add(Unit(-1, c))
-    truncated = False
-    # each functional's support, computed once per call
-    supports: Dict[Functional, Tuple[int, ...]] = {}
-
-    def support(f: Functional) -> Tuple[int, ...]:
-        s = supports.get(f)
-        if s is None:
-            s = supports[f] = functional_support(f)
-        return s
-
-    def successive_sequences(pool: List[Functional]) -> Iterator[Tuple[Functional, ...]]:
-        by_min: Dict[int, List[Tuple[Functional, int]]] = {}
-        for f in pool:
-            s = support(f)
-            by_min.setdefault(s[0], []).append((f, s[-1]))
-        mins = sorted(by_min)
-
-        def rec(prev_max: int) -> Iterator[Tuple[Functional, ...]]:
-            for mn in mins:
-                if mn <= prev_max:
-                    continue
-                for f, fmax in by_min[mn]:
-                    yield (f,)
-                    for rest in rec(fmax):
-                        yield (f,) + rest
-
-        return rec(0)
-
-    current = set(level)
-    for _ in range(depth):
-        if truncated:
-            break
-        pool = sorted(current, key=lambda f: (support(f), repr(f)))
-        new: Set[Functional] = set()
-        for children in successive_sequences(pool):
-            if len(new) + len(current) > budget:
-                truncated = True
-                break
-            new.add(Average(max(2, len(children)), children))
-        if not truncated:
-            averages = sorted(
-                (f for f in current | new if isinstance(f, Average)),
-                key=lambda f: (support(f), repr(f)),
-            )
-            for seq in successive_sequences(averages):
-                if len(new) + len(current) > budget:
-                    truncated = True
-                    break
-                minima = tuple(support(a)[0] for a in seq)
-                if not member(minima, fam).member:
-                    continue
-                resized: List[Average] = []
-                prev_size = 0
-                prev_max = 0
-                for a in seq:
-                    size = max(a.size, prev_size + 1, prev_max + 1)
-                    resized.append(Average(size, a.children))
-                    prev_size = size
-                    prev_max = support(a)[-1]
-                new.add(SumNode(tuple(resized)))
-        current |= new
-    return WGeneration(sorted(current, key=repr), truncated, depth)

@@ -42,6 +42,10 @@ These deliberately avoid the production algorithms' shortcuts:
   successive set systems (not only interval systems).  Closure over the
   minimal declared sizes suffices because best-cover(j)/j is
   non-increasing in j.
+
+* `generate_W` lists the norming set itself up to a generation depth,
+  supported in a window, so that its sup can be compared with the
+  recursion's value on small vectors.
 """
 
 from __future__ import annotations
@@ -49,13 +53,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from schreier.analysis import ALPHA_TARGET_BLOCKS
 from schreier.families import SchreierFamily, member, member_exhaustive
 from schreier.norms import MixedSchreierSpace, NormResult, NormSpace, PartNode, norm
 from schreier.ordinals import Ordinal, fundamental, omega_power
-from schreier.vectors import BlockSequence, SumNode, Vector, evaluate, validate_functional
+from schreier.reports import Record
+from schreier.vectors import (
+    Average,
+    BlockSequence,
+    Functional,
+    SumNode,
+    Unit,
+    Vector,
+    evaluate,
+    validate_functional,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +397,84 @@ def wmax_certificate(space: MixedSchreierSpace, x: Vector) -> Tuple[bool, str]:
                 if v * common < total:
                     return False, f"admissible-sum closure fails on {idx} at {system}"
     return True, "certified"
+
+
+class WGeneration(Record):
+    functionals: List[Functional]
+    truncated: bool
+    depth: int
+
+
+def generate_W(
+    xi: Ordinal, support_window: Sequence[int], depth: int, budget: int = 200_000
+) -> WGeneration:
+    """All norming-set functionals up to the given generation depth,
+    supported in the window, pruned without lowering any achievable value.
+
+    Prunings (value-safe for the sup over the generated set): averages
+    carry the minimal declared size max(2, #children), and inside a sum
+    node the declared sizes are re-raised to the minimal values satisfying
+    the growth conditions; larger declared sizes only shrink the scaling
+    1/size, and the minimal re-declaration dominates any legal one.  The
+    generated set is closed under leaf sign flips by construction.
+
+    Each functional travels with its support, the concatenation of its
+    children's supports, so no support lookup hashes a functional tree.
+    Generation stops early (truncated=True) if the budget is exceeded.
+    """
+    fam = SchreierFamily(omega_power(xi))
+    # every functional generated so far, with its support
+    current: Dict[Functional, Tuple[int, ...]] = {}
+    for c in sorted(set(support_window)):
+        current[Unit(1, c)] = current[Unit(-1, c)] = (c,)
+    truncated = False
+    Item = Tuple[Functional, Tuple[int, ...]]
+
+    def successive_sequences(items: Iterable[Item]) -> Iterator[Tuple[Item, ...]]:
+        by_min: Dict[int, List[Item]] = {}
+        for item in sorted(items, key=lambda fs: (fs[1], repr(fs[0]))):
+            by_min.setdefault(item[1][0], []).append(item)
+        mins = sorted(by_min)
+
+        def rec(prev_max: int) -> Iterator[Tuple[Item, ...]]:
+            for mn in mins:
+                if mn <= prev_max:
+                    continue
+                for item in by_min[mn]:
+                    yield (item,)
+                    for rest in rec(item[1][-1]):
+                        yield (item,) + rest
+
+        return rec(0)
+
+    def joined(seq: Tuple[Item, ...]) -> Tuple[int, ...]:
+        return tuple(c for _, s in seq for c in s)
+
+    for _ in range(depth):
+        if truncated:
+            break
+        new: Dict[Functional, Tuple[int, ...]] = {}
+        for seq in successive_sequences(current.items()):
+            if len(new) + len(current) > budget:
+                truncated = True
+                break
+            new[Average(max(2, len(seq)), tuple(f for f, _ in seq))] = joined(seq)
+        if not truncated:
+            averages = [(f, s) for f, s in {**current, **new}.items() if isinstance(f, Average)]
+            for seq in successive_sequences(averages):
+                if len(new) + len(current) > budget:
+                    truncated = True
+                    break
+                if not member(tuple(s[0] for _, s in seq), fam).member:
+                    continue
+                resized: List[Average] = []
+                prev_size = 0
+                prev_max = 0
+                for a, s in seq:
+                    size = max(a.size, prev_size + 1, prev_max + 1)
+                    resized.append(Average(size, a.children))
+                    prev_size = size
+                    prev_max = s[-1]
+                new[SumNode(tuple(resized))] = joined(seq)
+        current.update(new)
+    return WGeneration(sorted(current, key=repr), truncated, depth)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import tsirelson_oracle, wmax_certificate
+from oracles import generate_W, tsirelson_oracle, wmax_certificate
 from schreier.analysis import (
     IntervalNormSpec,
     distortion_witness,
@@ -54,7 +54,6 @@ from schreier.norms import (
     L1,
     T,
     MixedSchreierSpace,
-    generate_W,
     interval_norm,
     norm,
 )

@@ -316,6 +316,13 @@ def test_parse_error_exit(capsys):
     ["diag", "alpha", "--n", "1", "--floor", "2", "--horizon", "2", "--blocks", {"blocks": []}],
     ["distort", "search", "--space", "T", "--second", "interval:2", "--family", "S(1)",
      "--t", "6/5", "--blocks", {"blocks": []}],
+    # arguments that only the library rejects, with a ValueError
+    ["schreier", "threshold", "--xi", "w", "--zeta", "2", "--horizon", "5"],
+    ["smodel", "profile", "--space", "T", "--family", "A(0)", "--horizon", "3"],
+    ["distort", "search", "--space", "T", "--second", "interval:2", "--family", "S(1)",
+     "--t", "1"],
+    ["distort", "baseline", "--space", "c0", "--second", "interval:3", "--t", "1/2"],
+    ["verify", "refinement", "--which", "union", "--xi", "1", "--zeta", "0", "--horizon", "10"],
 ])
 def test_usage_error_exit(capsys, tmp_path, argv):
     argv = list(argv)
@@ -329,6 +336,31 @@ def test_usage_error_exit(capsys, tmp_path, argv):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "refinement", "--which", "union", "--xi", "1", "--zeta", "1", "--horizon", "3"],
+    ["verify", "refinement", "--which", "outer", "--xi", "w", "--zeta", "1", "--horizon", "3"],
+    ["verify", "refinement", "--which", "whole", "--xi", "w", "--zeta", "1", "--horizon", "2"],
+    ["verify", "refinement", "--which", "outer", "--xi", "w", "--zeta", "1", "--horizon", "12",
+     "--seq", "[2,4,6]"],
+])
+def test_construction_out_of_horizon_exit_code(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
+def test_programming_errors_are_not_caught(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(analysis, "spreading_profile", broken)
+    with pytest.raises(TypeError):
+        main(["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "8"])
+    assert capsys.readouterr().out == ""
 
 
 def test_mixed_norm_budget_exit_code(capsys, monkeypatch):

@@ -217,6 +217,30 @@ def test_enumerations_match_oracles(fam):
         assert list(_all_members_over(fam, universe)) == members_over_oracle(fam, universe)
 
 
+@pytest.mark.parametrize("fam", GREEDY_FAMILIES, ids=repr)
+def test_greedy_state_matches_exhaustive_on_every_small_set(fam):
+    # every nonempty subset of [1, 10]: random draws rarely put a block
+    # minimum off the labels where it matters, as in (2, 4, 5) for
+    # A(2)[S(1)(even)[A(2)]]
+    for size in range(1, 11):
+        for E in itertools.combinations(range(1, 11), size):
+            assert greedy_member(E, fam) == member_exhaustive(E, fam), E
+
+
+def test_enumerate_maximal_probes_sparse_labels_past_any_window():
+    # (1, 101) is a member: the first label above the horizon lies far
+    # beyond it, and the set must still be flagged as truncated
+    fam = RelabeledFamily(A(3), IndexSequence.arithmetic(1, 100))
+    assert member((1, 101), fam).member
+    enum = enumerate_maximal(fam, 1, 10)
+    assert enum.sets == [(1,)]
+    assert enum.truncated == [True] and enum.all_truncated
+    # an explicit sequence that ends inside the horizon has nothing to probe
+    enum = enumerate_maximal(RelabeledFamily(A(3), IndexSequence.explicit([1, 5])), 1, 10)
+    assert enum.sets == [(1, 5)] and enum.truncated == [False]
+    assert not enum.all_truncated
+
+
 def test_relabeled_outer_keeps_backtracking():
     # the greedy split (4, 6), (7,) has minima (4, 7), which lie outside
     # S_1(EVENS); only the split (4,), (6, 7) shows membership

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    generate_W,
     interval_cover_oracle,
     schlumprecht_oracle,
     tsirelson_interval_oracle,
@@ -29,7 +30,6 @@ from schreier.norms import (
     SchlumprechtSpace,
     T,
     evaluate_partition,
-    generate_W,
     interval_norm,
     norm,
     norm_j,

@@ -1,5 +1,6 @@
-"""Every record class of the package: value equality, hashing, frozenness,
-repr text and JSON keys, all derived from its field tuple."""
+"""Every record class of the package and of the test oracles: value
+equality, hashing, frozenness, repr text and JSON keys, all derived from its
+field tuple."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from schreier import analysis, constructions, families, norms, ordinals, reports, vectors
 from schreier.ordinals import finite
 from schreier.reports import Record, WitnessReport, to_jsonable
@@ -66,7 +68,8 @@ SAMPLES = [
      "PartNode(weight=Fraction(1, 2), children=(PartLeaf(coord=1, sign=1),))"),
     (norms.NormResult(Fraction(0), True),
      "NormResult(value=Fraction(0, 1), exact=True, converged=True, witness=None, tolerance=0.0)"),
-    (norms.WGeneration([], False, 1), "WGeneration(functionals=[], truncated=False, depth=1)"),
+    # the norming-set generator is a test oracle, and its record one of these classes
+    (oracles.WGeneration([], False, 1), "WGeneration(functionals=[], truncated=False, depth=1)"),
     (constructions.SccResult(E1, (1,), ONE_, TWO, Fraction(1), (Fraction(0), ())),
      "SccResult(vector=Vector(entries=((1, Fraction(1, 1)),)), support_set=(1,), xi=Ordinal[1], "
      "zeta=Ordinal[2], eps=Fraction(1, 1), mass_certificate=(Fraction(0, 1), ()))"),
@@ -101,7 +104,7 @@ FROZEN = {
 
 
 def test_samples_cover_every_record_class():
-    modules = (ordinals, reports, families, vectors, norms, constructions, analysis)
+    modules = (ordinals, reports, families, vectors, norms, constructions, analysis, oracles)
     classes = {c for m in modules for c in vars(m).values()
                if isinstance(c, type) and issubclass(c, Record) and c is not Record}
     assert {type(r) for r, _ in SAMPLES} == classes
