@@ -107,7 +107,9 @@ class IndexSequence(Record, frozen=True):
         if (self.tail_start is None) != (self.tail_step is None):
             raise ValueError("tail_start and tail_step must be given together")
         if self.tail_start is not None:
-            if self.tail_step < 1 or self.tail_start < 1:
+            if self.tail_start < 1:
+                raise ValueError("arithmetic tail start must be >= 1")
+            if self.tail_step < 1:
                 raise ValueError("arithmetic tail must be strictly increasing")
             if self.prefix and self.tail_start <= self.prefix[-1]:
                 raise ValueError("arithmetic tail must continue past the prefix")
@@ -321,31 +323,53 @@ class MembershipResult(Record, frozen=True):
 # membership kernels
 # ---------------------------------------------------------------------------
 #
-# A kernel's `decide` asks `member` every sub-question, so the memo holds
-# those too.  Its greedy state stands for a nonempty member E and decides
-# E + (x,), for x > max E, in O(depth) without the memo.  S_0, S_1 and A_n
-# hold the room left; F[G] holds the states of the block minima in F and of
-# the open block in G, and S_{x+1} is S_1[S_x]; a limit S_lam holds (n, the
-# kernel of S_lam[n], its state, E) for its least live stage n, the n that
-# LimitWitness records, and replays later stages only when stage n dies;
-# F(M) holds the state of the preimage.  F[G] with a relabeled F, which is
-# not spreading, or with a G that is not hereditary has no greedy state.
+# A kernel's `decide` asks its sub-kernels every sub-question directly,
+# through `_member`, so the memo holds those too.  The memo is keyed by
+# (kernel, E), which hashes by the kernel's identity; equal families share
+# one kernel, so it keeps one entry per family and set.  A kernel's greedy
+# state stands for a nonempty member E and decides E + (x,), for x > max E,
+# in O(depth) without the memo.  S_0, S_1 and A_n hold the room left; F[G]
+# holds the states of the block minima in F and of the open block in G, and
+# S_{x+1} is S_1[S_x]; a limit S_lam holds (n, the kernel of S_lam[n], its
+# state, E) for its least live stage n, the n that LimitWitness records, and
+# replays later stages only when stage n dies; F(M) holds the state of the
+# preimage.  F[G] with a relabeled F, which is not spreading, or with a G
+# that is not hereditary has no greedy state.
 
-_member_cache: Dict[Tuple[Family, FinSet], MembershipResult] = {}
+_member_cache: Dict[Tuple["_Kernel", FinSet], MembershipResult] = {}
 _kernels: Dict[Family, "_Kernel"] = {}
 _NOT_MEMBER = MembershipResult(False)
 _EMPTY_MEMBER = MembershipResult(True, LeafWitness("empty set"))
 
 
 def member(E, fam: Family) -> MembershipResult:
-    """Exact membership of E in the family, with a witness when it holds."""
+    """Exact membership of E in the family, with a witness when it holds.
+
+    E is any iterable of strictly increasing naturals >= 1; anything else
+    raises ValueError.
+    """
     E = tuple(E)
     k = _kernels.get(fam) or _kernel(fam)
-    # keyed by the kernel's own family instance, so lookups match by identity
-    key = (k.fam, E)
+    key = (k, E)
     hit = _member_cache.get(key)
     if hit is None:
+        # only a miss is checked: a hit was checked when it was stored
+        prev = 0
+        for x in E:
+            if not isinstance(x, int) or x <= prev:
+                raise ValueError(f"a set must be strictly increasing naturals >= 1, got {E}")
+            prev = x
         hit = _member_cache[key] = k.decide(E) if E else _EMPTY_MEMBER
+    return hit
+
+
+def _member(E: FinSet, k: "_Kernel") -> MembershipResult:
+    """`member` of a nonempty E in the family of kernel k, for a kernel's
+    sub-questions: E is a piece of a set already checked."""
+    key = (k, E)
+    hit = _member_cache.get(key)
+    if hit is None:
+        hit = _member_cache[key] = k.decide(E)
     return hit
 
 
@@ -460,10 +484,10 @@ class _Bracket(_Kernel):
     def opens(self, minima: FinSet, E: FinSet) -> bool:
         """Whether blocks with these minima may start; partial minima
         prune, as every family here keeps initial segments of members."""
-        return member(minima, self.outer.fam).member
+        return _member(minima, self.outer).member
 
     def minima_witness(self, minima: FinSet, E: FinSet) -> Witness:
-        return member(minima, self.outer.fam).witness
+        return _member(minima, self.outer).witness
 
     def split(self, E: FinSet, start: int = 0, minima: FinSet = (), found: tuple = ()):
         """The first split of E into inner blocks that the outer family
@@ -476,7 +500,7 @@ class _Bracket(_Kernel):
         if not self.opens(minima, E):
             return None
         for end in range(len(E), start, -1):
-            res = member(E[start:end], self.inner.fam)
+            res = _member(E[start:end], self.inner)
             if res.member:
                 done = self.split(E, end, minima, found + ((E[start:end], res.witness),))
                 if done is not None or self.hereditary:
@@ -510,7 +534,7 @@ class _SetBracket(_Bracket):
 
     def push(self, state, x: int):
         E = state + (x,)
-        return E if member(E, self.fam).member else None
+        return E if _member(E, self).member else None
 
     capped = _Kernel.capped
 
@@ -551,10 +575,10 @@ class _Limit(_Kernel):
     def decide(self, E: FinSet) -> MembershipResult:
         # exists n <= min E with E in S_{lam[n]}
         for n in range(1, E[0] + 1):
-            stage = self.stage(n).fam
-            inner = member(E, stage)
+            stage = self.stage(n)
+            inner = _member(E, stage)
             if inner.member:
-                return MembershipResult(True, LimitWitness(n, stage.index, inner.witness))
+                return MembershipResult(True, LimitWitness(n, stage.fam.index, inner.witness))
         return _NOT_MEMBER
 
 
@@ -581,7 +605,7 @@ class _Relabeled(_Kernel):
 
     def decide(self, E: FinSet) -> MembershipResult:
         pre = self.fam.labels.preimage(E)
-        inner = None if pre is None else member(pre, self.base.fam)
+        inner = None if pre is None else _member(pre, self.base)
         if inner is None or not inner.member:
             return _NOT_MEMBER
         return MembershipResult(True, RelabelWitness(pre, inner.witness))
@@ -1087,7 +1111,7 @@ def _bracket_shape(fam: Family):
     return None
 
 
-def _max_block_size(inner: Family, first: int, window: Sequence[int]) -> int:
+def _max_block_size(inner: _Kernel, first: int, window: Sequence[int]) -> int:
     """Largest size of an inner-family member with min = first inside window.
 
     window holds the admissible values above first, ascending.  Because the
@@ -1097,7 +1121,7 @@ def _max_block_size(inner: Family, first: int, window: Sequence[int]) -> int:
     """
     for k in range(len(window) + 1, 0, -1):
         cand = (first,) + tuple(window[len(window) - (k - 1):])
-        if member(cand, inner).member:
+        if _member(cand, inner).member:
             return k
     return 0
 
@@ -1134,9 +1158,10 @@ def _dominance_blocks(
         ground = range(1, len(values) + 1)
         top = len(values)
     contributions: Dict[Tuple[int, int], Tuple[FinSet, FinSet, FinSet]] = {}
+    inner = _kernel(inner_fam)
 
     def block(a: int, nxt: int) -> Tuple[FinSet, FinSet, FinSet]:
-        k = _max_block_size(inner_fam, a, range(a + 1, nxt))
+        k = _max_block_size(inner, a, range(a + 1, nxt))
         base = a if values is None else values[a - 1]
         contributions[a, nxt] = parts = (
             tuple(range(base, base + k)),
@@ -1205,7 +1230,8 @@ def _verify_by_dominance(lhs_c: Family, rhs_c: Family, horizon: int) -> WitnessR
     budget_exhausted set rather than silently passing.
     """
     shape = _bracket_shape(lhs_c)
-    if shape is None or not _kernel(rhs_c).plain:
+    lhs, rhs = _kernel(lhs_c), _kernel(rhs_c)
+    if shape is None or not rhs.plain:
         return WitnessReport(
             False, detail="no exact strategy applies at this horizon; "
             "use a horizon <= 16 for a powerset sweep",
@@ -1231,11 +1257,13 @@ def _verify_by_dominance(lhs_c: Family, rhs_c: Family, horizon: int) -> WitnessR
                 False, detail=f"more than {BRACKET_PATTERN_BUDGET} minima patterns",
                 certified_horizon=None, budget_exhausted=True, method="dominance",
             )
+        # every part is a set this pass built, so the kernels are asked
+        # directly; comp is empty only when no block takes an element
         comp = tuple(itertools.chain.from_iterable([b[0] for b in blocks]))
-        if not member(comp, rhs_c).member:
+        if comp and not _member(comp, rhs).member:
             raw = tuple(itertools.chain.from_iterable(b[raw_part] for b in blocks))
             genuine = raw if whole_labels is None else whole_labels.apply(raw)
-            if member(genuine, lhs_c).member and not member(genuine, rhs_c).member:
+            if _member(genuine, lhs).member and not _member(genuine, rhs).member:
                 return WitnessReport(
                     False, detail="member of lhs escapes rhs",
                     counterexample=genuine, certified_horizon=horizon,

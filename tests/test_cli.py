@@ -105,6 +105,17 @@ def test_parsers_reject_coordinate_zero():
     assert exc.value.offset == 4
 
 
+@pytest.mark.parametrize("seq, message", [
+    ("arith(0,1)", "arithmetic tail start must be >= 1"),
+    ("arith(2,0)", "arithmetic tail must be strictly increasing"),
+])
+def test_arithmetic_sequence_errors_name_the_bad_part(capsys, seq, message):
+    code = main(["scc", "basic", "--xi", "2", "--zeta", "1", "--eps", "1/3", "--seq", seq])
+    err = json.loads(capsys.readouterr().err)
+    assert code == EXIT_USAGE and err["offset"] == 0
+    assert err["error"].startswith(message + " at offset 0"), err
+
+
 def _random_ordinal(rng, depth=2):
     if depth == 0 or rng.random() < 0.35:
         return finite(rng.randint(0, 20))

@@ -75,6 +75,18 @@ def test_member_examples():
     assert res.witness.n <= 3  # any stage up to min E certifies
 
 
+@pytest.mark.parametrize("E, fam", [
+    ((3, 1, 2), S(1)),  # as a set its min is 1, so it is no member
+    ((0, 1), A(2)),
+    ((-1,), A(2)),
+    ((2, 2), A(3)),
+    ((4, 2), RelabeledFamily(S(1), EVENS)),
+])
+def test_member_rejects_tuples_that_are_not_sets(E, fam):
+    with pytest.raises(ValueError, match="strictly increasing naturals >= 1"):
+        member(E, fam)
+
+
 def test_empty_set_member_everywhere():
     for fam in (S(0), S(1), S(3), S(OMEGA), A(2), BracketFamily(S(1), S(2))):
         assert member((), fam).member
@@ -579,6 +591,12 @@ def test_dominance_pass_matches_member_sweep(case):
                 assert member(cx, lhs_c).member and not member(cx, target).member
 
 
+def test_dominance_pass_with_no_block_elements():
+    # no block of S(1)[A(0)] takes an element, so every compressed set is empty
+    rep = _verify_by_dominance(BracketFamily(S(1), A(0)), S(2), 20)
+    assert rep.ok and rep.method == "dominance" and rep.stats == {"patterns": 17710}
+
+
 # ---------------------------------------------------------------------------
 # hash and equality of family expressions
 # ---------------------------------------------------------------------------
@@ -643,6 +661,11 @@ def test_equal_families_share_memo_entries():
         size = len(families._member_cache)
         member((2, 4, 6), y)
         assert len(families._member_cache) == size, x
+    # a block a kernel asked about while splitting is the public question's
+    # entry too: S(2) = S(1)[S(1)] splits (3, 4, 5, 6) into (3, 4, 5), (6,)
+    member((3, 4, 5, 6), S(2))
+    size = len(families._member_cache)
+    assert member((3, 4, 5), S(1)).member and len(families._member_cache) == size
 
 
 def test_clear_caches_drops_kernels_and_memo():
