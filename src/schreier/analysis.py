@@ -587,7 +587,7 @@ def alpha_index_diagnostic(
 
         def piece(a: int, b: int, size: int):
             size = max(size, b - a + 1)
-            return (prefix[b + 1] - prefix[a]) / size, size, None
+            return (prefix[b + 1] - prefix[a]) / size, size
 
         best, _ = _admissible_sum(fam, pos, prefix, 0, len(pos) - 1, size_floor, piece, best)
     return best

@@ -339,6 +339,7 @@ class MembershipResult(Record, frozen=True):
 _member_cache: Dict[Tuple["_Kernel", FinSet], MembershipResult] = {}
 _kernels: Dict[Family, "_Kernel"] = {}
 _NOT_MEMBER = MembershipResult(False)
+_NOT_A_SET = "a set must be strictly increasing naturals >= 1, got {}"
 _EMPTY_MEMBER = MembershipResult(True, LeafWitness("empty set"))
 
 
@@ -353,11 +354,12 @@ def member(E, fam: Family) -> MembershipResult:
     key = (k, E)
     hit = _member_cache.get(key)
     if hit is None:
-        # only a miss is checked: a hit was checked when it was stored
+        # only a miss is checked: a hit was checked when it was stored.  The
+        # exact-type test spares plain ints the slower isinstance call.
         prev = 0
         for x in E:
-            if not isinstance(x, int) or x <= prev:
-                raise ValueError(f"a set must be strictly increasing naturals >= 1, got {E}")
+            if type(x) is not int and not isinstance(x, int) or x <= prev:
+                raise ValueError(_NOT_A_SET.format(E))
             prev = x
         hit = _member_cache[key] = k.decide(E) if E else _EMPTY_MEMBER
     return hit
@@ -659,15 +661,24 @@ def member_exhaustive(E, fam: Family) -> bool:
 
     No greedy ordering and no structural pruning: successor and bracket
     cases iterate over all 2^(|E|-1) compositions of E into successive
-    blocks.  Kept as an independent cross-check for `member`.
+    blocks.  Kept as an independent cross-check for `member`, and raises
+    the same ValueError for a tuple that is not a set.
     """
     E = tuple(E)
     key = (fam, E)
     hit = _exhaustive_cache.get(key)
     if hit is None:
+        if not _is_finset(E):
+            raise ValueError(_NOT_A_SET.format(E))
         hit = _exhaustive_uncached(E, fam)
         _exhaustive_cache[key] = hit
     return hit
+
+
+def _is_finset(E: tuple) -> bool:
+    """Strictly increasing naturals >= 1: the oracles' own check, written
+    apart from `member`'s so that each can catch a fault in the other."""
+    return all(isinstance(x, int) for x in E) and all(a < b for a, b in zip((0,) + E, E))
 
 
 def _compositions(E: FinSet) -> Iterator[List[FinSet]]:
@@ -718,8 +729,11 @@ def _exhaustive_uncached(E: FinSet, fam: Family) -> bool:
 
 
 def recheck_witness(E, fam: Family, witness: Witness) -> bool:
-    """Re-derive membership bottom-up from a stored witness."""
+    """Re-derive membership bottom-up from a stored witness; False for a
+    tuple that is not a set."""
     E = tuple(E)
+    if not _is_finset(E):
+        return False
     if not E:
         return isinstance(witness, LeafWitness)
     if isinstance(witness, LeafWitness):

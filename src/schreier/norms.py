@@ -27,9 +27,11 @@ Spaces:
     assembles a norming functional witnessing each value from below.
 
 Each space evaluates the interval restrictions of one vector in one
-session, whose memoised `norm(i, j)` gives the value and witness on support
-positions i..j.  `norm` reads positions 0..n-1; the interval norms (norm_j,
-interval_norm) read every chunk of their covers from the same session.
+session, whose memoised `value(i, j)` gives the value on support positions
+i..j and records the choice that reached it; `witness(i, j)` rebuilds the
+witness from the recorded choices alone, once per answer.  `norm` reads
+positions 0..n-1; the interval norms (norm_j, interval_norm) read every
+chunk of their covers from the same session.
 
 The Tsirelson, Schlumprecht and mixed evaluators and the interval norms
 share one kernel, `_cover`: the best sum of chunk values over at most k
@@ -176,56 +178,65 @@ class NormResult(Record):
 # ---------------------------------------------------------------------------
 
 
-def _cover(chunk, memo: dict, s: int, j: int, k: int, split: bool = False):
+def _cover(value, memo: dict, s: int, j: int, k: int, split: bool = False):
     """Best sum over at most k contiguous chunks covering positions s..j.
 
-    `chunk(a, b)` returns (value, witness) for the chunk of positions a..b;
-    the result is (best sum, the chosen chunks' witnesses in order).  With
+    `value(a, b)` gives the value of the chunk of positions a..b.  With
     split=True at least two chunks are used (k >= 2 and s < j), so a chunk
     function whose value is itself a sup over splits of a..b never asks
     for its own value.
 
-    `memo` holds the best split of s..j into 2..k chunks under the key
-    (s, j, min(k, j - s + 1)): no cover has more chunks than positions, so
-    every larger k shares one entry.  Chunks only ever split into strictly
-    shorter chunks, so the recursion is well founded.
+    `memo` holds the best split of s..j into 2..k chunks as (best, first
+    split point reaching it) under the key (s, j, min(k, j - s + 1)): no
+    cover has more chunks than positions, so every larger k shares one
+    entry.  Chunks only ever split into strictly shorter chunks, so the
+    recursion is well founded.  `_cover_parts` rebuilds the chosen chunks.
     """
     k = min(k, j - s + 1)
     if k < 2:
-        v, w = chunk(s, j)
-        return v, (w,)
+        return value(s, j)
     key = (s, j, k)
     hit = memo.get(key)
     if hit is None:
         best = None
         for m in range(s, j):
-            v1, w1 = chunk(s, m)
-            v2, ws = _cover(chunk, memo, m + 1, j, k - 1)
-            if best is None or v1 + v2 > best:
-                best, wits = v1 + v2, (w1,) + ws
-        hit = memo[key] = (best, wits)
+            v = value(s, m) + _cover(value, memo, m + 1, j, k - 1)
+            if best is None or v > best:
+                best, at = v, m
+        hit = memo[key] = (best, at)
     if split:
-        return hit
-    v, w = chunk(s, j)
-    return hit if hit[0] > v else (v, (w,))
+        return hit[0]
+    v = value(s, j)
+    return hit[0] if hit[0] > v else v
+
+
+def _cover_parts(value, witness, memo: dict, s: int, j: int, k: int, split: bool = False) -> tuple:
+    """The chunk witnesses a finished `_cover` call chose, from its memo."""
+    k = min(k, j - s + 1)
+    if k >= 2:
+        best, m = memo[(s, j, k)]
+        if split or best > value(s, j):
+            return (witness(s, m),) + _cover_parts(value, witness, memo, m + 1, j, k - 1)
+    return (witness(s, j),)
 
 
 def _admissible_sum(fam, pos, prefix, i: int, j: int, floor: int, piece, best):
     """Best sum over successive interval pieces [a, b] of positions i..j
     (gaps allowed) whose minima pos[a] form a member of `fam`, each offered
     the least legal size max(floor, previous size + 1, previous max + 1).
-    `piece(a, b, size)` gives (value, declared size, witness) or None to skip;
+    `piece(a, b, size)` gives (value, declared size) or None to skip;
     prefix[t] is the l1 mass of positions 0..t-1.  Returns the best total
-    strictly above `best` with its witnesses, or (best, None).
+    strictly above `best` with its pieces as (a, b, declared size) triples,
+    or (best, None).
 
     A piece is worth at most its mass over its size and later sizes are at
     least max(floor, previous size + 1), so nothing from a on beats best
     strictly once total + mass(a..j) / that <= best: pruning there keeps
     every strict improvement.
     """
-    found = None
+    found, path = None, []
 
-    def dfs(start, minima, prev_size, prev_max, total, wits):
+    def dfs(start, minima, prev_size, prev_max, total):
         nonlocal best, found
         for a in range(start, j + 1):
             if total + (prefix[j + 1] - prefix[a]) / max(floor, prev_size + 1) <= best:
@@ -238,13 +249,15 @@ def _admissible_sum(fam, pos, prefix, i: int, j: int, floor: int, piece, best):
                 got = piece(a, b, size)
                 if got is None:
                     continue
-                value, declared, wit = got
-                t, w = total + value, wits + (wit,)
+                value, declared = got
+                t = total + value
+                path.append((a, b, declared))
                 if t > best:
-                    best, found = t, w
-                dfs(b + 1, new_minima, declared, pos[b], t, w)
+                    best, found = t, tuple(path)
+                dfs(b + 1, new_minima, declared, pos[b], t)
+                path.pop()
 
-    dfs(i, (), 0, 0, Fraction(0), ())
+    dfs(i, (), 0, 0, Fraction(0))
     return best, found
 
 
@@ -256,10 +269,11 @@ def _admissible_sum(fam, pos, prefix, i: int, j: int, floor: int, piece, best):
 class _TsirelsonSession:
     """Exact DP over interval restrictions of the support.
 
-    norm(i, j) is the norm of x restricted to support positions i..j: the
+    value(i, j) is the norm of x restricted to support positions i..j: the
     largest |x_c| there, or half the best split of positions s..j into at
     most min(value at s, j - s + 1) chunks, for some start s (dropping
-    earlier positions keeps min E_1 large).
+    earlier positions keeps min E_1 large).  The memo records the leaf t
+    or the split (s, k) that first reached it.
 
     Values are integer numerators over `scale` = D * 2^h, with D the lcm
     of the coefficient denominators and h = (n - 1) // 2 for n support
@@ -283,33 +297,39 @@ class _TsirelsonSession:
         h = max(len(self.vals) - 1, 0) // 2
         self.scale = math.lcm(*(v.denominator for v in self.vals)) << h
         self.absvals = [abs(v.numerator) * (self.scale // v.denominator) for v in self.vals]
-        self.memo: Dict[Tuple[int, int], Tuple[int, Partition]] = {}
+        self.memo: Dict[Tuple[int, int], tuple] = {}
         self.cover_memo: dict = {}
 
-    def norm(self, i: int, j: int) -> Tuple[int, Partition]:
+    def value(self, i: int, j: int) -> int:
         hit = self.memo.get((i, j))
         if hit is not None:
-            return hit
-        t = max(range(i, j + 1), key=self.absvals.__getitem__)
-        best = self.absvals[t]
-        wit: Partition = PartLeaf(self.pos[t], -1 if self.vals[t] < 0 else 1)
+            return hit[0]
+        choice = max(range(i, j + 1), key=self.absvals.__getitem__)
+        best = self.absvals[choice]
         for s in range(i, j):
             k = min(self.pos[s], j - s + 1)
             if k < 2:
                 continue
-            val, parts = _cover(self.norm, self.cover_memo, s, j, k, split=True)
-            val >>= 1
+            val = _cover(self.value, self.cover_memo, s, j, k, split=True) >> 1
             if val > best:
-                best, wit = val, PartNode(Fraction(1, 2), parts)
-        self.memo[(i, j)] = (best, wit)
-        return best, wit
+                best, choice = val, (s, k)
+        self.memo[(i, j)] = (best, choice)
+        return best
+
+    def witness(self, i: int, j: int) -> Partition:
+        choice = self.memo[(i, j)][1]
+        if isinstance(choice, int):
+            return PartLeaf(self.pos[choice], -1 if self.vals[choice] < 0 else 1)
+        s, k = choice
+        parts = _cover_parts(self.value, self.witness, self.cover_memo, s, j, k, split=True)
+        return PartNode(Fraction(1, 2), parts)
 
 
 class _SchlumprechtSession:
     """Same DP shape as Tsirelson with weight 1/log2(k+1) and no
     admissibility constraint; float arithmetic with a declared tolerance.
 
-    The weight depends on the chunk count, so norm(i, j) reads the kernel
+    The weight depends on the chunk count, so value(i, j) reads the kernel
     once per k.  "At most k" is still exact: a best split into k' <= k
     chunks carries the larger weight 1/log2(k'+1), so weighting it by
     1/log2(k+1) never exceeds the sup.
@@ -320,32 +340,33 @@ class _SchlumprechtSession:
     def __init__(self, x: Vector, tolerance: float):
         self.tolerance = tolerance
         self.vals = [abs(float(v)) for _, v in x.entries]
-        self.memo: Dict[Tuple[int, int], Tuple[float, None]] = {}
+        self.memo: Dict[Tuple[int, int], float] = {}
         self.cover_memo: dict = {}
 
-    def norm(self, i: int, j: int) -> Tuple[float, None]:
+    def value(self, i: int, j: int) -> float:
         hit = self.memo.get((i, j))
         if hit is not None:
             return hit
         best = max(self.vals[i : j + 1])
         for k in range(2, j - i + 2):
-            val, _ = _cover(self.norm, self.cover_memo, i, j, k, split=True)
-            best = max(best, val / math.log2(k + 1))
-        self.memo[(i, j)] = (best, None)
-        return best, None
+            best = max(best, _cover(self.value, self.cover_memo, i, j, k, split=True) / math.log2(k + 1))
+        self.memo[(i, j)] = best
+        return best
 
 
 class _MixedSession:
     """Exact recursion for the mixed Schreier norm with functional witnesses.
 
     Pieces are intervals of support positions: (start, end) inclusive.
-    `norm(i, j)` evaluates the restriction to positions i..j by
+    `value(i, j)` evaluates the restriction to positions i..j by
     `_admissible_sum` with floor 2: a piece of size j is worth its cover with
     at most j chunks over j, at most its mass over j since norming
-    functionals have coefficients in [-1, 1].  MIXED_TICK_BUDGET guards the
-    worst-case exponential piece-system enumeration; once it runs out every
-    piece is skipped, and the values found so far stay certified lower
-    bounds of a session that reports non-convergence.
+    functionals have coefficients in [-1, 1].  The memo records the best
+    coordinate or piece system, which `witness` turns into a functional.
+    MIXED_TICK_BUDGET guards the worst-case exponential piece-system
+    enumeration; once it runs out every piece is skipped, and the values
+    found so far stay certified lower bounds of a session that reports
+    non-convergence.
     """
 
     exact, scale, tolerance = True, None, 0.0
@@ -358,39 +379,40 @@ class _MixedSession:
         self.fam = SchreierFamily(omega_power(xi))
         self.budget = MIXED_TICK_BUDGET
         self.converged = True
-        self.norm_memo: Dict[Tuple[int, int], Tuple[Fraction, Functional]] = {}
+        self.norm_memo: Dict[Tuple[int, int], tuple] = {}
         self.cover_memo: dict = {}
 
-    def chunk(self, i: int, j: int) -> Tuple[Fraction, Functional]:
-        """norm(i, j), evaluated with the tick budget a session of its own
+    def chunk(self, i: int, j: int) -> Fraction:
+        """value(i, j), evaluated with the tick budget a session of its own
         would start with if no earlier chunk evaluated it."""
         if (i, j) not in self.norm_memo:
             self.budget = MIXED_TICK_BUDGET
-        return self.norm(i, j)
+        return self.value(i, j)
 
-    def norm(self, i: int, j: int) -> Tuple[Fraction, Functional]:
-        key = (i, j)
-        hit = self.norm_memo.get(key)
+    def value(self, i: int, j: int) -> Fraction:
+        hit = self.norm_memo.get((i, j))
         if hit is not None:
-            return hit
+            return hit[0]
         t = max(range(i, j + 1), key=self.absvals.__getitem__)
-        best: Fraction = self.absvals[t]
-        wit: Functional = Unit(-1 if self.vals[t] < 0 else 1, self.pos[t])
 
         def piece(a: int, b: int, size: int):
             self.budget -= 1
             if self.budget < 0:
                 self.converged = False
             elif (a, b) != (i, j):  # (i, j) alone is the degenerate self map
-                val, chunk_wits = _cover(self.norm, self.cover_memo, a, b, size)
-                return val / size, size, Average(size, chunk_wits)
+                return _cover(self.value, self.cover_memo, a, b, size) / size, size
             return None
 
-        best, pieces = _admissible_sum(self.fam, self.pos, self.prefix, i, j, 2, piece, best)
-        if pieces is not None:
-            wit = SumNode(pieces)
-        self.norm_memo[key] = (best, wit)
-        return best, wit
+        best, pieces = _admissible_sum(self.fam, self.pos, self.prefix, i, j, 2, piece, self.absvals[t])
+        self.norm_memo[(i, j)] = (best, t if pieces is None else pieces)
+        return best
+
+    def witness(self, i: int, j: int) -> Functional:
+        choice = self.norm_memo[(i, j)][1]
+        if isinstance(choice, int):
+            return Unit(-1 if self.vals[choice] < 0 else 1, self.pos[choice])
+        return SumNode(tuple(Average(size, _cover_parts(self.value, self.witness, self.cover_memo, a, b, size))
+                             for a, b, size in choice))
 
 
 class _ClosedSession:
@@ -401,38 +423,42 @@ class _ClosedSession:
     converged, scale = True, None
 
     def __init__(self, space: Union[L1Space, C0Space, LpSpace], x: Vector):
-        self.space, self.memo = space, {}
+        self.space, self.entries, self.memo = space, x.entries, {}
         self.exact = not isinstance(space, LpSpace)
         self.tolerance = 0.0 if self.exact else 1e-12
         if self.exact:
-            self.leaves = tuple(PartLeaf(c, -1 if v < 0 else 1) for c, v in x.entries)
             self.absvals = [abs(v) for _, v in x.entries]
         else:
             self.powers = [abs(float(v)) ** space.p for _, v in x.entries]
         if isinstance(space, L1Space):
             self.prefix = list(itertools.accumulate(self.absvals, initial=Fraction(0)))
 
-    def norm(self, i: int, j: int) -> tuple:
+    def value(self, i: int, j: int):
         hit = self.memo.get((i, j))
         if hit is None:
             if isinstance(self.space, L1Space):
-                hit = (self.prefix[j + 1] - self.prefix[i],
-                       PartNode(Fraction(1), self.leaves[i : j + 1]))
+                hit = self.prefix[j + 1] - self.prefix[i]
             elif isinstance(self.space, C0Space):
-                t = max(range(i, j + 1), key=self.absvals.__getitem__)
-                hit = self.absvals[t], self.leaves[t]
+                hit = max(self.absvals[i : j + 1])
             else:
-                hit = sum(self.powers[i : j + 1]) ** (1.0 / self.space.p), None
+                hit = sum(self.powers[i : j + 1]) ** (1.0 / self.space.p)
             self.memo[(i, j)] = hit
         return hit
+
+    def witness(self, i: int, j: int) -> Partition:
+        """All the leaves for l1, the first largest one for c0."""
+        if isinstance(self.space, C0Space):
+            i = j = max(range(i, j + 1), key=self.absvals.__getitem__)
+        leaves = tuple(PartLeaf(c, -1 if v < 0 else 1) for c, v in self.entries[i : j + 1])
+        return PartNode(Fraction(1), leaves) if isinstance(self.space, L1Space) else leaves[0]
 
 
 def _session(space: NormSpace, x: Vector):
     """The evaluator of x's interval restrictions in the given space:
-    `norm(i, j)` gives (value, witness) for support positions i..j.  Values
-    are final, or integer numerators over `scale` when that is set; they
-    are exact rationals with witnesses when `exact` is set, else floats
-    within `tolerance`; `converged` turns false once a budget ran out."""
+    `value(i, j)` for support positions i..j.  Values are final, or integer
+    numerators over `scale` when that is set; they are exact rationals with
+    a `witness(i, j)` when `exact` is set, else floats within `tolerance`;
+    `converged` turns false once a budget ran out."""
     if isinstance(space, (L1Space, C0Space, LpSpace)):
         return _ClosedSession(space, x)
     if isinstance(space, TsirelsonSpace):
@@ -471,9 +497,10 @@ def norm(space: NormSpace, x: Vector) -> NormResult:
     """
     if x.is_zero:
         return NormResult(Fraction(0), exact=True)
-    session = _session(space, x)
-    value, wit = session.norm(0, len(x.entries) - 1)
-    return _result(session, value, wit, session.tolerance)
+    session, last = _session(space, x), len(x.entries) - 1
+    value = session.value(0, last)
+    witness = session.witness(0, last) if session.exact else None
+    return _result(session, value, witness, session.tolerance)
 
 
 def norm_j(space: NormSpace, x: Vector, j: int) -> NormResult:
@@ -511,8 +538,9 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
     """
     if x.is_zero:
         return NormResult(Fraction(0), exact=True)
-    session = _session(space, x)
-    chunk = session.chunk if isinstance(session, _MixedSession) else session.norm
-    total, parts = _cover(chunk, {}, 0, len(x.entries) - 1, n)
-    witness = PartNode(Fraction(1, scale), parts) if session.exact else None
+    session, last, memo = _session(space, x), len(x.entries) - 1, {}
+    chunk = session.chunk if isinstance(session, _MixedSession) else session.value
+    total, witness = _cover(chunk, memo, 0, last, n), None
+    if session.exact:
+        witness = PartNode(Fraction(1, scale), _cover_parts(chunk, session.witness, memo, 0, last, n))
     return _result(session, total, witness, n * session.tolerance / scale, scale)

@@ -20,6 +20,7 @@ from schreier.families import (
     CardinalityFamily,
     EVENS,
     IndexSequence,
+    LeafWitness,
     NATURALS,
     RelabeledFamily,
     S,
@@ -75,16 +76,28 @@ def test_member_examples():
     assert res.witness.n <= 3  # any stage up to min E certifies
 
 
-@pytest.mark.parametrize("E, fam", [
+NOT_SETS = [
     ((3, 1, 2), S(1)),  # as a set its min is 1, so it is no member
     ((0, 1), A(2)),
     ((-1,), A(2)),
     ((2, 2), A(3)),
     ((4, 2), RelabeledFamily(S(1), EVENS)),
-])
+    ((1.5, 2), A(2)),
+]
+
+
+@pytest.mark.parametrize("E, fam", NOT_SETS)
 def test_member_rejects_tuples_that_are_not_sets(E, fam):
     with pytest.raises(ValueError, match="strictly increasing naturals >= 1"):
         member(E, fam)
+
+
+@pytest.mark.parametrize("E, fam", NOT_SETS)
+def test_oracles_reject_tuples_that_are_not_sets(E, fam):
+    with pytest.raises(ValueError, match="strictly increasing naturals >= 1"):
+        member_exhaustive(E, fam)
+    # a leaf witness that the cardinality rules alone would accept
+    assert not recheck_witness(E, fam, LeafWitness(f"|E|={len(E)}"))
 
 
 def test_empty_set_member_everywhere():

@@ -35,7 +35,7 @@ from schreier.norms import (
     norm_j,
 )
 from schreier.ordinals import OMEGA, finite
-from schreier.vectors import SumNode, Unit, Vector, evaluate, validate_functional
+from schreier.vectors import Average, SumNode, Unit, Vector, evaluate, validate_functional
 
 
 def vec(*pairs):
@@ -324,6 +324,42 @@ def test_interval_norms_carry_chunk_convergence(monkeypatch):
     assert not r.exact and not r.converged
 
 
+def _node(weight, *children):
+    return PartNode(Fraction(weight), children)
+
+
+def test_ties_go_to_the_first_best_choice():
+    # hand-checked vectors with tied coordinates, splits and piece systems:
+    # a leaf beats a split of equal value, the whole chunk beats a split of
+    # equal sum, and among equal splits or piece systems the first found wins
+    X1 = MixedSchreierSpace(finite(1))
+    x = vec((2, 1), (3, -1), (4, 1))
+    assert norm(C0, x).witness == PartLeaf(2, 1)
+    # {2} + {3, 4} ties {2, 3} + {4}; the c0 leaf of {3, 4} is coordinate 3
+    assert interval_norm(C0, x, 2).witness == _node(1, PartLeaf(2, 1), PartLeaf(3, -1))
+    x = vec((2, 1), (3, 1))
+    assert interval_norm(L1, x, 2).witness == _node(1, _node(1, PartLeaf(2, 1), PartLeaf(3, 1)))
+    assert norm(T, x).witness == PartLeaf(2, 1)  # (1/2)(1 + 1) only ties |x_2|
+    assert norm(X1, x).witness == Unit(1, 2)
+    x = vec((3, 1), (4, 1), (5, 1), (6, 1))
+    # {3}{4}{5,6}, {3}{4,5}{6} and {3,4}{5}{6} all give 3/2; |{5,6}| = 1 is a leaf
+    r = norm(T, x)
+    assert r.value == Fraction(3, 2)
+    assert r.witness == _node(Fraction(1, 2), PartLeaf(3, 1), PartLeaf(4, 1), PartLeaf(5, 1))
+    # {3} + {4,5,6} ties {3,4,5} + {6} at 5/2
+    r = interval_norm(T, x, 2)
+    assert r.value == Fraction(5, 2)
+    assert r.witness == _node(1, PartLeaf(3, 1),
+                              _node(Fraction(1, 2), PartLeaf(4, 1), PartLeaf(5, 1), PartLeaf(6, 1)))
+    x = vec((2, 1), (3, 1), (4, 1), (5, 1))
+    # A_2 on {2} then A_3 on {3,4,5} ties A_2 on {2,3} then A_4 on {4,5}
+    r = norm(X1, x)
+    assert r.value == Fraction(3, 2)
+    assert r.witness == SumNode((Average(2, (Unit(1, 2),)), Average(3, (Unit(1, 3), Unit(1, 4), Unit(1, 5)))))
+    # {2}{3}{4,5} ties {2}{3,4}{5}; the X(1) norm of {4,5} is its first coordinate
+    assert interval_norm(X1, x, 3).witness == _node(1, Unit(1, 2), Unit(1, 3), Unit(1, 4))
+
+
 def test_interval_norms_carry_chunk_tolerance():
     x = vec((2, 1), (3, 1), (4, Fraction(1, 2)), (5, 1))
     r = interval_norm(LpSpace(2.0), x, 3)
@@ -478,6 +514,21 @@ def test_mixed_norm_tick_budget_gives_lower_bound(monkeypatch):
     assert evaluate(r.witness, x) == r.value
     if isinstance(r.witness, SumNode):
         assert validate_functional(r.witness, finite(1)).ok
+
+
+@pytest.mark.parametrize("budget", [20, norms.MIXED_TICK_BUDGET])
+def test_mixed_witness_rebuild_is_pure(monkeypatch, budget):
+    # the witness is rebuilt from the recorded choices: it evaluates no
+    # interval anew, so it ticks no budget and leaves every memo as it was
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", budget)
+    x = Vector.from_dict({c: Fraction(1) for c in range(4, 10)})
+    session = norms._session(MixedSchreierSpace(finite(1)), x)
+    value = session.value(0, 5)
+    state = (len(session.norm_memo), len(session.cover_memo), session.budget, session.converged)
+    assert session.converged == (budget > 20)
+    witness = session.witness(0, 5)
+    assert (len(session.norm_memo), len(session.cover_memo), session.budget, session.converged) == state
+    assert evaluate(witness, x) == value == norm(MixedSchreierSpace(finite(1)), x).value
 
 
 def test_mixed_norm_monotone_bounds():
