@@ -290,6 +290,7 @@ class _TsirelsonSession:
     """
 
     exact, converged, tolerance = True, True, 0.0
+    half = Fraction(1, 2)  # the weight of every split node, built once
 
     def __init__(self, x: Vector):
         self.pos = x.support()
@@ -322,7 +323,7 @@ class _TsirelsonSession:
             return PartLeaf(self.pos[choice], -1 if self.vals[choice] < 0 else 1)
         s, k = choice
         parts = _cover_parts(self.value, self.witness, self.cover_memo, s, j, k, split=True)
-        return PartNode(Fraction(1, 2), parts)
+        return PartNode(self.half, parts)
 
 
 class _SchlumprechtSession:
