@@ -22,7 +22,7 @@ answers every membership question about it.  A kernel decides membership
 exactly and with a witness: it splits a set greedily into maximal blocks,
 which is complete when the outer family is spreading and the inner one
 hereditary, and backtracks everywhere else.  `member` memoises those
-answers, and `member_exhaustive` is an independent brute-force decider kept
+answers in a memo of at most MEMO_CAP entries, and `member_exhaustive` is an independent brute-force decider kept
 for cross-checking.  A kernel also carries a greedy state that it extends
 by one element at a time along a DFS; the maximal-set enumeration, the
 horizon-certified threshold and inclusion searches, and the exact
@@ -52,6 +52,10 @@ FinSet = Tuple[int, ...]
 THRESHOLD_MINIMALITY_BUDGET = 200_000
 # cap on the minima patterns of the dominance pass in `verify_bracket_inclusion`
 BRACKET_PATTERN_BUDGET = 2_000_000
+# entries the member memo and the threshold memo hold at most, well above the
+# ~40k of a verification pass; a store into a full memo first clears it whole,
+# so a hit does no bookkeeping
+MEMO_CAP = 1 << 17
 
 
 def finset(elements: Iterable[int]) -> FinSet:
@@ -361,7 +365,10 @@ def member(E, fam: Family) -> MembershipResult:
             if type(x) is not int and not isinstance(x, int) or x <= prev:
                 raise ValueError(_NOT_A_SET.format(E))
             prev = x
-        hit = _member_cache[key] = k.decide(E) if E else _EMPTY_MEMBER
+        hit = k.decide(E) if E else _EMPTY_MEMBER
+        if len(_member_cache) >= MEMO_CAP:
+            _member_cache.clear()
+        _member_cache[key] = hit
     return hit
 
 
@@ -371,7 +378,10 @@ def _member(E: FinSet, k: "_Kernel") -> MembershipResult:
     key = (k, E)
     hit = _member_cache.get(key)
     if hit is None:
-        hit = _member_cache[key] = k.decide(E)
+        hit = k.decide(E)
+        if len(_member_cache) >= MEMO_CAP:
+            _member_cache.clear()
+        _member_cache[key] = hit
     return hit
 
 
@@ -934,6 +944,8 @@ def threshold_search(xi: Ordinal, zeta: Ordinal, horizon: int) -> ThresholdResul
         # the counterexample kills every candidate up to its min element
         n = max(n + 1, bad[0] + 1)
     result = ThresholdResult(best, horizon, rejections, minimal)
+    if len(_threshold_cache) >= MEMO_CAP:
+        _threshold_cache.clear()
     _threshold_cache[key] = result
     return result
 

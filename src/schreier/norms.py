@@ -45,6 +45,19 @@ session says why the kernel is still exact there.)  A norm that is itself
 a sup over splits asks the kernel for at least two chunks, so it never
 needs its own value.
 
+T and X(xi) also hand the kernel the l1 prefix sums of their session, so
+a cover of s..j that may use as many chunks as positions is read in O(1)
+as the l1 mass of s..j.  This is exact and keeps the witness: the
+singletons reach the mass, while a chunk of two or more (nonzero)
+positions is worth strictly less: its largest entry, or in T half a cover
+worth at most the mass, or in X(xi) pieces each worth at most their mass
+over a size >= 2.  So the singletons are the unique best cover.  On a support whose least coordinate is at least its
+length the T norm thus collapses to the classical max(|x|_inf, |x|_1 / 2)
+(Casazza-Shura, Tsirelson's space, LNM 1363).  l1 ties its mass on every
+chunk, where the kernel keeps the whole chunk as witness; c0 qualifies but
+its chunks are closed forms, so it keeps no prefix; lp and Schlumprecht
+are floats, whose sums in another order could move their last bits.
+
 The X(xi) norm and `analysis.alpha_index_diagnostic` share a second
 kernel, `_admissible_sum`, the pruned search over admissible, very fast
 growing piece systems.  Piece systems are restricted to interval chunks
@@ -178,7 +191,7 @@ class NormResult(Record):
 # ---------------------------------------------------------------------------
 
 
-def _cover(value, memo: dict, s: int, j: int, k: int, split: bool = False):
+def _cover(value, memo: dict, s: int, j: int, k: int, split: bool = False, prefix=None):
     """Best sum over at most k contiguous chunks covering positions s..j.
 
     `value(a, b)` gives the value of the chunk of positions a..b.  With
@@ -191,16 +204,25 @@ def _cover(value, memo: dict, s: int, j: int, k: int, split: bool = False):
     cover has more chunks than positions, so every larger k shares one
     entry.  Chunks only ever split into strictly shorter chunks, so the
     recursion is well founded.  `_cover_parts` rebuilds the chosen chunks.
+
+    `prefix[t]`, if given, is the l1 mass of positions 0..t-1, and every
+    chunk of two or more positions must be worth strictly less than its
+    mass (T and X(xi)).  Then a cover with as many chunks as positions is
+    worth prefix[j + 1] - prefix[s], split or not, and is returned without
+    evaluating a chunk or storing an entry: the singletons are its unique
+    best cover, so the strict `>` below would have chosen them too.
     """
     k = min(k, j - s + 1)
     if k < 2:
         return value(s, j)
+    if prefix is not None and k == j - s + 1:
+        return prefix[j + 1] - prefix[s]
     key = (s, j, k)
     hit = memo.get(key)
     if hit is None:
         best = None
         for m in range(s, j):
-            v = value(s, m) + _cover(value, memo, m + 1, j, k - 1)
+            v = value(s, m) + _cover(value, memo, m + 1, j, k - 1, False, prefix)
             if best is None or v > best:
                 best, at = v, m
         hit = memo[key] = (best, at)
@@ -210,13 +232,17 @@ def _cover(value, memo: dict, s: int, j: int, k: int, split: bool = False):
     return hit[0] if hit[0] > v else v
 
 
-def _cover_parts(value, witness, memo: dict, s: int, j: int, k: int, split: bool = False) -> tuple:
-    """The chunk witnesses a finished `_cover` call chose, from its memo."""
+def _cover_parts(value, witness, memo: dict, s: int, j: int, k: int, split: bool = False,
+                 prefix=None) -> tuple:
+    """The chunk witnesses a finished `_cover` call chose, from its memo;
+    the singletons where the prefix shortcut fired."""
     k = min(k, j - s + 1)
     if k >= 2:
+        if prefix is not None and k == j - s + 1:
+            return tuple(witness(t, t) for t in range(s, j + 1))
         best, m = memo[(s, j, k)]
         if split or best > value(s, j):
-            return (witness(s, m),) + _cover_parts(value, witness, memo, m + 1, j, k - 1)
+            return (witness(s, m),) + _cover_parts(value, witness, memo, m + 1, j, k - 1, False, prefix)
     return (witness(s, j),)
 
 
@@ -286,7 +312,9 @@ class _TsirelsonSession:
     most l - 2 positions each, which the induction makes multiples of
     2^(h - (l - 1) // 2 + 1).  A split that falls short of the norm may be
     rounded down by the shift, but it stays below the norm and wins no
-    comparison, so every memoised value is exact.
+    comparison, so every memoised value is exact.  `prefix` holds the l1
+    mass over the same scale for the kernel's shortcut, and `witness(t, t)`
+    is the leaf t, which the shortcut leaves unevaluated.
     """
 
     exact, converged, tolerance = True, True, 0.0
@@ -298,6 +326,7 @@ class _TsirelsonSession:
         h = max(len(self.vals) - 1, 0) // 2
         self.scale = math.lcm(*(v.denominator for v in self.vals)) << h
         self.absvals = [abs(v.numerator) * (self.scale // v.denominator) for v in self.vals]
+        self.prefix = list(itertools.accumulate(self.absvals, initial=0))
         self.memo: Dict[Tuple[int, int], tuple] = {}
         self.cover_memo: dict = {}
 
@@ -311,18 +340,18 @@ class _TsirelsonSession:
             k = min(self.pos[s], j - s + 1)
             if k < 2:
                 continue
-            val = _cover(self.value, self.cover_memo, s, j, k, split=True) >> 1
+            val = _cover(self.value, self.cover_memo, s, j, k, True, self.prefix) >> 1
             if val > best:
                 best, choice = val, (s, k)
         self.memo[(i, j)] = (best, choice)
         return best
 
     def witness(self, i: int, j: int) -> Partition:
-        choice = self.memo[(i, j)][1]
+        choice = i if i == j else self.memo[(i, j)][1]
         if isinstance(choice, int):
             return PartLeaf(self.pos[choice], -1 if self.vals[choice] < 0 else 1)
         s, k = choice
-        parts = _cover_parts(self.value, self.witness, self.cover_memo, s, j, k, split=True)
+        parts = _cover_parts(self.value, self.witness, self.cover_memo, s, j, k, True, self.prefix)
         return PartNode(self.half, parts)
 
 
@@ -367,7 +396,9 @@ class _MixedSession:
     MIXED_TICK_BUDGET guards the worst-case exponential piece-system
     enumeration; once it runs out every piece is skipped, and the values
     found so far stay certified lower bounds of a session that reports
-    non-convergence.
+    non-convergence.  The kernel reads a piece whose size reaches its
+    length as its l1 mass from `prefix`, at no tick, and `witness(t, t)` is
+    the unit functional at t, which that shortcut leaves unevaluated.
     """
 
     exact, scale, tolerance = True, None, 0.0
@@ -401,7 +432,7 @@ class _MixedSession:
             if self.budget < 0:
                 self.converged = False
             elif (a, b) != (i, j):  # (i, j) alone is the degenerate self map
-                return _cover(self.value, self.cover_memo, a, b, size) / size, size
+                return _cover(self.value, self.cover_memo, a, b, size, False, self.prefix) / size, size
             return None
 
         best, pieces = _admissible_sum(self.fam, self.pos, self.prefix, i, j, 2, piece, self.absvals[t])
@@ -409,10 +440,11 @@ class _MixedSession:
         return best
 
     def witness(self, i: int, j: int) -> Functional:
-        choice = self.norm_memo[(i, j)][1]
+        choice = i if i == j else self.norm_memo[(i, j)][1]
         if isinstance(choice, int):
             return Unit(-1 if self.vals[choice] < 0 else 1, self.pos[choice])
-        return SumNode(tuple(Average(size, _cover_parts(self.value, self.witness, self.cover_memo, a, b, size))
+        return SumNode(tuple(Average(size, _cover_parts(self.value, self.witness, self.cover_memo, a, b, size,
+                                                        False, self.prefix))
                              for a, b, size in choice))
 
 
@@ -533,7 +565,9 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
     MIXED_TICK_BUDGET, as it would in a session of its own.
 
     The result is exact and converged only when every chunk evaluated is:
-    a chunk that lost the comparison may still be an underestimate.  At
+    a chunk that lost the comparison may still be an underestimate.  With
+    n at least the support size, T and X(xi) evaluate no chunk: the value
+    is the exact l1 mass, whatever the tick budget.  At
     most n chunks enter the sum, so its error is at most n times the
     chunk tolerance, before the 1/scale.
     """
@@ -541,7 +575,8 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
         return NormResult(Fraction(0), exact=True)
     session, last, memo = _session(space, x), len(x.entries) - 1, {}
     chunk = session.chunk if isinstance(session, _MixedSession) else session.value
-    total, witness = _cover(chunk, memo, 0, last, n), None
+    prefix = session.prefix if isinstance(session, (_TsirelsonSession, _MixedSession)) else None
+    total, witness = _cover(chunk, memo, 0, last, n, False, prefix), None
     if session.exact:
-        witness = PartNode(Fraction(1, scale), _cover_parts(chunk, session.witness, memo, 0, last, n))
+        witness = PartNode(Fraction(1, scale), _cover_parts(chunk, session.witness, memo, 0, last, n, False, prefix))
     return _result(session, total, witness, n * session.tolerance / scale, scale)

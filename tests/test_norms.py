@@ -161,6 +161,48 @@ def test_kernel_interval_norms_match_brute_force(x, n):
 
 @settings(max_examples=60, deadline=None)
 @given(wide_vectors())
+def test_tsirelson_on_wide_supports_is_the_classical_closed_form(x):
+    # least coordinate >= support size: every split may take singletons, so
+    # the norm is max(|x|_inf, |x|_1 / 2) (Casazza-Shura, LNM 1363)
+    r = norm(T, x)
+    assert r.value == max(x.linf(), x.l1() / 2) == tsirelson_oracle(x)
+    assert r.exact and r.achieved(x)
+
+
+@st.composite
+def shifted_vectors(draw, max_support=5):
+    """Support size m with a least coordinate drawn both below and at or
+    above m, so the T admissibility bound either caps the chunk count or
+    leaves as many chunks as positions."""
+    m = draw(st.integers(1, max_support))
+    low = draw(st.integers(1, 2 * m))
+    coords = [low] + draw(st.lists(st.integers(low + 1, low + 3 * m), min_size=m - 1, max_size=m - 1,
+                                   unique=True))
+    values = draw(st.lists(coefficients, min_size=m, max_size=m))
+    return Vector.from_dict(dict(zip(sorted(coords), values)))
+
+
+@pytest.mark.parametrize("space", [T, MixedSchreierSpace(finite(1))], ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(x=shifted_vectors())
+def test_interval_norms_around_the_support_size_match_cover_oracle(space, x):
+    # n = |supp| is the first chunk count at which a cover is the l1 mass;
+    # one chunk fewer must still run the cover program
+    m = len(x.entries)
+    for n in {m - 1, m, m + 1} - {0}:
+        pairs = [(interval_norm(space, x, n), interval_cover_oracle(space, x, n))]
+        if n >= 2:
+            pairs.append((norm_j(space, x, n), interval_cover_oracle(space, x, n, scale=n)))
+        for r, expected in pairs:
+            assert r.value == expected.value
+            assert r.witness == expected.witness
+            assert r.exact and r.converged and r.achieved(x)
+        if n >= m:
+            assert interval_norm(space, x, n).value == x.l1()
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_vectors())
 def test_kernel_schlumprecht_matches_oracle(x):
     r = norm(SchlumprechtSpace(), x)
     assert not r.exact
@@ -316,12 +358,13 @@ def test_interval_norms_carry_chunk_convergence(monkeypatch):
     assert r.value == Fraction(9, 4)
     for r in (r, norm_j(X, x, 2)):
         assert not r.exact and not r.converged
-    # the best cover takes the four singletons, which converge; the
-    # unconverged longer chunks lost, but their values are lower bounds
+    # four chunks over four positions: the cover is the l1 mass, read from
+    # the prefix sums without evaluating any chunk, so no budgeted chunk
+    # enters and the value is exact at any budget
     r = interval_norm(X, x, 4)
     assert r.value == 4 and all(isinstance(c, Unit) for c in r.witness.children)
     assert all(norm(X, Vector.basis(c)).converged for c in x.support())
-    assert not r.exact and not r.converged
+    assert r.exact and r.converged and r.achieved(x)
 
 
 def _node(weight, *children):
@@ -423,6 +466,28 @@ def test_budgeted_mixed_interval_norm_is_a_witnessed_lower_bound(monkeypatch):
         assert not r.exact and not r.converged
         assert x.linf() <= r.value * scale < full[n].value
         assert evaluate_partition(r.witness, x) == r.value
+
+
+@pytest.mark.parametrize("budget", [20, 300])
+def test_budgeted_mixed_norms_stay_witnessed_lower_bounds(monkeypatch, budget):
+    # a budget only stops the search early: every value stays at most the
+    # full-budget one and is reached by its witness
+    X = MixedSchreierSpace(finite(1))
+    rng = random.Random(16)
+    xs = [Vector.from_dict({c: Fraction(1) for c in range(4, 10)})]
+    xs += [Vector.from_dict({c: Fraction(rng.randint(1, 6), rng.randint(1, 3))
+                             for c in rng.sample(range(2, 16), m)}) for m in (5, 6, 7, 8)]
+    cases = [(x, n) for x in xs for n in range(len(x.entries) + 2)]
+    full = [norm(X, x) if n == 0 else interval_norm(X, x, n) for x, n in cases]
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", budget)
+    results = [norm(X, x) if n == 0 else interval_norm(X, x, n) for x, n in cases]
+    assert not all(r.converged for r in results)
+    for (x, n), f, r in zip(cases, full, results):
+        assert f.exact and r.value <= f.value
+        assert evaluate_partition(r.witness, x) == r.value
+        assert r.exact == r.converged and (r.value == f.value or not r.converged)
+        if n >= len(x.entries):
+            assert r.exact and r.value == x.l1()
 
 
 ZERO_RESULTS = [
