@@ -477,7 +477,7 @@ def test_budgeted_mixed_norms_stay_witnessed_lower_bounds(monkeypatch, budget):
     xs = [Vector.from_dict({c: Fraction(1) for c in range(4, 10)})]
     xs += [Vector.from_dict({c: Fraction(rng.randint(1, 6), rng.randint(1, 3))
                              for c in rng.sample(range(2, 16), m)}) for m in (5, 6, 7, 8)]
-    cases = [(x, n) for x in xs for n in range(len(x.entries) + 2)]
+    cases = [(x, n) for x in xs for n in range(len(x.entries) + 2)]  # n = 0 stands for `norm`
     full = [norm(X, x) if n == 0 else interval_norm(X, x, n) for x, n in cases]
     monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", budget)
     results = [norm(X, x) if n == 0 else interval_norm(X, x, n) for x, n in cases]
