@@ -22,13 +22,13 @@ answers every membership question about it.  A kernel decides membership
 exactly and with a witness: it splits a set greedily into maximal blocks,
 which is complete when the outer family is spreading and the inner one
 hereditary, and backtracks everywhere else.  `member` memoises those
-answers in a memo of at most MEMO_CAP entries, and `member_exhaustive` is an independent brute-force decider kept
-for cross-checking.  A kernel also carries a greedy state that it extends
-by one element at a time along a DFS; the maximal-set enumeration, the
-horizon-certified threshold and inclusion searches, and the exact
-maximisation of a weight function over a family (`family_mass`) ride on
-it.  The module also builds the index sequences that push brackets into
-higher families.
+answers in a memo of at most MEMO_CAP entries, and `member_exhaustive` is
+an independent brute-force decider kept for cross-checking.  A kernel also
+carries a greedy state that it extends by one element at a time along a
+DFS; the maximal-set enumeration, the horizon-certified threshold and
+inclusion searches, and the exact maximisation of a weight function over a
+family (`family_mass`) ride on it.  The module also builds the index
+sequences that push brackets into higher families.
 
 Finite sets are plain tuples of naturals, strictly increasing.  The empty
 set is a member of every family here.
@@ -52,9 +52,9 @@ FinSet = Tuple[int, ...]
 THRESHOLD_MINIMALITY_BUDGET = 200_000
 # cap on the minima patterns of the dominance pass in `verify_bracket_inclusion`
 BRACKET_PATTERN_BUDGET = 2_000_000
-# entries the member memo and the threshold memo hold at most, well above the
-# ~40k of a verification pass; a store into a full memo first clears it whole,
-# so a hit does no bookkeeping
+# entries the member memo holds at most, well above the ~40k of a
+# verification pass; a store into a full memo first clears it whole, so a
+# hit does no bookkeeping
 MEMO_CAP = 1 << 17
 
 
@@ -944,8 +944,6 @@ def threshold_search(xi: Ordinal, zeta: Ordinal, horizon: int) -> ThresholdResul
         # the counterexample kills every candidate up to its min element
         n = max(n + 1, bad[0] + 1)
     result = ThresholdResult(best, horizon, rejections, minimal)
-    if len(_threshold_cache) >= MEMO_CAP:
-        _threshold_cache.clear()
     _threshold_cache[key] = result
     return result
 

@@ -45,18 +45,20 @@ session says why the kernel is still exact there.)  A norm that is itself
 a sup over splits asks the kernel for at least two chunks, so it never
 needs its own value.
 
-T and X(xi) also hand the kernel the l1 prefix sums of their session, so
-a cover of s..j that may use as many chunks as positions is read in O(1)
-as the l1 mass of s..j.  This is exact and keeps the witness: the
-singletons reach the mass, while a chunk of two or more (nonzero)
-positions is worth strictly less: its largest entry, or in T half a cover
-worth at most the mass, or in X(xi) pieces each worth at most their mass
-over a size >= 2.  So the singletons are the unique best cover.  On a support whose least coordinate is at least its
-length the T norm thus collapses to the classical max(|x|_inf, |x|_1 / 2)
-(Casazza-Shura, Tsirelson's space, LNM 1363).  l1 ties its mass on every
-chunk, where the kernel keeps the whole chunk as witness; c0 qualifies but
-its chunks are closed forms, so it keeps no prefix; lp and Schlumprecht
-are floats, whose sums in another order could move their last bits.
+T and X(xi) also hand the kernel the l1 prefix sums of their session as
+`cover_prefix` (None in every other session), so a cover of s..j that may
+use as many chunks as positions is read in O(1) as the l1 mass of s..j.
+This is exact and keeps the witness: the singletons reach the mass, while
+a chunk of two or more (nonzero) positions is worth strictly less: its
+largest entry, or in T half a cover worth at most the mass, or in X(xi)
+pieces each worth at most their mass over a size >= 2.  So the singletons
+are the unique best cover.  On a support whose least coordinate is at
+least its length the T norm thus collapses to the classical
+max(|x|_inf, |x|_1 / 2) (Casazza-Shura, Tsirelson's space, LNM 1363).  l1
+ties its mass on every chunk, where the kernel keeps the whole chunk as
+witness; c0 qualifies but its chunks are closed forms, so it keeps no
+prefix; lp and Schlumprecht are floats, whose sums in another order could
+move their last bits.
 
 The X(xi) norm and `analysis.alpha_index_diagnostic` share a second
 kernel, `_admissible_sum`, the pruned search over admissible, very fast
@@ -312,9 +314,9 @@ class _TsirelsonSession:
     most l - 2 positions each, which the induction makes multiples of
     2^(h - (l - 1) // 2 + 1).  A split that falls short of the norm may be
     rounded down by the shift, but it stays below the norm and wins no
-    comparison, so every memoised value is exact.  `prefix` holds the l1
-    mass over the same scale for the kernel's shortcut, and `witness(t, t)`
-    is the leaf t, which the shortcut leaves unevaluated.
+    comparison, so every memoised value is exact.  `cover_prefix` holds the
+    l1 mass over the same scale for the kernel's shortcut, and
+    `witness(t, t)` is the leaf t, which the shortcut leaves unevaluated.
     """
 
     exact, converged, tolerance = True, True, 0.0
@@ -326,7 +328,7 @@ class _TsirelsonSession:
         h = max(len(self.vals) - 1, 0) // 2
         self.scale = math.lcm(*(v.denominator for v in self.vals)) << h
         self.absvals = [abs(v.numerator) * (self.scale // v.denominator) for v in self.vals]
-        self.prefix = list(itertools.accumulate(self.absvals, initial=0))
+        self.cover_prefix = list(itertools.accumulate(self.absvals, initial=0))
         self.memo: Dict[Tuple[int, int], tuple] = {}
         self.cover_memo: dict = {}
 
@@ -340,7 +342,7 @@ class _TsirelsonSession:
             k = min(self.pos[s], j - s + 1)
             if k < 2:
                 continue
-            val = _cover(self.value, self.cover_memo, s, j, k, True, self.prefix) >> 1
+            val = _cover(self.value, self.cover_memo, s, j, k, True, self.cover_prefix) >> 1
             if val > best:
                 best, choice = val, (s, k)
         self.memo[(i, j)] = (best, choice)
@@ -351,7 +353,7 @@ class _TsirelsonSession:
         if isinstance(choice, int):
             return PartLeaf(self.pos[choice], -1 if self.vals[choice] < 0 else 1)
         s, k = choice
-        parts = _cover_parts(self.value, self.witness, self.cover_memo, s, j, k, True, self.prefix)
+        parts = _cover_parts(self.value, self.witness, self.cover_memo, s, j, k, True, self.cover_prefix)
         return PartNode(self.half, parts)
 
 
@@ -365,7 +367,7 @@ class _SchlumprechtSession:
     1/log2(k+1) never exceeds the sup.
     """
 
-    exact, converged, scale = False, True, None
+    exact, converged, scale, cover_prefix = False, True, None, None
 
     def __init__(self, x: Vector, tolerance: float):
         self.tolerance = tolerance
@@ -397,8 +399,9 @@ class _MixedSession:
     enumeration; once it runs out every piece is skipped, and the values
     found so far stay certified lower bounds of a session that reports
     non-convergence.  The kernel reads a piece whose size reaches its
-    length as its l1 mass from `prefix`, at no tick, and `witness(t, t)` is
-    the unit functional at t, which that shortcut leaves unevaluated.
+    length as its l1 mass from `cover_prefix`, at no tick, and
+    `witness(t, t)` is the unit functional at t, which that shortcut leaves
+    unevaluated.
     """
 
     exact, scale, tolerance = True, None, 0.0
@@ -407,7 +410,7 @@ class _MixedSession:
         self.pos = x.support()
         self.vals = [v for _, v in x.entries]
         self.absvals = [abs(v) for v in self.vals]
-        self.prefix = list(itertools.accumulate(self.absvals, initial=Fraction(0)))
+        self.prefix = self.cover_prefix = list(itertools.accumulate(self.absvals, initial=Fraction(0)))
         self.fam = SchreierFamily(omega_power(xi))
         self.budget = MIXED_TICK_BUDGET
         self.converged = True
@@ -432,7 +435,7 @@ class _MixedSession:
             if self.budget < 0:
                 self.converged = False
             elif (a, b) != (i, j):  # (i, j) alone is the degenerate self map
-                return _cover(self.value, self.cover_memo, a, b, size, False, self.prefix) / size, size
+                return _cover(self.value, self.cover_memo, a, b, size, False, self.cover_prefix) / size, size
             return None
 
         best, pieces = _admissible_sum(self.fam, self.pos, self.prefix, i, j, 2, piece, self.absvals[t])
@@ -444,16 +447,17 @@ class _MixedSession:
         if isinstance(choice, int):
             return Unit(-1 if self.vals[choice] < 0 else 1, self.pos[choice])
         return SumNode(tuple(Average(size, _cover_parts(self.value, self.witness, self.cover_memo, a, b, size,
-                                                        False, self.prefix))
+                                                        False, self.cover_prefix))
                              for a, b, size in choice))
 
 
 class _ClosedSession:
     """l1, c0 and lp on support positions i..j: the l1 mass as a difference
     of prefix sums, the first largest |x_c|, or the p-th root of the sum of
-    p-th powers, added in support order."""
+    p-th powers, added in support order.  l1 ties its mass on every chunk,
+    so it hands the kernel no `cover_prefix`."""
 
-    converged, scale = True, None
+    converged, scale, cover_prefix = True, None, None
 
     def __init__(self, space: Union[L1Space, C0Space, LpSpace], x: Vector):
         self.space, self.entries, self.memo = space, x.entries, {}
@@ -575,8 +579,9 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
         return NormResult(Fraction(0), exact=True)
     session, last, memo = _session(space, x), len(x.entries) - 1, {}
     chunk = session.chunk if isinstance(session, _MixedSession) else session.value
-    prefix = session.prefix if isinstance(session, (_TsirelsonSession, _MixedSession)) else None
+    prefix = session.cover_prefix
     total, witness = _cover(chunk, memo, 0, last, n, False, prefix), None
     if session.exact:
-        witness = PartNode(Fraction(1, scale), _cover_parts(chunk, session.witness, memo, 0, last, n, False, prefix))
+        parts = _cover_parts(chunk, session.witness, memo, 0, last, n, False, prefix)
+        witness = PartNode(Fraction(1, scale), parts)
     return _result(session, total, witness, n * session.tolerance / scale, scale)

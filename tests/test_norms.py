@@ -117,6 +117,19 @@ def wide_vectors(draw, max_support=7):
     return Vector.from_dict(dict(zip(sorted(coords), values)))
 
 
+@st.composite
+def shifted_vectors(draw, max_support=5):
+    """Support size m with a least coordinate drawn both below and at or
+    above m, so the T admissibility bound either caps the chunk count or
+    leaves as many chunks as positions."""
+    m = draw(st.integers(1, max_support))
+    low = draw(st.integers(1, 2 * m))
+    coords = [low] + draw(st.lists(st.integers(low + 1, low + 3 * m), min_size=m - 1, max_size=m - 1,
+                                   unique=True))
+    values = draw(st.lists(coefficients, min_size=m, max_size=m))
+    return Vector.from_dict(dict(zip(sorted(coords), values)))
+
+
 def halving_depth(w):
     if isinstance(w, PartNode):
         return 1 + max(halving_depth(c) for c in w.children)
@@ -141,11 +154,15 @@ def test_tsirelson_nested_halvings():
 
 
 @settings(max_examples=60, deadline=None)
-@given(wide_vectors())
+@given(st.one_of(wide_vectors(), shifted_vectors()))
 def test_kernel_tsirelson_matches_oracle(x):
     r = norm(T, x)
     assert r.value == tsirelson_oracle(x)
-    assert r.achieved(x)
+    assert r.exact and r.achieved(x)
+    if x.support()[0] >= len(x.entries):
+        # every split may take singletons, so the norm is the classical
+        # max(|x|_inf, |x|_1 / 2) (Casazza-Shura, LNM 1363)
+        assert r.value == max(x.linf(), x.l1() / 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,29 +174,6 @@ def test_kernel_interval_norms_match_brute_force(x, n):
     if n >= 2:
         r = norm_j(T, x, n)
         assert r.value == expected / n and r.achieved(x)
-
-
-@settings(max_examples=60, deadline=None)
-@given(wide_vectors())
-def test_tsirelson_on_wide_supports_is_the_classical_closed_form(x):
-    # least coordinate >= support size: every split may take singletons, so
-    # the norm is max(|x|_inf, |x|_1 / 2) (Casazza-Shura, LNM 1363)
-    r = norm(T, x)
-    assert r.value == max(x.linf(), x.l1() / 2) == tsirelson_oracle(x)
-    assert r.exact and r.achieved(x)
-
-
-@st.composite
-def shifted_vectors(draw, max_support=5):
-    """Support size m with a least coordinate drawn both below and at or
-    above m, so the T admissibility bound either caps the chunk count or
-    leaves as many chunks as positions."""
-    m = draw(st.integers(1, max_support))
-    low = draw(st.integers(1, 2 * m))
-    coords = [low] + draw(st.lists(st.integers(low + 1, low + 3 * m), min_size=m - 1, max_size=m - 1,
-                                   unique=True))
-    values = draw(st.lists(coefficients, min_size=m, max_size=m))
-    return Vector.from_dict(dict(zip(sorted(coords), values)))
 
 
 @pytest.mark.parametrize("space", [T, MixedSchreierSpace(finite(1))], ids=repr)
@@ -210,7 +204,7 @@ def test_kernel_schlumprecht_matches_oracle(x):
 
 
 @settings(max_examples=60, deadline=None)
-@given(wide_vectors(), st.data())
+@given(st.one_of(wide_vectors(), shifted_vectors()), st.data())
 def test_kernel_tsirelson_monotone_and_unconditional(x, data):
     value = norm(T, x).value
     pos = x.support()
