@@ -450,6 +450,7 @@ def test_threshold_rejects_bad_order():
         threshold_search(finite(2), finite(1), 10)
 
 
+
 # ---------------------------------------------------------------------------
 # index-sequence constructions
 # ---------------------------------------------------------------------------
@@ -492,6 +493,15 @@ def test_verify_union_property():
     N = construct_N(finite(1), finite(1), blocks, 40)
     rep = verify_union_property(N, blocks, finite(1), finite(1))
     assert rep.ok
+
+
+def test_verify_union_property_finds_an_escaping_union():
+    # without a refinement the dyadic blocks 2..3 and 4..7 under the index
+    # set (2, 3, 4) of S_w make 2..15, which needs more than two S_1 blocks
+    blocks = [(1,), (2, 3), tuple(range(4, 8)), tuple(range(8, 16)), tuple(range(16, 32))]
+    rep = verify_union_property(NATURALS, blocks, OMEGA, ONE)
+    assert not rep.ok and rep.method == "exhaustive-union"
+    assert rep.counterexample == ((2, 3, 4), tuple(range(2, 16)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +612,29 @@ def test_dominance_pass_matches_member_sweep(case):
             if not dominance.ok and not dominance.budget_exhausted:
                 cx = dominance.counterexample
                 assert member(cx, lhs_c).member and not member(cx, target).member
+
+
+@pytest.mark.parametrize("lhs, rhs, ok, method, found", [
+    # S_1(L) is S_1[S_0](L): a dominance pass in position space
+    (RelabeledFamily(S(1), EVENS), S(1), True, "dominance", "143 minima patterns"),
+    (RelabeledFamily(S(1), EVENS), A(3), False, "dominance", "escapes"),
+    # S_1 alone, and a limit, are not bracket-shaped
+    (S(1), S(2), False, "none", "no exact strategy"),
+    (S(OMEGA), S(add(OMEGA, ONE)), False, "none", "no exact strategy"),
+    # a relabeled rhs is not spreading
+    (BracketFamily(S(2), A(2)), RelabeledFamily(S(1), EVENS), False, "none", "no exact strategy"),
+    (BracketFamily(S(1), RelabeledFamily(S(1), EVENS)), S(2), False, "none", "too irregular"),
+], ids=["S1(even) in S1", "S1(even) in A3", "S1 in S2", "Sw in Sw+1", "relabeled rhs",
+        "relabeled inner"])
+def test_bracket_inclusion_past_the_sweep(lhs, rhs, ok, method, found):
+    rep = verify_bracket_inclusion(lhs, rhs, 20)
+    assert (rep.ok, rep.method) == (ok, method) and found in rep.detail
+    if ok:
+        assert rep.stats == {"patterns": 143} and rep.certified_horizon == 20
+    elif method == "dominance":
+        assert rep.counterexample == (8, 10, 12, 14) and not rep.budget_exhausted
+    else:
+        assert rep.budget_exhausted and rep.certified_horizon is None
 
 
 def test_dominance_pass_with_no_block_elements():
