@@ -516,6 +516,7 @@ def ratio_bound_check(
 
     using l(x) <= a and l(y) >= 1/b.  A violation therefore means a
     constant was measured wrong, and the report names the check that failed.
+    Raises ValueError when the space's norm is not exact.
     """
     a, a0, b, b0 = Fraction(a), Fraction(a0), Fraction(b), Fraction(b0)
     delta = max(a * b, a0 * b0) - 1
@@ -533,7 +534,9 @@ def ratio_bound_check(
         coeffs = [Fraction(rng.randint(1, 8), 8) for _ in E]
         raw = combine([bs.blocks[i - 1] for i in E], coeffs)
         nr = norm(space, raw)
-        if not nr.exact or nr.value == 0:
+        if not nr.exact:
+            raise ValueError(f"the norm of {space} is not exact; the ratio checks need an exact scale")
+        if nr.value == 0:
             continue
         unit_coeffs = [c / nr.value for c in coeffs]
         ell1 = sum(map(abs, unit_coeffs))

@@ -18,17 +18,21 @@ sequence M.  Limit stages use the canonical fundamental sequences from
 never assumes the stages are nested.
 
 Each family expression is compiled once, on first use, into a kernel that
-answers every membership question about it.  A kernel decides membership
-exactly and with a witness: it splits a set greedily into maximal blocks,
-which is complete when the outer family is spreading and the inner one
-hereditary, and backtracks everywhere else.  `member` memoises those
-answers in a memo of at most MEMO_CAP entries, and `member_exhaustive` is
-an independent brute-force decider kept for cross-checking.  A kernel also
-carries a greedy state that it extends by one element at a time along a
-DFS; the maximal-set enumeration, the horizon-certified threshold and
-inclusion searches, and the exact maximisation of a weight function over a
-family (`family_mass`) ride on it.  The module also builds the index
-sequences that push brackets into higher families.
+answers every question about it; past `_kernel`, which compiles it, only
+canonical rewriting and the two independent oracles read the expression.
+A kernel decides membership exactly and with a witness: it splits a set
+greedily into maximal blocks, which is complete when the outer family is
+spreading and the inner one hereditary, and backtracks everywhere else.
+`member` memoises those answers in a memo of at most MEMO_CAP entries, and
+`member_exhaustive` is an independent brute-force decider kept for
+cross-checking.  A kernel also carries a greedy state that it extends by
+one element at a time along a DFS, and the labels its members' elements
+are drawn from; the maximal-set enumeration, the horizon-certified
+threshold and inclusion searches, and the exact maximisation of a weight
+function over a family (`family_mass`) ride on them, and the dominance
+pass of the inclusion check reads a bracket's outer and inner kernels.
+The module also builds the index sequences that push brackets into higher
+families.
 
 Finite sets are plain tuples of naturals, strictly increasing.  The empty
 set is a member of every family here.
@@ -42,7 +46,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .ordinals import ZERO, ONE, Ordinal, compare, add, finite, fundamental
+from .ordinals import ONE, Ordinal, compare, add, finite, fundamental
 from .reports import Record, WitnessReport
 
 FinSet = Tuple[int, ...]
@@ -175,16 +179,23 @@ class IndexSequence(Record, frozen=True):
         return tuple(out)
 
     def values_within(self, lo: int, hi: int) -> List[int]:
-        """All attained values in [lo, hi]."""
+        """All attained values in [lo, hi], ascending."""
         out = [v for v in self.prefix if lo <= v <= hi]
-        if self.tail_start is not None and self.tail_start <= hi:
-            v = self.tail_start
-            if v < lo:
-                v += ((lo - v + self.tail_step - 1) // self.tail_step) * self.tail_step
-            while v <= hi:
-                out.append(v)
-                v += self.tail_step
-        return sorted(v for v in out if lo <= v <= hi)
+        if self.tail_start is not None:
+            # the least tail value >= lo; the tail continues past the prefix
+            start = max(lo, self.tail_start)
+            start += (self.tail_start - start) % self.tail_step
+            out.extend(range(start, hi + 1, self.tail_step))
+        return out
+
+    def values_above(self, above: int, count: int) -> List[int]:
+        """The first `count` attained values > above, however far past it
+        they lie; fewer when an explicit sequence ends first."""
+        hi = max(above, self.prefix[-1]) if self.prefix else above
+        if self.tail_start is not None:
+            # the tail has `count` values within `count` steps of its start
+            hi = max(hi, self.tail_start) + self.tail_step * count
+        return self.values_within(above + 1, hi)[:count]
 
 
 NATURALS = IndexSequence.arithmetic(1, 1)
@@ -338,7 +349,12 @@ class MembershipResult(Record, frozen=True):
 # state, E) for its least live stage n, the n that LimitWitness records, and
 # replays later stages only when stage n dies; F(M) holds the state of the
 # preimage.  F[G] with a relabeled F, which is not spreading, or with a G
-# that is not hereditary has no greedy state.
+# that is not hereditary has no greedy state.  A kernel's `labels` are the
+# values its members' elements can take, M for F(M) and all naturals
+# otherwise, and the enumerations draw their candidates from them.  Past
+# `_kernel`, only `canonicalize` and the oracles `member_exhaustive` and
+# `recheck_witness` read a family expression here; every other question
+# is asked of its kernel.
 
 _member_cache: Dict[Tuple["_Kernel", FinSet], MembershipResult] = {}
 _kernels: Dict[Family, "_Kernel"] = {}
@@ -419,9 +435,11 @@ class _Kernel:
     """The compiled form of one family expression.  `plain` marks families
     built from S and A by brackets only, hereditary and spreading; F(M) is
     hereditary, in general not spreading, when F is, and `hereditary` marks
-    F[G] only for F plain and G hereditary."""
+    F[G] only for F plain and G hereditary.  `labels` holds every value a
+    member's elements can take: M for F(M), all naturals otherwise."""
 
     plain = hereditary = True
+    labels = NATURALS
 
     def __init__(self, fam: Family) -> None:
         self.fam = fam
@@ -601,7 +619,7 @@ class _Relabeled(_Kernel):
 
     def __init__(self, fam: Family, base: _Kernel) -> None:
         super().__init__(fam)
-        self.base, self.position = base, fam.labels.position_of
+        self.base, self.labels, self.position = base, fam.labels, fam.labels.position_of
         self.hereditary = base.hereditary
 
     def start(self, x: int):
@@ -616,7 +634,7 @@ class _Relabeled(_Kernel):
         return self.base.capped(state, left)
 
     def decide(self, E: FinSet) -> MembershipResult:
-        pre = self.fam.labels.preimage(E)
+        pre = self.labels.preimage(E)
         inner = None if pre is None else _member(pre, self.base)
         if inner is None or not inner.member:
             return _NOT_MEMBER
@@ -793,33 +811,6 @@ class MaximalEnumeration(Record):
     all_truncated: bool
 
 
-def _extension_candidates(fam: Family, above: int, limit: int) -> List[int]:
-    """Values > above, <= limit that could extend a member of fam.
-
-    For relabeled families only attained label values can ever occur; for
-    everything else all naturals in range are candidates.
-    """
-    if isinstance(fam, RelabeledFamily):
-        return fam.labels.values_within(above + 1, limit)
-    return list(range(above + 1, limit + 1))
-
-
-def _first_candidates_above(fam: Family, above: int, count: int) -> List[int]:
-    """The first `count` values > above that could extend a member of fam,
-    however far apart the labels of a relabeled family lie (fewer when an
-    explicit sequence ends)."""
-    if not isinstance(fam, RelabeledFamily):
-        return list(range(above + 1, above + count + 1))
-    start = len(fam.labels.values_within(1, above)) + 1
-    out = []
-    for i in range(start, start + count):
-        try:
-            out.append(fam.labels.value_at(i))
-        except SequenceExhausted:
-            break
-    return out
-
-
 def iter_maximal(fam: Family, first: int, horizon: int) -> Iterator[FinSet]:
     """Lazily yield the DFS leaves among members with min = first.
 
@@ -833,7 +824,8 @@ def iter_maximal(fam: Family, first: int, horizon: int) -> Iterator[FinSet]:
     """
     if first > horizon:
         raise ValueError("first must be <= horizon")
-    for E, leaf, _ in _walk(fam, _extension_candidates(fam, first, horizon), (first,)):
+    # only the kernel's labels can extend a member
+    for E, leaf, _ in _walk(fam, _kernel(fam).labels.values_within(first + 1, horizon), (first,)):
         if leaf:
             yield E
 
@@ -848,13 +840,13 @@ def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumerati
     sets: List[FinSet] = []
     truncated: List[bool] = []
     k = _kernel(fam)
-    probe_values = _first_candidates_above(fam, horizon, 4)
+    probe_values = k.labels.values_above(horizon, 4)
     for current in iter_maximal(fam, first, horizon):
         # a DFS leaf need not be maximal (A_3 from 1 at horizon 4 yields the
         # leaf (1, 4) inside (1, 2, 4)); as the family is hereditary, it is
         # maximal when no single element between its own joins it, and for
         # a spreading family the largest such element is the one to try
-        gaps = [y for y in _extension_candidates(fam, first, current[-1]) if y not in current]
+        gaps = [y for y in k.labels.values_within(first + 1, current[-1]) if y not in current]
         if k.plain:
             gaps = gaps[-1:]
         if any(k.state_of(tuple(sorted(current + (y,)))) is not None for y in gaps):
@@ -876,9 +868,6 @@ class ThresholdResult(Record):
     certified_horizon: int
     rejections: List[Tuple[int, FinSet]]
     minimal: bool = True
-
-
-_threshold_cache: Dict[Tuple[Ordinal, Ordinal, int], ThresholdResult] = {}
 
 
 def _structural_threshold(xi: Ordinal, zeta: Ordinal) -> int:
@@ -913,10 +902,6 @@ def threshold_search(xi: Ordinal, zeta: Ordinal, horizon: int) -> ThresholdResul
     """
     if compare(xi, zeta) > 0:
         raise ValueError("threshold search needs xi <= zeta")
-    key = (xi, zeta, horizon)
-    hit = _threshold_cache.get(key)
-    if hit is not None:
-        return hit
     fam_xi, fam_zeta = SchreierFamily(xi), SchreierFamily(zeta)
     n_struct = _structural_threshold(xi, zeta)
     rejections: List[Tuple[int, FinSet]] = []
@@ -943,9 +928,7 @@ def threshold_search(xi: Ordinal, zeta: Ordinal, horizon: int) -> ThresholdResul
         rejections.append((n, bad))
         # the counterexample kills every candidate up to its min element
         n = max(n + 1, bad[0] + 1)
-    result = ThresholdResult(best, horizon, rejections, minimal)
-    _threshold_cache[key] = result
-    return result
+    return ThresholdResult(best, horizon, rejections, minimal)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,7 +1057,7 @@ def verify_union_property(
     indexed = RelabeledFamily(SchreierFamily(xi), N)
     count = 0
     limit = len(blocks)
-    for E in _all_members_over(indexed, list(range(1, limit + 1))):
+    for E, _, _ in _walk(indexed, range(1, limit + 1)):
         if not E:
             continue
         union = tuple(itertools.chain.from_iterable(blocks[i - 1] for i in E))
@@ -1096,42 +1079,27 @@ def verify_union_property(
     )
 
 
-def _all_members_over(fam: Family, universe: List[int]) -> Iterator[FinSet]:
-    """Every member of fam with support inside the given ground values.
-
-    DFS in increasing element order; sound because members are closed
-    under initial segments for every expressible family.
-    """
-    for E, _, _ in _walk(fam, universe):
-        yield E
-
-
 # ---------------------------------------------------------------------------
 # inclusion verification
 # ---------------------------------------------------------------------------
 
 
-def _bracket_shape(fam: Family):
-    """Recognise F[G], with or without a relabeling of the whole bracket.
+def _bracket_shape(k: _Kernel):
+    """Recognise F[G] from its kernel, with or without a relabeling of the
+    whole bracket.
 
-    Returns (minima_family, inner_family, whole_labels).  Without a
-    relabeling the blocks of a member live in value space; under
+    Returns the kernels of the minima and inner families and the labels L
+    of the whole bracket, all naturals when it is not relabeled.  Under
     F[G](L) every member is L(C) for C in F[G], so blocks live in the
-    preimage (position) space and whole_labels carries L.
+    preimage (position) space, which is value space when L is the identity.
     """
-    fam = canonicalize(fam)
-    if isinstance(fam, RelabeledFamily) and isinstance(fam.base, BracketFamily):
-        return fam.base.outer, fam.base.inner, fam.labels
-    if isinstance(fam, RelabeledFamily) and isinstance(fam.base, SchreierFamily):
-        idx = fam.base.index
-        if idx.is_successor and idx != ONE:
-            return SchreierFamily(ONE), SchreierFamily(idx.predecessor()), fam.labels
-        if idx == ONE:
-            return SchreierFamily(ONE), SchreierFamily(ZERO), fam.labels
-    if isinstance(fam, BracketFamily):
-        return fam.outer, fam.inner, None
-    if isinstance(fam, SchreierFamily) and fam.index.is_successor and fam.index != ONE:
-        return SchreierFamily(ONE), SchreierFamily(fam.index.predecessor()), None
+    labels = k.labels
+    if isinstance(k, _Relabeled):
+        k = k.base
+        if k is _kernel(S(1)):
+            return k, _kernel(S(0)), labels  # S_1(L) = S_1[S_0](L)
+    if isinstance(k, _Bracket):
+        return k.outer, k.inner, labels
     return None
 
 
@@ -1151,42 +1119,29 @@ def _max_block_size(inner: _Kernel, first: int, window: Sequence[int]) -> int:
 
 
 def _dominance_blocks(
-    minima_fam: Family, inner_fam: Family, whole_labels: Optional[IndexSequence], horizon: int
+    minima: _Kernel, inner: _Kernel, labels: IndexSequence, horizon: int
 ) -> Iterator[Tuple[FinSet, List[Tuple[FinSet, FinSet, FinSet]]]]:
     """Each nonempty minima pattern of a bracket shape within the horizon,
     with what each of its blocks contributes: (compressed, left_packed,
     top_packed).
 
-    Block i runs from its minimum a up to, not including, the next minimum
-    (past the top of the ground for the last block), and holds at most k =
+    Minima patterns are the members of the minima family among the
+    positions 1..top of the labels L of the whole bracket within the
+    horizon.  Block i runs from its minimum a up to, not including, the
+    next minimum (past top for the last block), and holds at most k =
     `_max_block_size` inner elements.  Its compressed part is the k values
-    from a (from L(a) when the whole bracket is relabeled by L), its
-    left-packed part a..a+k-1 and its top-packed part a with the k-1
-    largest values of its window, a genuine inner member by spreading.
-    With the inner family fixed, a block depends on a and the next minimum
-    alone, so each such pair is worked out once per call.
+    from L(a), its left-packed part a..a+k-1 and its top-packed part a with
+    the k-1 largest values of its window, a genuine inner member by
+    spreading.  With the inner family fixed, a block depends on a and the
+    next minimum alone, so each such pair is worked out once per call.
     """
-    if whole_labels is None:
-        # blocks live in value space; minima patterns are members of the
-        # (possibly relabeled) outer family inside [1, horizon]
-        values = None
-        if isinstance(minima_fam, RelabeledFamily):
-            ground = minima_fam.labels.values_within(1, horizon)
-        else:
-            ground = range(1, horizon + 1)
-        top = horizon
-    else:
-        # whole bracket relabeled by L: members are L(C); enumerate in
-        # position space and map compressions through L
-        values = whole_labels.values_within(1, horizon)
-        ground = range(1, len(values) + 1)
-        top = len(values)
+    values = labels.values_within(1, horizon)
+    top = len(values)
     contributions: Dict[Tuple[int, int], Tuple[FinSet, FinSet, FinSet]] = {}
-    inner = _kernel(inner_fam)
 
     def block(a: int, nxt: int) -> Tuple[FinSet, FinSet, FinSet]:
         k = _max_block_size(inner, a, range(a + 1, nxt))
-        base = a if values is None else values[a - 1]
+        base = values[a - 1]
         contributions[a, nxt] = parts = (
             tuple(range(base, base + k)),
             tuple(range(a, a + k)),
@@ -1194,7 +1149,7 @@ def _dominance_blocks(
         )
         return parts
 
-    for Apat in _all_members_over(minima_fam, ground):
+    for Apat, _, _ in _walk(minima.fam, minima.labels.values_within(1, top)):
         if Apat:
             # block i ends below the next minimum, the last one at the top
             ends = zip(Apat, Apat[1:] + (top + 1,))
@@ -1235,11 +1190,12 @@ def verify_bracket_inclusion(lhs: Family, rhs: Family, horizon: int) -> WitnessR
             True, detail=f"{checked} members checked",
             certified_horizon=horizon, method="powerset", stats={"members": checked},
         )
-    return _verify_by_dominance(lhs_c, rhs_c, horizon)
+    return _verify_by_dominance(_kernel(lhs_c), _kernel(rhs_c), horizon)
 
 
-def _verify_by_dominance(lhs_c: Family, rhs_c: Family, horizon: int) -> WitnessReport:
-    """Spread-dominance check of canonical lhs_c against rhs_c, at any horizon.
+def _verify_by_dominance(lhs: _Kernel, rhs: _Kernel, horizon: int) -> WitnessReport:
+    """Spread-dominance check of the kernel of a canonical lhs against that
+    of rhs, at any horizon.
 
     Applies to a bracket-shaped lhs against a hereditary and spreading rhs:
     every member E of F[G] is a spread of its per-block left-compression
@@ -1253,16 +1209,14 @@ def _verify_by_dominance(lhs_c: Family, rhs_c: Family, horizon: int) -> WitnessR
     BRACKET_PATTERN_BUDGET, the report comes back not-ok with
     budget_exhausted set rather than silently passing.
     """
-    shape = _bracket_shape(lhs_c)
-    lhs, rhs = _kernel(lhs_c), _kernel(rhs_c)
+    shape = _bracket_shape(lhs)
     if shape is None or not rhs.plain:
         return WitnessReport(
             False, detail="no exact strategy applies at this horizon; "
             "use a horizon <= 16 for a powerset sweep",
             certified_horizon=None, budget_exhausted=True, method="none",
         )
-    minima_fam, inner_fam, whole_labels = shape
-    inner = _kernel(inner_fam)
+    minima, inner, labels = shape
     if not inner.plain:
         return WitnessReport(
             False, detail="inner family too irregular for the dominance pass",
@@ -1274,7 +1228,7 @@ def _verify_by_dominance(lhs_c: Family, rhs_c: Family, horizon: int) -> WitnessR
     # left-packed blocks of feasible size are genuine members of a
     # size-determined inner family; top-packed ones of any spreading one
     raw_part = 1 if isinstance(inner, _Room) else 2
-    for _, blocks in _dominance_blocks(minima_fam, inner_fam, whole_labels, horizon):
+    for _, blocks in _dominance_blocks(minima, inner, labels, horizon):
         patterns += 1
         if patterns > BRACKET_PATTERN_BUDGET:
             return WitnessReport(
@@ -1286,7 +1240,7 @@ def _verify_by_dominance(lhs_c: Family, rhs_c: Family, horizon: int) -> WitnessR
         comp = tuple(itertools.chain.from_iterable([b[0] for b in blocks]))
         if comp and not _member(comp, rhs).member:
             raw = tuple(itertools.chain.from_iterable(b[raw_part] for b in blocks))
-            genuine = raw if whole_labels is None else whole_labels.apply(raw)
+            genuine = labels.apply(raw)
             if _member(genuine, lhs).member and not _member(genuine, rhs).member:
                 return WitnessReport(
                     False, detail="member of lhs escapes rhs",
@@ -1391,4 +1345,3 @@ def clear_caches() -> None:
     _member_cache.clear()
     _kernels.clear()
     _exhaustive_cache.clear()
-    _threshold_cache.clear()

@@ -22,7 +22,7 @@ from schreier.analysis import (
     predicted_interval_ratio,
 )
 from schreier.families import A, S, member, verify_bracket_inclusion
-from schreier.norms import C0, L1, T, MixedSchreierSpace, SchlumprechtSpace, norm
+from schreier.norms import C0, L1, T, LpSpace, MixedSchreierSpace, SchlumprechtSpace, norm
 from schreier.ordinals import OMEGA, finite
 from schreier.vectors import BlockSequence, Vector, combine
 
@@ -232,6 +232,13 @@ def test_ratio_chain_detects_corrupted_second_upper_constant():
     )
     assert not rep.ok
     assert any(not v["checks"]["second_upper"] for v in rep.violations)
+
+
+@pytest.mark.parametrize("space", [LpSpace(2.0), SchlumprechtSpace()], ids=repr)
+def test_ratio_chain_rejects_a_norm_that_is_not_exact(space):
+    with pytest.raises(ValueError, match="not exact"):
+        ratio_bound_check(space, IntervalNormSpec(2), BlockSequence.basis(12), S(1),
+                          1, 1, 1, 1, samples=3)
 
 
 # ---------------------------------------------------------------------------

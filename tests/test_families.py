@@ -41,10 +41,8 @@ from schreier.families import (
     threshold_search,
     verify_bracket_inclusion,
     verify_union_property,
-    _all_members_over,
     _bracket_shape,
     _dominance_blocks,
-    _extension_candidates,
     _kernel,
     _verify_by_dominance,
     _walk,
@@ -232,14 +230,16 @@ def test_enumerations_match_oracles(fam):
             if not any(member_exhaustive(tuple(sorted(E + (y,))), fam)
                        for y in range(first + 1, E[-1]) if y not in E)
         ]
-        probes = _extension_candidates(fam, horizon, 5 * horizon)[:4]
+        candidates = (fam.labels.values_within(horizon + 1, 5 * horizon)
+                      if isinstance(fam, RelabeledFamily) else range(horizon + 1, 5 * horizon + 1))
+        probes = candidates[:4]
         enum = enumerate_maximal(fam, first, horizon)
         assert enum.sets == maximal, first
         assert enum.truncated == [
             any(member_exhaustive(E + (v,), fam) for v in probes) for E in maximal
         ], first
     for universe in (list(range(1, horizon + 1)), EVENS.values_within(1, 2 * horizon)):
-        assert list(_all_members_over(fam, universe)) == members_over_oracle(fam, universe)
+        assert [E for E, _, _ in _walk(fam, universe)] == members_over_oracle(fam, universe)
 
 
 @pytest.mark.parametrize("fam", GREEDY_FAMILIES, ids=repr)
@@ -450,6 +450,17 @@ def test_threshold_rejects_bad_order():
         threshold_search(finite(2), finite(1), 10)
 
 
+def test_threshold_budget_path_is_not_remembered(monkeypatch):
+    # one DFS leaf is too few to certify n = 1, so the structural n = 2
+    # comes back unproven; with the budget restored the same call proves
+    # n = 1, as a fresh search would
+    monkeypatch.setattr(families, "THRESHOLD_MINIMALITY_BUDGET", 1)
+    res = threshold_search(finite(2), OMEGA, 12)
+    assert res.n == 2 and not res.minimal
+    monkeypatch.undo()
+    res = threshold_search(finite(2), OMEGA, 12)
+    assert res.n == 1 and res.minimal
+
 
 # ---------------------------------------------------------------------------
 # index-sequence constructions
@@ -579,11 +590,11 @@ def _split_blocks(E, fam):
 def test_dominance_pass_matches_member_sweep(case):
     lhs, rhs = _criterion_02_inclusions()[case]
     lhs_c, rhs_c = canonicalize(lhs), canonicalize(rhs)
-    minima_fam, inner_fam, labels = _bracket_shape(lhs_c)
+    minima, inner, labels = _bracket_shape(_kernel(lhs_c))
+    inner_fam = inner.fam
     for horizon in range(10, 17):
-        top = horizon if labels is None else len(labels.values_within(1, horizon))
-        base = (lambda a: a) if labels is None else labels.value_at
-        pass_blocks = dict(_dominance_blocks(minima_fam, inner_fam, labels, horizon))
+        top, base = len(labels.values_within(1, horizon)), labels.value_at
+        pass_blocks = dict(_dominance_blocks(minima, inner, labels, horizon))
         # each block against a `_walk` sweep of the inner family in its window
         for Apat, blocks in pass_blocks.items():
             for i, (a, (comp, left, top_packed)) in enumerate(zip(Apat, blocks)):
@@ -606,7 +617,7 @@ def test_dominance_pass_matches_member_sweep(case):
         for target in (rhs_c, S(1)):
             walk = _walk(lhs_c, range(1, horizon + 1), rhs=target)
             escaped = next((E for E, _, out in walk if out), None)
-            dominance = _verify_by_dominance(lhs_c, target, horizon)
+            dominance = _verify_by_dominance(_kernel(lhs_c), _kernel(target), horizon)
             assert dominance.method == "dominance"
             assert dominance.ok == (escaped is None), (horizon, target)
             if not dominance.ok and not dominance.budget_exhausted:
@@ -639,7 +650,7 @@ def test_bracket_inclusion_past_the_sweep(lhs, rhs, ok, method, found):
 
 def test_dominance_pass_with_no_block_elements():
     # no block of S(1)[A(0)] takes an element, so every compressed set is empty
-    rep = _verify_by_dominance(BracketFamily(S(1), A(0)), S(2), 20)
+    rep = _verify_by_dominance(_kernel(BracketFamily(S(1), A(0))), _kernel(S(2)), 20)
     assert rep.ok and rep.method == "dominance" and rep.stats == {"patterns": 17710}
 
 

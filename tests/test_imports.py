@@ -76,6 +76,36 @@ def test_no_unreferenced_private_helpers():
     assert not dead, f"private helpers nothing in the package uses: {', '.join(dead)}"
 
 
+# the family expression classes, and the functions of families.py that may
+# dispatch on them: the kernel compiler, canonical rewriting and the two
+# oracles, which check the kernels and so must not ask them
+FAMILY_CLASSES = {"SchreierFamily", "CardinalityFamily", "BracketFamily", "RelabeledFamily"}
+FAMILY_READERS = {"_kernel", "canonicalize", "_exhaustive_uncached", "recheck_witness"}
+
+
+def family_checks(node: ast.AST, owner=None):
+    """(function, line) of each isinstance test against a family expression
+    class, by the innermost function holding it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "isinstance" and len(node.args) == 2:
+        kinds = node.args[1]
+        kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        if any(isinstance(k, ast.Name) and k.id in FAMILY_CLASSES for k in kinds):
+            yield owner, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from family_checks(child, owner)
+
+
+def test_only_the_kernel_compiler_reads_family_expressions():
+    """Past compilation every question about a family is asked of its kernel."""
+    tree = ast.parse((PACKAGE / "families.py").read_text())
+    stray = [f"{owner} (line {line})" for owner, line in family_checks(tree)
+             if owner not in FAMILY_READERS]
+    assert not stray, f"families.py dispatches on family expressions in {', '.join(stray)}"
+
+
 # ---------------------------------------------------------------------------
 # the public API
 # ---------------------------------------------------------------------------
