@@ -824,7 +824,9 @@ def iter_maximal(fam: Family, first: int, horizon: int) -> Iterator[FinSet]:
     """
     if first > horizon:
         raise ValueError("first must be <= horizon")
-    # only the kernel's labels can extend a member
+    # the canonical form keeps a bracket under an identity relabeling plain,
+    # and only the kernel's labels can extend a member
+    fam = canonicalize(fam)
     for E, leaf, _ in _walk(fam, _kernel(fam).labels.values_within(first + 1, horizon), (first,)):
         if leaf:
             yield E
@@ -839,6 +841,7 @@ def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumerati
     """
     sets: List[FinSet] = []
     truncated: List[bool] = []
+    fam = canonicalize(fam)
     k = _kernel(fam)
     probe_values = k.labels.values_above(horizon, 4)
     for current in iter_maximal(fam, first, horizon):

@@ -70,7 +70,13 @@ the piece minimum (which admissibility constrains) only moves left when
 extending that way; the sup over interval systems therefore equals the sup
 over arbitrary successive systems.  Within a chosen piece system the
 minimal legal weights j_q are optimal because best-sum(j)/j is
-non-increasing in j.
+non-increasing in j.  The search prunes a DFS frame once its total plus
+the mass left, over the size the frame offers, cannot beat the best: very
+fast growth makes that size max(floor, previous size + 1, previous max +
+1), no later piece is declared smaller, and a piece is worth at most its
+mass over its size.  The best only moves on a strict improvement, so the
+pruned search returns the value and witness (the first best system in DFS
+order) of the unpruned one.
 """
 
 from __future__ import annotations
@@ -252,27 +258,32 @@ def _admissible_sum(fam, pos, prefix, i: int, j: int, floor: int, piece, best):
     """Best sum over successive interval pieces [a, b] of positions i..j
     (gaps allowed) whose minima pos[a] form a member of `fam`, each offered
     the least legal size max(floor, previous size + 1, previous max + 1).
-    `piece(a, b, size)` gives (value, declared size) or None to skip;
+    `piece(a, b, size)` gives (value, declared size), declared at least the
+    size offered and value at most mass(a..b) / declared, or None to skip;
     prefix[t] is the l1 mass of positions 0..t-1.  Returns the best total
     strictly above `best` with its pieces as (a, b, declared size) triples,
     or (best, None).
 
-    A piece is worth at most its mass over its size and later sizes are at
-    least max(floor, previous size + 1), so nothing from a on beats best
-    strictly once total + mass(a..j) / that <= best: pruning there keeps
-    every strict improvement.
+    A frame offers every piece it places the same size, and each later
+    piece is offered more than the previous declared size, so every piece
+    at or below the frame is declared at least the frame's size: nothing
+    from a on beats best strictly once total + mass(a..j) / size <= best.
+    Pruning there drops no strict improvement, and `best` and `found`
+    change only on one, so the value and its pieces (the first best system
+    in DFS order) are those of the unpruned search; only the pieces
+    evaluated are fewer.
     """
     found, path = None, []
 
     def dfs(start, minima, prev_size, prev_max, total):
         nonlocal best, found
+        size = max(floor, prev_size + 1, prev_max + 1)
         for a in range(start, j + 1):
-            if total + (prefix[j + 1] - prefix[a]) / max(floor, prev_size + 1) <= best:
+            if total + (prefix[j + 1] - prefix[a]) / size <= best:
                 return
             new_minima = minima + (pos[a],)
             if not member(new_minima, fam).member:
                 continue  # admissible sets are closed under initial segments
-            size = max(floor, prev_size + 1, prev_max + 1)
             for b in range(a, j + 1):
                 got = piece(a, b, size)
                 if got is None:

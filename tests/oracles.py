@@ -35,6 +35,11 @@ These deliberately avoid the production algorithms' shortcuts:
   pruning, where the production search shares the X(xi) norm's pruned
   admissible-sum kernel.
 
+* `admissible_sum_oracle` is the admissible-sum DFS of the X(xi) norm and
+  the alpha-index diagnostic with the exhaustive decider and no pruning
+  bound, so that the pruned search can be held to the same value and the
+  same first best piece system.
+
 * `wmax_certificate` certifies that a claimed value function equals the
   sup over the full norming set: it checks that every claimed value is
   achieved by an explicit valid functional, and that the value function is
@@ -261,6 +266,37 @@ def alpha_oracle(bs: BlockSequence, n: int, size_floor: int, horizon: int, xi: O
                 prev_size, prev_max = size, pos[b]
             best = max(best, total)
     return best
+
+
+def admissible_sum_oracle(fam, pos, i: int, j: int, floor: int, piece, best):
+    """`norms._admissible_sum` unpruned: every system of successive interval
+    pieces of positions i..j (gaps allowed) whose minima `member_exhaustive`
+    accepts, in the same DFS order, each piece offered the least legal size
+    max(floor, previous size + 1, previous max + 1).  Returns the first
+    total strictly above `best` that no later system beats strictly, with
+    its (a, b, declared size) triples, or (best, None)."""
+    found, path = None, []
+
+    def dfs(start, minima, prev_size, prev_max, total):
+        nonlocal best, found
+        for a in range(start, j + 1):
+            new_minima = minima + (pos[a],)
+            if not member_exhaustive(new_minima, fam):
+                continue
+            size = max(floor, prev_size + 1, prev_max + 1)
+            for b in range(a, j + 1):
+                got = piece(a, b, size)
+                if got is None:
+                    continue
+                value, declared = got
+                path.append((a, b, declared))
+                if total + value > best:
+                    best, found = total + value, tuple(path)
+                dfs(b + 1, new_minima, declared, pos[b], total + value)
+                path.pop()
+
+    dfs(i, (), 0, 0, Fraction(0))
+    return best, found
 
 
 # ---------------------------------------------------------------------------

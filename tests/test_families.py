@@ -266,6 +266,26 @@ def test_enumerate_maximal_probes_sparse_labels_past_any_window():
     assert not enum.all_truncated
 
 
+@pytest.mark.parametrize("outer", [S(1), BracketFamily(S(1), A(2))], ids=repr)
+def test_enumerations_compile_the_canonical_form(monkeypatch, outer):
+    # an identity relabeling of a bracket's outer family is dropped before
+    # the enumerations compile it, so they run the plain bracket's greedy
+    # pushes and never ask the memoised decider
+    plain = BracketFamily(outer, A(2))
+    relabeled = BracketFamily(RelabeledFamily(outer, NATURALS), A(2))
+    expected = [(list(iter_maximal(plain, first, 14)), enumerate_maximal(plain, first, 14))
+                for first in (3, 5, 8)]
+
+    def asked(E, k):
+        raise AssertionError(f"the enumeration asked the decider about {E}")
+
+    monkeypatch.setattr(families, "_member", asked)
+    for first, (leaves, enum) in zip((3, 5, 8), expected):
+        assert list(iter_maximal(relabeled, first, 14)) == leaves
+        got = enumerate_maximal(relabeled, first, 14)
+        assert (got.sets, got.truncated, got.all_truncated) == (enum.sets, enum.truncated, enum.all_truncated)
+
+
 def test_relabeled_outer_keeps_backtracking():
     # the greedy split (4, 6), (7,) has minima (4, 7), which lie outside
     # S_1(EVENS); only the split (4,), (6, 7) shows membership

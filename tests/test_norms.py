@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    admissible_sum_oracle,
     generate_W,
     interval_cover_oracle,
     schlumprecht_oracle,
@@ -34,7 +36,7 @@ from schreier.norms import (
     norm,
     norm_j,
 )
-from schreier.ordinals import OMEGA, finite
+from schreier.ordinals import OMEGA, finite, omega_power
 from schreier.vectors import Average, SumNode, Unit, Vector, evaluate, validate_functional
 
 
@@ -462,7 +464,7 @@ def test_budgeted_mixed_interval_norm_is_a_witnessed_lower_bound(monkeypatch):
         assert evaluate_partition(r.witness, x) == r.value
 
 
-@pytest.mark.parametrize("budget", [20, 300])
+@pytest.mark.parametrize("budget", [20, 150])
 def test_budgeted_mixed_norms_stay_witnessed_lower_bounds(monkeypatch, budget):
     # a budget only stops the search early: every value stays at most the
     # full-budget one and is reached by its witness
@@ -588,6 +590,29 @@ def test_mixed_witness_rebuild_is_pure(monkeypatch, budget):
     witness = session.witness(0, 5)
     assert (len(session.norm_memo), len(session.cover_memo), session.budget, session.converged) == state
     assert evaluate(witness, x) == value == norm(MixedSchreierSpace(finite(1)), x).value
+
+
+@pytest.mark.parametrize("fam", [S(2), S(OMEGA), S(omega_power(finite(2)))], ids=repr)
+def test_admissible_sum_matches_unpruned_search(fam):
+    # the pruned search returns the value and the first best piece system
+    # of the unpruned one; alpha-style pieces are declared at least their
+    # length, so a bound that leaves that out, or that divides by more than
+    # the size a frame offers, loses a best system
+    rng = random.Random(19)
+    for _ in range(40):
+        pos = sorted(rng.sample(range(1, 41), rng.randint(1, 7)))
+        masses = [Fraction(rng.randint(1, 6), rng.randint(1, 2)) for _ in pos]
+        prefix = list(itertools.accumulate(masses, initial=Fraction(0)))
+
+        def piece(a, b, size):
+            size = max(size, b - a + 1)
+            return (prefix[b + 1] - prefix[a]) / size, size
+
+        i = rng.randrange(len(pos))
+        for (i, j), floor in itertools.product([(0, len(pos) - 1), (i, len(pos) - 1)], range(2, 6)):
+            for best in (Fraction(0), max(masses[i : j + 1])):
+                got = norms._admissible_sum(fam, pos, prefix, i, j, floor, piece, best)
+                assert got == admissible_sum_oracle(fam, pos, i, j, floor, piece, best)
 
 
 def test_mixed_norm_monotone_bounds():
