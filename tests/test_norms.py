@@ -595,9 +595,8 @@ def test_mixed_witness_rebuild_is_pure(monkeypatch, budget):
 @pytest.mark.parametrize("fam", [S(2), S(OMEGA), S(omega_power(finite(2)))], ids=repr)
 def test_admissible_sum_matches_unpruned_search(fam):
     # the pruned search returns the value and the first best piece system
-    # of the unpruned one; alpha-style pieces are declared at least their
-    # length, so a bound that leaves that out, or that divides by more than
-    # the size a frame offers, loses a best system
+    # of the unpruned one; a bound that divides the mass left by more than
+    # the size a frame offers loses best systems
     rng = random.Random(19)
     for _ in range(40):
         pos = sorted(rng.sample(range(1, 41), rng.randint(1, 7)))
@@ -608,8 +607,8 @@ def test_admissible_sum_matches_unpruned_search(fam):
             size = max(size, b - a + 1)
             return (prefix[b + 1] - prefix[a]) / size, size
 
-        i = rng.randrange(len(pos))
-        for (i, j), floor in itertools.product([(0, len(pos) - 1), (i, len(pos) - 1)], range(2, 6)):
+        last, start = len(pos) - 1, rng.randrange(len(pos))
+        for (i, j), floor in itertools.product([(0, last), (start, last)], range(2, 6)):
             for best in (Fraction(0), max(masses[i : j + 1])):
                 got = norms._admissible_sum(fam, pos, prefix, i, j, floor, piece, best)
                 assert got == admissible_sum_oracle(fam, pos, i, j, floor, piece, best)
