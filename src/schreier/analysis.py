@@ -11,6 +11,17 @@ Exactness policy: upper c0 and l1 constants are exact (extreme-point
 arguments over the unit balls); the lower l1 constant is a non-convex
 minimum, reported as the best value found by structured search with its
 witness, never as a claimed global optimum.
+
+Each search evaluates a vector at most once.  `spreading_profile` keeps
+the exact norms of the all-ones sums over its index sets, a block's own
+norm on a singleton, and the uniform l1 candidate on E reads 1/|E| times
+the value on E.  That is positive homogeneity, |cx| = c|x|, which holds
+exactly in `Fraction` arithmetic.  Only exact results are kept: a float
+norm (lp, Schlumprecht) or an X(xi) norm whose budget ran out is not, so
+such a candidate evaluates its own combination, bit for bit as before.
+The l1 descent evaluates no coefficient tuple twice, and
+`distortion_witness` evaluates each candidate's second norm once, on its
+first use.  The memos live for one call.
 """
 
 from __future__ import annotations
@@ -114,10 +125,25 @@ def _maximal_index_sets(fam: Family, limit: int) -> List[FinSet]:
     return out
 
 
-def _descend_l1(space: NormSpace, vectors: List[Vector], start: List[Fraction]):
-    """Local mass-shifting descent on the simplex, exact arithmetic."""
+def _descend_l1(
+    space: NormSpace,
+    E: FinSet,
+    vectors: List[Vector],
+    start: List[Fraction],
+    value,
+    ones: Dict[FinSet, Fraction],
+):
+    """Local mass-shifting descent on the simplex, exact arithmetic, from
+    `start` of known norm `value`.
+
+    No coefficient tuple is evaluated twice.  Skipping one already seen
+    keeps the path: it was not taken when seen, so its value was at least
+    the best then, and the best only falls under the strict `<`.  A tuple
+    whose nonzero coefficients all equal c is c times the all-ones sum over
+    their indices, and reads its value from `ones` when that holds it.
+    """
     coeffs = list(start)
-    value = norm(space, combine(vectors, coeffs)).value
+    seen = {tuple(coeffs)}
     steps = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
     for _ in range(L1_DESCENT_ROUNDS):
         improved = False
@@ -129,13 +155,50 @@ def _descend_l1(space: NormSpace, vectors: List[Vector], start: List[Fraction]):
                     cand = list(coeffs)
                     cand[i] -= step
                     cand[j] += step
-                    v = norm(space, combine(vectors, cand)).value
+                    key = tuple(cand)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    scales = set(key) - {0}
+                    sub = tuple(e for e, c in zip(E, key) if c)
+                    if len(scales) == 1 and sub in ones:
+                        v = ones[sub] * scales.pop()
+                    else:
+                        v = norm(space, combine(vectors, cand)).value
                     if v < value:
                         coeffs, value = cand, v
                         improved = True
         if not improved:
             break
     return value, coeffs
+
+
+def _uniform_candidates(
+    space: NormSpace,
+    bs: BlockSequence,
+    fam: Family,
+    min_first: int,
+    limit: int,
+    ones: Dict[FinSet, Fraction],
+) -> Iterator[Tuple[FinSet, Tuple[Fraction, ...], Fraction]]:
+    """`l1_lower_candidates` over `ones`, exact norms of all-ones sums: the
+    uniform combination on E is 1/|E| times the all-ones sum over E, so it
+    reads its value from `ones[E]` when that holds it."""
+    for first in range(min_first, limit + 1):
+        taken = 0
+        for E in iter_maximal(fam, first, limit):
+            if taken >= L1_CANDIDATES_PER_FIRST:
+                break
+            if E[0] < min_first or E[-1] > min(limit, len(bs)):
+                continue
+            taken += 1
+            u = Fraction(1, len(E))
+            coeffs = tuple(u for _ in E)
+            if E in ones:
+                value = ones[E] / len(E)
+            else:
+                value = norm(space, combine([bs.blocks[i - 1] for i in E], coeffs)).value
+            yield E, coeffs, value
 
 
 def l1_lower_candidates(
@@ -151,19 +214,32 @@ def l1_lower_candidates(
     index, which need not be maximal (the enumeration is exponential at
     large horizons; the cap keeps the search structured, not exhaustive,
     which the reported estimates already acknowledge)."""
-    for first in range(min_first, limit + 1):
-        taken = 0
-        for E in iter_maximal(fam, first, limit):
-            if taken >= L1_CANDIDATES_PER_FIRST:
-                break
-            if E[0] < min_first or E[-1] > min(limit, len(bs)):
-                continue
-            taken += 1
-            u = Fraction(1, len(E))
-            coeffs = tuple(u for _ in E)
-            vecs = [bs.blocks[i - 1] for i in E]
-            value = norm(space, combine(vecs, coeffs)).value
-            yield E, coeffs, value
+    yield from _uniform_candidates(space, bs, fam, min_first, limit, {})
+
+
+def _l1_lower(
+    space: NormSpace,
+    bs: BlockSequence,
+    fam: Family,
+    horizon: int,
+    min_first: int,
+    ones: Dict[FinSet, Fraction],
+) -> Tuple[Fraction, Tuple[FinSet, Tuple[Fraction, ...]]]:
+    """`l1_lower_constant` over `ones`, as in `_uniform_candidates`."""
+    limit = min(horizon, len(bs))
+    best: Optional[Fraction] = None
+    best_witness: Tuple[FinSet, Tuple[Fraction, ...]] = ((), ())
+    for E, coeffs, value in _uniform_candidates(space, bs, fam, min_first, limit, ones):
+        if best is None or value < best:
+            best, best_witness = value, (E, coeffs)
+    if best is None:
+        raise ValueError("no admissible index set within the horizon")
+    E, coeffs = best_witness
+    vecs = [bs.blocks[i - 1] for i in E]
+    refined, new_coeffs = _descend_l1(space, E, vecs, list(coeffs), best, ones)
+    if refined < best:
+        best, best_witness = refined, (E, tuple(new_coeffs))
+    return best, best_witness
 
 
 def l1_lower_constant(
@@ -179,20 +255,7 @@ def l1_lower_constant(
     achieving it; uniform patterns are scanned first and the best is
     refined by exact local descent.
     """
-    limit = min(horizon, len(bs))
-    best: Optional[Fraction] = None
-    best_witness: Tuple[FinSet, Tuple[Fraction, ...]] = ((), ())
-    for E, coeffs, value in l1_lower_candidates(space, bs, fam, min_first, limit):
-        if best is None or value < best:
-            best, best_witness = value, (E, coeffs)
-    if best is None:
-        raise ValueError("no admissible index set within the horizon")
-    E, coeffs = best_witness
-    vecs = [bs.blocks[i - 1] for i in E]
-    refined, new_coeffs = _descend_l1(space, vecs, list(coeffs))
-    if refined < best:
-        best, best_witness = refined, (E, tuple(new_coeffs))
-    return best, best_witness
+    return _l1_lower(space, bs, fam, horizon, min_first, {})
 
 
 def spreading_profile(
@@ -205,27 +268,36 @@ def spreading_profile(
     c0_upper the max over maximal sets of the all-ones sum (extreme points
     of the sup ball plus 1-unconditionality); c0_lower is the min block
     norm.  l1_lower comes from `l1_lower_constant` and is an upper estimate
-    of the infimum with its witness.
+    of the infimum with its witness.  The block norms and the all-ones
+    sums, exact ones kept in `ones`, are each evaluated once for both.
     """
     if horizon > len(bs):
         raise ValueError("horizon exceeds available blocks")
     limit = horizon
-    block_norms = [norm(space, b).value for b in bs.blocks[:limit]]
+    block_results = [norm(space, b) for b in bs.blocks[:limit]]
+    block_norms = [r.value for r in block_results]
     i_up = max(range(limit), key=lambda i: block_norms[i])
     i_dn = min(range(limit), key=lambda i: block_norms[i])
     witnesses = {
         "l1_upper": ((i_up + 1,), (Fraction(1),)),
         "c0_lower": ((i_dn + 1,), (Fraction(1),)),
     }
+    # a singleton's all-ones sum is its block
+    ones = {(i + 1,): r.value for i, r in enumerate(block_results) if r.exact}
     c0_up = Fraction(0)
     c0_wit = ((), ())
     for E in _maximal_index_sets(fam, limit):
-        ones = tuple(Fraction(1) for _ in E)
-        v = norm(space, combine([bs.blocks[i - 1] for i in E], ones)).value
+        all_ones = tuple(Fraction(1) for _ in E)
+        v = ones.get(E)
+        if v is None:
+            r = norm(space, combine([bs.blocks[i - 1] for i in E], all_ones))
+            v = r.value
+            if r.exact:
+                ones[E] = v
         if v > c0_up:
-            c0_up, c0_wit = v, (E, ones)
+            c0_up, c0_wit = v, (E, all_ones)
     witnesses["c0_upper"] = c0_wit
-    l1_low, l1_wit = l1_lower_constant(space, bs, fam, limit)
+    l1_low, l1_wit = _l1_lower(space, bs, fam, limit, 1, ones)
     witnesses["l1_lower"] = l1_wit
     return SpreadingEstimate(
         family=fam,
@@ -324,17 +396,26 @@ def distortion_witness(
     if t <= 1:
         raise ValueError("distortion threshold must exceed 1")
     candidates = _candidate_vectors(space, bs)
+    # each candidate's second norm, evaluated on its first use
+    seconds: List[object] = [None] * len(candidates)
+
+    def second(k: int):
+        if seconds[k] is None:
+            seconds[k] = second_norm_value(space, spec, candidates[k][1])
+        return seconds[k]
+
     best_ratio = Fraction(0)
     best_pair: Optional[Tuple[str, str]] = None
     tried = 0
     found: Optional[DistortionWitness] = None
-    for (lx, vx, ix), (ly, vy, iy) in itertools.product(candidates, repeat=2):
+    pairs = itertools.product(enumerate(candidates), repeat=2)
+    for (kx, (lx, vx, ix)), (ky, (ly, vy, iy)) in pairs:
         combined = tuple(sorted(set(ix) | set(iy)))
         membership = member(combined, fam)
         if not membership.member:
             continue
-        rx = second_norm_value(space, spec, vx)
-        ry = second_norm_value(space, spec, vy)
+        rx = second(kx)
+        ry = second(ky)
         if ry == 0:
             continue
         tried += 1

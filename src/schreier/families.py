@@ -1095,12 +1095,13 @@ def _bracket_shape(k: _Kernel):
     of the whole bracket, all naturals when it is not relabeled.  Under
     F[G](L) every member is L(C) for C in F[G], so blocks live in the
     preimage (position) space, which is value space when L is the identity.
+    S_1 is read as S_1[S_0], relabeled or not.
     """
     labels = k.labels
     if isinstance(k, _Relabeled):
         k = k.base
-        if k is _kernel(S(1)):
-            return k, _kernel(S(0)), labels  # S_1(L) = S_1[S_0](L)
+    if k is _kernel(S(1)):
+        return k, _kernel(S(0)), labels
     if isinstance(k, _Bracket):
         return k.outer, k.inner, labels
     return None

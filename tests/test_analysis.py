@@ -9,10 +9,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import alpha_oracle
+from schreier import analysis
 from schreier.analysis import (
     IntervalNormSpec,
     alpha_index_diagnostic,
     distortion_witness,
+    l1_lower_candidates,
     l1_lower_constant,
     ratio_bound_check,
     second_norm_value,
@@ -21,7 +23,7 @@ from schreier.analysis import (
     interval_distortion_experiment,
     predicted_interval_ratio,
 )
-from schreier.families import A, S, member, verify_bracket_inclusion
+from schreier.families import A, S, enumerate_maximal, member, verify_bracket_inclusion
 from schreier.norms import C0, L1, T, LpSpace, MixedSchreierSpace, SchlumprechtSpace, norm
 from schreier.ordinals import OMEGA, finite
 from schreier.vectors import BlockSequence, Vector, combine
@@ -114,6 +116,121 @@ def test_profile_rejects_horizon_past_blocks():
         spreading_profile(T, BlockSequence.basis(4), S(1), 8)
 
 
+# every space of the toolkit: the exact ones first
+EXACT_SPACES = [T, L1, C0, MixedSchreierSpace(finite(1))]
+FLOAT_SPACES = [SchlumprechtSpace(1e-6), LpSpace(3.0)]
+
+
+def _seeded_blocks(seed, count=7):
+    """Blocks of widths 1-3 with signed rational entries."""
+    rng = random.Random(seed)
+    blocks, start = [], 1
+    for _ in range(count):
+        width = rng.randint(1, 3)
+        blocks.append(Vector.from_dict(
+            {start + i: Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3))
+             for i in range(width)}))
+        start += width
+    return BlockSequence(tuple(blocks))
+
+
+def _scale_free(x):
+    """x up to a positive scale: its entries over the size of its first."""
+    first = abs(x.entries[0][1])
+    return tuple((c, v / first) for c, v in x.entries)
+
+
+def _direct(space, bs, E, coeffs):
+    return norm(space, combine([bs.blocks[i - 1] for i in E], coeffs)).value
+
+
+@pytest.mark.parametrize("space", EXACT_SPACES + FLOAT_SPACES, ids=repr)
+@pytest.mark.parametrize("fam", [S(1), A(3)], ids=repr)
+def test_shared_all_ones_values_match_direct_norms(monkeypatch, space, fam):
+    # inside `spreading_profile` a uniform candidate on E reads its value
+    # as 1/|E| times the exact norm of the all-ones sum over E: each value
+    # must equal the norm of the uniform combination itself, bit for bit
+    # in the float spaces, where nothing may be read that way
+    seen = []
+    uniform_candidates = analysis._uniform_candidates
+
+    def recording(space, bs, fam, min_first, limit, ones):
+        known = set(ones)
+        for E, coeffs, value in uniform_candidates(space, bs, fam, min_first, limit, ones):
+            seen.append((E, coeffs, value, E in known))
+            yield E, coeffs, value
+
+    monkeypatch.setattr(analysis, "_uniform_candidates", recording)
+    for seed in range(3):
+        bs = _seeded_blocks(seed)
+        seen.clear()
+        est = spreading_profile(space, bs, fam, 6)
+        inside = list(seen)
+        assert inside
+        for E, coeffs, value, known in inside:
+            assert coeffs == tuple(Fraction(1, len(E)) for _ in E)
+            assert repr(value) == repr(_direct(space, bs, E, coeffs)), (seed, E)
+        # in an exact space most candidates are read; in a float space none
+        read = sum(known for *_, known in inside)
+        assert read > 0 if space in EXACT_SPACES else read == 0
+        # the public generator gives the same candidates
+        public = list(l1_lower_candidates(space, bs, fam, 1, 6))
+        assert [(E, c, repr(v)) for E, c, v, _ in inside] == [(E, c, repr(v)) for E, c, v in public]
+        # c0_upper is the largest direct all-ones norm over the maximal sets
+        maximal = [E for first in range(1, 7) for E in enumerate_maximal(fam, first, 6).sets]
+        direct = [_direct(space, bs, E, [1] * len(E)) for E in maximal]
+        assert repr(est.c0_upper) == repr(max(direct))
+        E, ones = est.witnesses["c0_upper"]
+        assert repr(_direct(space, bs, E, ones)) == repr(est.c0_upper)
+        assert est.reverify(space, bs)
+        value, witness = l1_lower_constant(space, bs, fam, 6)
+        assert (repr(value), witness) == (repr(est.l1_lower), est.witnesses["l1_lower"])
+
+
+@pytest.mark.parametrize("space", EXACT_SPACES, ids=repr)
+@pytest.mark.parametrize("fam", [S(1), A(2), A(3)], ids=repr)
+def test_profile_norms_no_vector_twice(monkeypatch, space, fam):
+    # within one call, no vector is normed twice, not even at another
+    # positive scale: the all-ones sums, the uniform candidates and the
+    # descent's combinations share their values
+    normed = []
+
+    def counting(space, x):
+        result = norm(space, x)
+        normed.append(_scale_free(x))
+        assert result.exact
+        return result
+
+    monkeypatch.setattr(analysis, "norm", counting)
+    for seed in range(4):
+        bs = _seeded_blocks(seed)
+        for call in (lambda: spreading_profile(space, bs, fam, 6),
+                     lambda: l1_lower_constant(space, bs, fam, 6)):
+            normed.clear()
+            call()
+            assert len(normed) == len(set(normed)), seed
+
+
+@pytest.mark.parametrize("seed, E", [(12, (2, 3, 4, 5)), (35, (1, 2, 4, 5)), (53, (2, 3, 4, 5)),
+                                     (60, (2, 3, 4, 5))])
+def test_descent_reads_equal_coefficients_as_scaled_all_ones(monkeypatch, seed, E):
+    # these descents end on two equal coefficients, c times the all-ones
+    # sum over two blocks: read from the all-ones norms, every step must be
+    # the one that evaluating every combination takes
+    bs = _seeded_blocks(seed, 5)
+    vecs = [bs.blocks[i - 1] for i in E]
+    ones = {sub: _direct(T, bs, sub, [1] * len(sub))
+            for k in range(1, len(E) + 1) for sub in itertools.combinations(E, k)}
+    start = [Fraction(1, len(E))] * len(E)
+    value = _direct(T, bs, E, start)
+    direct = analysis._descend_l1(T, E, vecs, start, value, {})
+    calls = []
+    monkeypatch.setattr(analysis, "norm", lambda space, x: calls.append(x) or norm(space, x))
+    assert analysis._descend_l1(T, E, vecs, start, value, ones) == direct
+    nonzero = [c for c in direct[1] if c]
+    assert nonzero == [Fraction(1, 2)] * 2 and calls
+
+
 # ---------------------------------------------------------------------------
 # distortion search
 # ---------------------------------------------------------------------------
@@ -125,6 +242,56 @@ def test_distortion_tsirelson_interval2():
     assert rep.found.ratio >= Fraction(5, 4)
     assert rep.found.reverify(T, IntervalNormSpec(2), S(1))
     assert member(rep.found.index_set, S(1)).member
+
+
+# (space, second norm, family, block sequence, t) and the parent search's
+# (candidates_tried, witness found, best ratio, best pair)
+DISTORTION_CASES = [
+    ((T, IntervalNormSpec(2), S(1), BlockSequence.basis(24), Fraction(6, 5)),
+     (64, True, Fraction(2), ("avg[2]", "block[2]"))),
+    ((T, IntervalNormSpec(3), S(1), BlockSequence.basis(24), Fraction(100)),
+     (81, False, Fraction(2), ("avg[2]", "block[2]"))),
+    ((T, IntervalNormSpec(2), A(3), _seeded_blocks(5, 10), Fraction(100)),
+     (90, False, Fraction(7, 4), ("block[1]", "block[3]"))),
+    ((T, L1, S(1), _seeded_blocks(6, 10), Fraction(100)),
+     (55, False, Fraction(2), ("block[3]", "block[4]"))),
+    ((T, C0, S(2), BlockSequence.basis(16), Fraction(3, 2)),
+     (11, True, Fraction(2), ("block[2]", "avg[4]"))),
+    ((MixedSchreierSpace(finite(1)), IntervalNormSpec(2), S(1), _seeded_blocks(7, 10), Fraction(100)),
+     (55, False, Fraction(2), ("block[8]", "block[2]"))),
+    ((L1, IntervalNormSpec(3), S(1), _seeded_blocks(8, 10), Fraction(101, 100)),
+     (71, False, Fraction(1), ("block[1]", "block[1]"))),
+]
+
+
+@pytest.mark.parametrize("args, expected", DISTORTION_CASES,
+                         ids=["T-int2-found", "T-int3", "T-int2-A3", "T-l1", "T-c0-found", "X1-int2", "l1-int3"])
+def test_distortion_takes_each_second_norm_once(monkeypatch, args, expected):
+    # every candidate's second norm is evaluated at most once, and only for
+    # candidates in some pair the search reaches; the search is unchanged
+    candidates, calls = [], []
+    candidate_vectors = analysis._candidate_vectors
+
+    def listing(space, bs):
+        candidates.extend(candidate_vectors(space, bs))
+        return candidates
+
+    def counting(space, spec, x):
+        calls.append(x)
+        return second_norm_value(space, spec, x)
+
+    monkeypatch.setattr(analysis, "_candidate_vectors", listing)
+    monkeypatch.setattr(analysis, "second_norm_value", counting)
+    rep = distortion_witness(*args)
+    assert (rep.candidates_tried, rep.found is not None, rep.best_ratio, rep.best_pair) == expected
+    ids = [id(x) for x in calls]
+    assert len(ids) == len(set(ids)) and set(ids) <= {id(v) for _, v, _ in candidates}
+    # in every case some candidate meets no member pair before the search
+    # stops, and its second norm is never needed
+    assert len(ids) < len(candidates)
+    if rep.found is not None:
+        space, spec, fam = args[0], args[1], args[2]
+        assert rep.found.reverify(space, spec, fam)
 
 
 def test_distortion_takes_no_float_candidates():

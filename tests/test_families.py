@@ -645,25 +645,29 @@ def test_dominance_pass_matches_member_sweep(case):
                 assert member(cx, lhs_c).member and not member(cx, target).member
 
 
-@pytest.mark.parametrize("lhs, rhs, ok, method, found", [
-    # S_1(L) is S_1[S_0](L): a dominance pass in position space
-    (RelabeledFamily(S(1), EVENS), S(1), True, "dominance", "143 minima patterns"),
-    (RelabeledFamily(S(1), EVENS), A(3), False, "dominance", "escapes"),
-    # S_1 alone, and a limit, are not bracket-shaped
-    (S(1), S(2), False, "none", "no exact strategy"),
-    (S(OMEGA), S(add(OMEGA, ONE)), False, "none", "no exact strategy"),
+@pytest.mark.parametrize("lhs, rhs, ok, method, found, pinned", [
+    # S_1(L) is S_1[S_0](L), and S_1 is S_1[S_0]: dominance passes in position space
+    (RelabeledFamily(S(1), EVENS), S(1), True, "dominance", "143 minima patterns", 143),
+    (RelabeledFamily(S(1), EVENS), A(3), False, "dominance", "escapes", (8, 10, 12, 14)),
+    (S(1), S(2), True, "dominance", "17710 minima patterns", 17710),
+    (S(1), A(3), False, "dominance", "escapes", (4, 5, 6, 7)),
+    # a limit is not bracket-shaped
+    (S(OMEGA), S(add(OMEGA, ONE)), False, "none", "no exact strategy", None),
     # a relabeled rhs is not spreading
-    (BracketFamily(S(2), A(2)), RelabeledFamily(S(1), EVENS), False, "none", "no exact strategy"),
-    (BracketFamily(S(1), RelabeledFamily(S(1), EVENS)), S(2), False, "none", "too irregular"),
-], ids=["S1(even) in S1", "S1(even) in A3", "S1 in S2", "Sw in Sw+1", "relabeled rhs",
+    (BracketFamily(S(2), A(2)), RelabeledFamily(S(1), EVENS), False, "none", "no exact strategy", None),
+    (BracketFamily(S(1), RelabeledFamily(S(1), EVENS)), S(2), False, "none", "too irregular", None),
+], ids=["S1(even) in S1", "S1(even) in A3", "S1 in S2", "S1 in A3", "Sw in Sw+1", "relabeled rhs",
         "relabeled inner"])
-def test_bracket_inclusion_past_the_sweep(lhs, rhs, ok, method, found):
+def test_bracket_inclusion_past_the_sweep(lhs, rhs, ok, method, found, pinned):
+    # `pinned` is the pattern count of a certified inclusion, and the
+    # counterexample of a failed dominance pass
     rep = verify_bracket_inclusion(lhs, rhs, 20)
     assert (rep.ok, rep.method) == (ok, method) and found in rep.detail
     if ok:
-        assert rep.stats == {"patterns": 143} and rep.certified_horizon == 20
+        assert rep.stats == {"patterns": pinned} and rep.certified_horizon == 20
     elif method == "dominance":
-        assert rep.counterexample == (8, 10, 12, 14) and not rep.budget_exhausted
+        assert rep.counterexample == pinned and not rep.budget_exhausted
+        assert member_exhaustive(pinned, lhs) and not member_exhaustive(pinned, rhs)
     else:
         assert rep.budget_exhausted and rep.certified_horizon is None
 

@@ -464,7 +464,7 @@ def test_budgeted_mixed_interval_norm_is_a_witnessed_lower_bound(monkeypatch):
         assert evaluate_partition(r.witness, x) == r.value
 
 
-@pytest.mark.parametrize("budget", [20, 150])
+@pytest.mark.parametrize("budget", [20, None], ids=["20", "derived"])
 def test_budgeted_mixed_norms_stay_witnessed_lower_bounds(monkeypatch, budget):
     # a budget only stops the search early: every value stays at most the
     # full-budget one and is reached by its witness
@@ -474,9 +474,20 @@ def test_budgeted_mixed_norms_stay_witnessed_lower_bounds(monkeypatch, budget):
     xs += [Vector.from_dict({c: Fraction(rng.randint(1, 6), rng.randint(1, 3))
                              for c in rng.sample(range(2, 16), m)}) for m in (5, 6, 7, 8)]
     cases = [(x, n) for x in xs for n in range(len(x.entries) + 2)]  # n = 0 stands for `norm`
+
+    def run(budget):
+        monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", budget)
+        return [norm(X, x) if n == 0 else interval_norm(X, x, n) for x, n in cases]
+
     full = [norm(X, x) if n == 0 else interval_norm(X, x, n) for x, n in cases]
-    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", budget)
-    results = [norm(X, x) if n == 0 else interval_norm(X, x, n) for x, n in cases]
+    if budget is None:
+        # half the least power of two at which every case converges, so
+        # that some search is still cut however cheap the search becomes
+        budget = 1
+        while not all(r.converged for r in run(budget)):
+            budget *= 2
+        budget //= 2
+    results = run(budget)
     assert not all(r.converged for r in results)
     for (x, n), f, r in zip(cases, full, results):
         assert f.exact and r.value <= f.value
