@@ -116,7 +116,7 @@ def test_profile_rejects_horizon_past_blocks():
         spreading_profile(T, BlockSequence.basis(4), S(1), 8)
 
 
-# every space of the toolkit: the exact ones first
+# the spaces of the toolkit, by whether their norms are exact rationals
 EXACT_SPACES = [T, L1, C0, MixedSchreierSpace(finite(1))]
 FLOAT_SPACES = [SchlumprechtSpace(1e-6), LpSpace(3.0)]
 
