@@ -19,9 +19,15 @@ the value on E.  That is positive homogeneity, |cx| = c|x|, which holds
 exactly in `Fraction` arithmetic.  Only exact results are kept: a float
 norm (lp, Schlumprecht) or an X(xi) norm whose budget ran out is not, so
 such a candidate evaluates its own combination, bit for bit as before.
-The l1 descent evaluates no coefficient tuple twice, and
+The l1 descent evaluates no coefficient tuple twice, and in T, l1 and c0
+skips a step unevaluated once the block bound max_b c_b |b|, read from the
+exact block norms in `ones`, reaches the best: 1-unconditionality makes it
+a lower bound, and a step is taken only on a strict improvement.
 `distortion_witness` evaluates each candidate's second norm once, on its
-first use.  The memos live for one call.
+first use, and its rapidly increasing sums read the l1 averages already
+normed for the same window.  The memos live for one call.  Every search
+here reads only values, exactness and convergence, so it calls the
+witness-free evaluation `norms._norm` and builds no witness tree.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .constructions import BudgetExhausted, build_l1_average, build_ris
+from .constructions import BudgetExhausted, _l1_average, _ris
 from .families import (
     Family,
     FinSet,
@@ -46,9 +52,9 @@ from .norms import (
     L1Space,
     MixedSchreierSpace,
     NormSpace,
+    TsirelsonSpace,
     _admissible_sum,
-    interval_norm,
-    norm,
+    _norm,
 )
 from .ordinals import ONE, Ordinal, add, fundamental, omega_power
 from .reports import Factory, Record, WitnessReport
@@ -90,8 +96,8 @@ SecondNorm = Union[NormSpace, IntervalNormSpec]
 
 def second_norm_value(space: NormSpace, spec: SecondNorm, x: Vector):
     if isinstance(spec, IntervalNormSpec):
-        return interval_norm(space, x, spec.n).value
-    return norm(spec, x).value
+        return _norm(space, x, spec.n).value
+    return _norm(spec, x).value
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +117,7 @@ class SpreadingEstimate(Record):
     def reverify(self, space: NormSpace, bs: BlockSequence) -> bool:
         """Every stored witness must re-evaluate to its bound."""
         for name, (E, coeffs) in self.witnesses.items():
-            value = norm(space, combine([bs.blocks[i - 1] for i in E], coeffs)).value
+            value = _norm(space, combine([bs.blocks[i - 1] for i in E], coeffs)).value
             expected = getattr(self, name)
             if value != expected:
                 return False
@@ -141,8 +147,18 @@ def _descend_l1(
     the best then, and the best only falls under the strict `<`.  A tuple
     whose nonzero coefficients all equal c is c times the all-ones sum over
     their indices, and reads its value from `ones` when that holds it.
+
+    In T, l1 and c0 a tuple is skipped unevaluated once the block bound
+    max_b c_b |b|, read from the exact block norms `ones[(b,)]`, reaches
+    the best: these norms are exact and 1-unconditional, so |sum c_b b| >=
+    c_b |b| for every block b, and the step could not be taken under the
+    strict `<`.  X(xi) evaluates every tuple: a value whose budget ran out
+    is only a lower bound, which a skip could replace.
     """
     coeffs = list(start)
+    # the exact block norms, in the spaces where they bound every combination
+    bounded = isinstance(space, (TsirelsonSpace, L1Space, C0Space))
+    block_norms = [ones.get((e,)) for e in E] if bounded else []
     seen = {tuple(coeffs)}
     steps = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
     for _ in range(L1_DESCENT_ROUNDS):
@@ -159,12 +175,14 @@ def _descend_l1(
                     if key in seen:
                         continue
                     seen.add(key)
+                    if any(c * b >= value for c, b in zip(key, block_norms) if b is not None):
+                        continue
                     scales = set(key) - {0}
                     sub = tuple(e for e, c in zip(E, key) if c)
                     if len(scales) == 1 and sub in ones:
                         v = ones[sub] * scales.pop()
                     else:
-                        v = norm(space, combine(vectors, cand)).value
+                        v = _norm(space, combine(vectors, cand)).value
                     if v < value:
                         coeffs, value = cand, v
                         improved = True
@@ -197,7 +215,7 @@ def _uniform_candidates(
             if E in ones:
                 value = ones[E] / len(E)
             else:
-                value = norm(space, combine([bs.blocks[i - 1] for i in E], coeffs)).value
+                value = _norm(space, combine([bs.blocks[i - 1] for i in E], coeffs)).value
             yield E, coeffs, value
 
 
@@ -271,10 +289,12 @@ def spreading_profile(
     of the infimum with its witness.  The block norms and the all-ones
     sums, exact ones kept in `ones`, are each evaluated once for both.
     """
+    if horizon < 1:
+        raise ValueError(f"the horizon must be at least 1, got {horizon}")
     if horizon > len(bs):
         raise ValueError("horizon exceeds available blocks")
     limit = horizon
-    block_results = [norm(space, b) for b in bs.blocks[:limit]]
+    block_results = [_norm(space, b) for b in bs.blocks[:limit]]
     block_norms = [r.value for r in block_results]
     i_up = max(range(limit), key=lambda i: block_norms[i])
     i_dn = min(range(limit), key=lambda i: block_norms[i])
@@ -290,7 +310,7 @@ def spreading_profile(
         all_ones = tuple(Fraction(1) for _ in E)
         v = ones.get(E)
         if v is None:
-            r = norm(space, combine([bs.blocks[i - 1] for i in E], all_ones))
+            r = _norm(space, combine([bs.blocks[i - 1] for i in E], all_ones))
             v = r.value
             if r.exact:
                 ones[E] = v
@@ -329,7 +349,7 @@ class DistortionWitness(Record):
     def reverify(self, space: NormSpace, spec: SecondNorm, fam: Family) -> bool:
         if not member(self.index_set, fam).member:
             return False
-        if norm(space, self.x).value != 1 or norm(space, self.y).value != 1:
+        if _norm(space, self.x).value != 1 or _norm(space, self.y).value != 1:
             return False
         rx = second_norm_value(space, spec, self.x)
         ry = second_norm_value(space, spec, self.y)
@@ -347,17 +367,19 @@ class DistortionReport(Record):
 
 def _candidate_vectors(space: NormSpace, bs: BlockSequence) -> List[Tuple[str, Vector, FinSet]]:
     """Structured candidates: normalised single blocks, l1 averages of a few
-    window sizes, and short rapidly-increasing average sums."""
+    window sizes, and short rapidly-increasing average sums, which read the
+    windows the averages already normed."""
     out: List[Tuple[str, Vector, FinSet]] = []
     for i in range(1, min(len(bs), 8) + 1):
-        r = norm(space, bs.blocks[i - 1])
+        r = _norm(space, bs.blocks[i - 1])
         if r.exact and r.value > 0:
             out.append((f"block[{i}]", bs.blocks[i - 1] * (Fraction(1) / r.value), (i,)))
+    normed: dict = {}
     for k in (2, 3, 4, 6, 8):
         if k > len(bs):
             continue
         try:
-            vec, info = build_l1_average(space, k, bs, Fraction(0))
+            vec, info = _l1_average(space, k, bs, Fraction(0), 1, normed)
         except (BudgetExhausted, ValueError):
             continue
         out.append((f"avg[{k}]", vec, info["indices"]))
@@ -365,11 +387,11 @@ def _candidate_vectors(space: NormSpace, bs: BlockSequence) -> List[Tuple[str, V
         if sizes[-1] > len(bs):
             continue
         try:
-            ris = build_ris(space, sizes, bs)
+            ris = _ris(space, sizes, bs, Fraction(0), normed)
         except (BudgetExhausted, ValueError):
             continue
         total = combine(ris.blocks, [1] * len(ris.blocks))
-        r = norm(space, total)
+        r = _norm(space, total)
         if r.exact and r.value > 0:
             indices = tuple(sorted(set(itertools.chain.from_iterable(ris.origins))))
             out.append((f"ris{sizes}", total * (Fraction(1) / r.value), indices))
@@ -533,10 +555,10 @@ def interval_distortion_experiment(
         return IntervalExperimentReport(
             xi, n, k, eps, formula, None, mreport, {"reason": "horizon too small"}, True
         )
-    ny = norm(space, y_bar)
-    nz = norm(space, z_bar)
-    iy = interval_norm(space, y_bar, n)
-    iz = interval_norm(space, z_bar, n)
+    ny = _norm(space, y_bar)
+    nz = _norm(space, z_bar)
+    iy = _norm(space, y_bar, n)
+    iz = _norm(space, z_bar, n)
     exhausted = not (ny.exact and nz.exact and iy.exact and iz.exact)
     achieved = None
     if not exhausted:
@@ -599,6 +621,8 @@ def ratio_bound_check(
     constant was measured wrong, and the report names the check that failed.
     Raises ValueError when the space's norm is not exact.
     """
+    if samples < 1:
+        raise ValueError(f"the ratio check needs at least one sample, got {samples}")
     a, a0, b, b0 = Fraction(a), Fraction(a0), Fraction(b), Fraction(b0)
     delta = max(a * b, a0 * b0) - 1
     if delta < 0:
@@ -614,7 +638,7 @@ def ratio_bound_check(
         E = rng.choice(sets)
         coeffs = [Fraction(rng.randint(1, 8), 8) for _ in E]
         raw = combine([bs.blocks[i - 1] for i in E], coeffs)
-        nr = norm(space, raw)
+        nr = _norm(space, raw)
         if not nr.exact:
             raise ValueError(f"the norm of {space} is not exact; the ratio checks need an exact scale")
         if nr.value == 0:

@@ -32,7 +32,7 @@ from .families import (
     family_mass,
     member,
 )
-from .norms import NormSpace, norm
+from .norms import NormSpace, _norm
 from .ordinals import ONE, Ordinal, compare, fundamental, omega_power
 from .reports import BudgetExhausted, Record
 from .vectors import (
@@ -217,19 +217,30 @@ def build_l1_average(
     dict; raises BudgetExhausted with the best window when quality is
     unreachable, and ValueError when the space's norm is not exact.
     """
+    return _l1_average(space, k, bs, quality, start, {})
+
+
+def _l1_average(space: NormSpace, k: int, bs: BlockSequence, quality: Fraction, start: int,
+                normed: dict) -> Tuple[Vector, dict]:
+    """`build_l1_average`, keeping in `normed` each window's average and its
+    norm under (k, window start): a window an earlier scan normed over the
+    same space and blocks is read, not normed again."""
     quality = Fraction(quality)
     best = None
     for s in range(start, len(bs) - k + 2):
-        window = bs.blocks[s - 1 : s + k - 1]
-        if k > window[0].support()[0]:
+        if k > bs.blocks[s - 1].support()[0]:
             continue
-        avg = window[0] * Fraction(1, k)
-        for b in window[1:]:
-            avg = avg + b * Fraction(1, k)
-        res = norm(space, avg)
-        if not res.exact:
-            raise ValueError(f"the norm of {space} is not exact; an l1 average needs an exact scale")
-        value = res.value
+        hit = normed.get((k, s))
+        if hit is None:
+            window = bs.blocks[s - 1 : s + k - 1]
+            avg = window[0] * Fraction(1, k)
+            for b in window[1:]:
+                avg = avg + b * Fraction(1, k)
+            res = _norm(space, avg)
+            if not res.exact:
+                raise ValueError(f"the norm of {space} is not exact; an l1 average needs an exact scale")
+            hit = normed[(k, s)] = (avg, res.value)
+        avg, value = hit
         info = {
             "start": s,
             "indices": tuple(range(s, s + k)),
@@ -254,6 +265,12 @@ def build_ris(
     average's max support (the vector-side mirror of very fast growth);
     windows are chosen greedily left to right.
     """
+    return _ris(space, sizes, bs, quality, {})
+
+
+def _ris(space: NormSpace, sizes: Sequence[int], bs: BlockSequence, quality: Fraction,
+         normed: dict) -> BlockSequence:
+    """`build_ris` over the window memo `normed` of `_l1_average`."""
     sizes = list(sizes)
     if any(s1 >= s2 for s1, s2 in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
@@ -273,7 +290,7 @@ def build_ris(
                 break
         if found is None:
             raise BudgetExhausted(f"insufficient blocks for an average of size {size}")
-        vec, info = build_l1_average(space, size, bs, quality, start=found)
+        vec, info = _l1_average(space, size, bs, quality, found, normed)
         out.append(vec)
         origins.append(info["indices"])
         cursor = info["indices"][-1] + 1
@@ -517,7 +534,7 @@ def l1_to_c0_blocking(
             raise BudgetExhausted(f"ran out of blocks at stage {k}")
         tail = BlockSequence(tuple(tail_blocks), tuple(tail_origins))
         vec, cert = scc_on_blocks(tail, stage_hi, stage_lo, eps / (2 ** (k - 1)), L1_TO_C0_SCC_BUDGET)
-        res = norm(space, vec)
+        res = _norm(space, vec)
         if not res.exact:
             raise ValueError(f"the norm of {space} is not exact; a normalised block needs an exact scale")
         out_blocks.append(vec * (1 / res.value))

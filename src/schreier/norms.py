@@ -31,7 +31,11 @@ session, whose memoised `value(i, j)` gives the value on support positions
 i..j and records the choice that reached it; `witness(i, j)` rebuilds the
 witness from the recorded choices alone, once per answer.  `norm` reads
 positions 0..n-1; the interval norms (norm_j, interval_norm) read every
-chunk of their covers from the same session.
+chunk of their covers from the same session.  One private evaluation,
+`_norm`, serves them all and builds the witness only when asked: the
+public entry points ask, while `analysis` and `constructions`, which read
+only the value, exactness and convergence, build no witness tree.  The
+witness never feeds back into the value, so both give the same numbers.
 
 The Tsirelson, Schlumprecht and mixed evaluators and the interval norms
 share one kernel, `_cover`: the best sum of chunk values over at most k
@@ -543,12 +547,7 @@ def norm(space: NormSpace, x: Vector) -> NormResult:
     in the interval norms.  Exact results carry a witness that re-evaluates
     to the value.
     """
-    if x.is_zero:
-        return NormResult(Fraction(0), exact=True)
-    session, last = _session(space, x), len(x.entries) - 1
-    value = session.value(0, last)
-    witness = session.witness(0, last) if session.exact else None
-    return _result(session, value, witness, session.tolerance)
+    return _norm(space, x, witnessed=True)
 
 
 def norm_j(space: NormSpace, x: Vector, j: int) -> NormResult:
@@ -558,19 +557,22 @@ def norm_j(space: NormSpace, x: Vector, j: int) -> NormResult:
     """
     if j < 2:
         raise ValueError("the weighted norms need j >= 2")
-    return _interval_cover(space, x, j, j)
+    return _norm(space, x, j, j, True)
 
 
 def interval_norm(space: NormSpace, x: Vector, n: int) -> NormResult:
     """Sup of sums of norms over at most n successive interval restrictions."""
     if n < 1:
         raise ValueError("need n >= 1 intervals")
-    return _interval_cover(space, x, n, 1)
+    return _norm(space, x, n, 1, True)
 
 
-def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResult:
-    """(1/scale) * the best sum of chunk norms over at most n interval
-    chunks covering the support.
+def _norm(space: NormSpace, x: Vector, n: int = 0, scale: int = 1, witnessed: bool = False) -> NormResult:
+    """The one evaluation behind `norm` (n = 0) and the interval norms: the
+    NormResult of x, or of (1/scale) times the best sum of chunk norms over
+    at most n interval chunks covering the support; with its witness only
+    when `witnessed`.  Value, exact, converged and tolerance do not depend
+    on it: the witness is rebuilt from the recorded choices alone.
 
     Covering chunks suffice: filling a gap never lowers a chunk norm
     (support monotonicity) and splitting a chunk never lowers the sum
@@ -588,11 +590,16 @@ def _interval_cover(space: NormSpace, x: Vector, n: int, scale: int) -> NormResu
     """
     if x.is_zero:
         return NormResult(Fraction(0), exact=True)
-    session, last, memo = _session(space, x), len(x.entries) - 1, {}
+    session, last, witness = _session(space, x), len(x.entries) - 1, None
+    if not n:
+        total, tolerance = session.value(0, last), session.tolerance
+        if witnessed and session.exact:
+            witness = session.witness(0, last)
+        return _result(session, total, witness, tolerance)
+    memo, prefix = {}, session.cover_prefix
     chunk = session.chunk if isinstance(session, _MixedSession) else session.value
-    prefix = session.cover_prefix
-    total, witness = _cover(chunk, memo, 0, last, n, False, prefix), None
-    if session.exact:
+    total = _cover(chunk, memo, 0, last, n, False, prefix)
+    if witnessed and session.exact:
         parts = _cover_parts(chunk, session.witness, memo, 0, last, n, False, prefix)
         witness = PartNode(Fraction(1, scale), parts)
     return _result(session, total, witness, n * session.tolerance / scale, scale)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import alpha_oracle
-from schreier import analysis
+from schreier import analysis, constructions, norms
 from schreier.analysis import (
     IntervalNormSpec,
     alpha_index_diagnostic,
@@ -24,7 +24,7 @@ from schreier.analysis import (
     predicted_interval_ratio,
 )
 from schreier.families import A, S, enumerate_maximal, member, verify_bracket_inclusion
-from schreier.norms import C0, L1, T, LpSpace, MixedSchreierSpace, SchlumprechtSpace, norm
+from schreier.norms import C0, L1, T, LpSpace, MixedSchreierSpace, SchlumprechtSpace, _norm, norm
 from schreier.ordinals import OMEGA, finite
 from schreier.vectors import BlockSequence, Vector, combine
 
@@ -116,6 +116,12 @@ def test_profile_rejects_horizon_past_blocks():
         spreading_profile(T, BlockSequence.basis(4), S(1), 8)
 
 
+@pytest.mark.parametrize("horizon", [0, -2])
+def test_profile_rejects_horizon_below_one(horizon):
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        spreading_profile(T, BlockSequence.basis(4), S(1), horizon)
+
+
 # the spaces of the toolkit, by whether their norms are exact rationals
 EXACT_SPACES = [T, L1, C0, MixedSchreierSpace(finite(1))]
 FLOAT_SPACES = [SchlumprechtSpace(1e-6), LpSpace(3.0)]
@@ -192,16 +198,17 @@ def test_shared_all_ones_values_match_direct_norms(monkeypatch, space, fam):
 def test_profile_norms_no_vector_twice(monkeypatch, space, fam):
     # within one call, no vector is normed twice, not even at another
     # positive scale: the all-ones sums, the uniform candidates and the
-    # descent's combinations share their values
+    # descent's combinations share their values; `_norm` is the evaluation
+    # every analysis search calls
     normed = []
 
     def counting(space, x):
-        result = norm(space, x)
+        result = _norm(space, x)
         normed.append(_scale_free(x))
         assert result.exact
         return result
 
-    monkeypatch.setattr(analysis, "norm", counting)
+    monkeypatch.setattr(analysis, "_norm", counting)
     for seed in range(4):
         bs = _seeded_blocks(seed)
         for call in (lambda: spreading_profile(space, bs, fam, 6),
@@ -225,10 +232,109 @@ def test_descent_reads_equal_coefficients_as_scaled_all_ones(monkeypatch, seed, 
     value = _direct(T, bs, E, start)
     direct = analysis._descend_l1(T, E, vecs, start, value, {})
     calls = []
-    monkeypatch.setattr(analysis, "norm", lambda space, x: calls.append(x) or norm(space, x))
+    monkeypatch.setattr(analysis, "_norm", lambda space, x: calls.append(x) or _norm(space, x))
     assert analysis._descend_l1(T, E, vecs, start, value, ones) == direct
     nonzero = [c for c in direct[1] if c]
     assert nonzero == [Fraction(1, 2)] * 2 and calls
+
+
+def _plain_descent(space, vecs, start, value):
+    """The l1 descent that evaluates every step it tries: no tuple skipped
+    as seen, no all-ones read and no block bound."""
+    coeffs = list(start)
+    for _ in range(analysis.L1_DESCENT_ROUNDS):
+        improved = False
+        for step in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
+            for i, j in itertools.permutations(range(len(coeffs)), 2):
+                if coeffs[i] < step:
+                    continue
+                cand = list(coeffs)
+                cand[i] -= step
+                cand[j] += step
+                v = norm(space, combine(vecs, cand)).value
+                if v < value:
+                    coeffs, value, improved = cand, v, True
+        if not improved:
+            break
+    return value, coeffs
+
+
+def _descents(space, bs, fam):
+    """The exact all-ones norms `spreading_profile` keeps at horizon 6, and
+    a uniform-start descent on every maximal set of two or more indices."""
+    sets = [E for first in range(1, 7) for E in enumerate_maximal(fam, first, 6).sets]
+    ones = {}
+    for E in [(i,) for i in range(1, 7)] + sets:
+        r = norm(space, combine([bs.blocks[i - 1] for i in E], [1] * len(E)))
+        if r.exact:
+            ones[E] = r.value
+    for E in sets:
+        if len(E) > 1:
+            vecs = [bs.blocks[i - 1] for i in E]
+            start = [Fraction(1, len(E))] * len(E)
+            yield E, vecs, start, norm(space, combine(vecs, start)).value, ones
+
+
+@pytest.mark.parametrize("space", [T, L1, C0], ids=repr)
+@pytest.mark.parametrize("fam", [S(1), A(2), A(3)], ids=repr)
+def test_descent_block_bound_matches_unskipped_descent(space, fam):
+    # a step whose block bound max_b c_b |b| reaches the best is skipped
+    # unevaluated: every descent must end where evaluating every step ends
+    for seed in range(3):
+        for E, vecs, start, value, ones in _descents(space, _seeded_blocks(seed), fam):
+            got = analysis._descend_l1(space, E, vecs, start, value, ones)
+            assert got == _plain_descent(space, vecs, start, value), (seed, E)
+
+
+# (space, family, seed, index set) and the steps the descent evaluates,
+# with the block bound and without it (no singleton in `ones`)
+DESCENT_COUNTS = [
+    (T, A(3), 0, (1, 2, 3), (6, 22)),
+    (T, S(1), 1, (3, 4, 5), (11, 18)),
+    (L1, A(2), 2, (1, 2), (6, 8)),
+    (C0, A(3), 1, (2, 3, 4), (2, 20)),
+]
+
+
+@pytest.mark.parametrize("space, fam, seed, E, counts", DESCENT_COUNTS, ids=repr)
+def test_descent_block_bound_evaluation_counts(monkeypatch, space, fam, seed, E, counts):
+    [(_, vecs, start, value, ones)] = [d for d in _descents(space, _seeded_blocks(seed), fam) if d[0] == E]
+    calls, got = [], []
+    monkeypatch.setattr(analysis, "_norm", lambda space, x: calls.append(x) or _norm(space, x))
+    for known in (ones, {F: v for F, v in ones.items() if len(F) > 1}):
+        calls.clear()
+        got.append(analysis._descend_l1(space, E, vecs, start, value, known))
+        got.append(len(calls))
+    assert got[0] == got[2] and (got[1], got[3]) == counts
+
+
+def _wide_blocks(seed):
+    """Six blocks of widths 1-5 with positive entries: X(1) block norms
+    there exceed the sup norm, so the block bound can exceed a combination
+    value whose tick budget ran out."""
+    rng = random.Random(seed)
+    blocks, start = [], 1
+    for _ in range(6):
+        width = rng.randint(1, 5)
+        blocks.append(Vector.from_dict({start + i: Fraction(rng.randint(1, 4), rng.randint(1, 2))
+                                        for i in range(width)}))
+        start += width
+    return BlockSequence(tuple(blocks))
+
+
+@pytest.mark.parametrize("fam, seed, budget", [(A(2), 2, 16), (A(3), 2, 16)], ids=repr)
+def test_descent_evaluates_every_step_in_budgeted_mixed_space(monkeypatch, fam, seed, budget):
+    # an X(1) value whose budget ran out is only a lower bound, which may
+    # fall below the block bound of exact block norms: the descent skips
+    # nothing there and takes the steps that evaluating every one takes
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", budget)
+    X1 = MixedSchreierSpace(finite(1))
+    unconverged = 0
+    for E, vecs, start, value, ones in _descents(X1, _wide_blocks(seed), fam):
+        got = analysis._descend_l1(X1, E, vecs, start, value, ones)
+        assert got == _plain_descent(X1, vecs, start, value), E
+        unconverged += not norm(X1, combine(vecs, got[1])).converged
+    assert unconverged
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +370,10 @@ DISTORTION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("args, expected", DISTORTION_CASES,
-                         ids=["T-int2-found", "T-int3", "T-int2-A3", "T-l1", "T-c0-found", "X1-int2", "l1-int3"])
+DISTORTION_IDS = ["T-int2-found", "T-int3", "T-int2-A3", "T-l1", "T-c0-found", "X1-int2", "l1-int3"]
+
+
+@pytest.mark.parametrize("args, expected", DISTORTION_CASES, ids=DISTORTION_IDS)
 def test_distortion_takes_each_second_norm_once(monkeypatch, args, expected):
     # every candidate's second norm is evaluated at most once, and only for
     # candidates in some pair the search reaches; the search is unchanged
@@ -292,6 +400,24 @@ def test_distortion_takes_each_second_norm_once(monkeypatch, args, expected):
     if rep.found is not None:
         space, spec, fam = args[0], args[1], args[2]
         assert rep.found.reverify(space, spec, fam)
+
+
+@pytest.mark.parametrize("args, expected", DISTORTION_CASES, ids=DISTORTION_IDS)
+def test_distortion_norms_no_window_twice(monkeypatch, args, expected):
+    # the averages of the rapidly increasing sums read the windows that the
+    # `avg[k]` scans already normed: within one search no vector is normed
+    # twice in the same norm, not even at another positive scale
+    normed = []
+
+    def counting(space, x, *rest):
+        normed.append((space, rest, _scale_free(x)))
+        return _norm(space, x, *rest)
+
+    monkeypatch.setattr(analysis, "_norm", counting)
+    monkeypatch.setattr(constructions, "_norm", counting)
+    rep = distortion_witness(*args)
+    assert (rep.candidates_tried, rep.found is not None, rep.best_ratio, rep.best_pair) == expected
+    assert normed and len(normed) == len(set(normed))
 
 
 def test_distortion_takes_no_float_candidates():
@@ -399,6 +525,14 @@ def test_ratio_chain_detects_corrupted_second_upper_constant():
     )
     assert not rep.ok
     assert any(not v["checks"]["second_upper"] for v in rep.violations)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_ratio_chain_rejects_fewer_than_one_sample(samples):
+    # a check of no samples cannot fail, so it is refused, not reported ok
+    with pytest.raises(ValueError, match="at least one sample"):
+        ratio_bound_check(T, IntervalNormSpec(2), BlockSequence.basis(12), S(1),
+                          2, 2, 1, 2, samples=samples)
 
 
 @pytest.mark.parametrize("space", [LpSpace(2.0), SchlumprechtSpace()], ids=repr)

@@ -518,6 +518,39 @@ def test_zero_vector_results(space, expected):
     assert repr(norm_j(space, Vector(), 2)) == zero
 
 
+# every space, and X(1) again under a tick budget that runs out
+WITNESS_FREE_CASES = [(space, None) for space, _ in ZERO_RESULTS] + [(MixedSchreierSpace(finite(1)), 40)]
+
+
+@pytest.mark.parametrize("space, budget", WITNESS_FREE_CASES, ids=repr)
+def test_witness_free_evaluation_matches_public_norms(monkeypatch, space, budget):
+    # `_norm` without a witness is what the analysis and construction
+    # layers read: value, exactness, convergence and tolerance must be those
+    # of `norm`, `interval_norm` and `norm_j`, floats bit for bit
+    if budget is not None:
+        monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", budget)
+    rng = random.Random(21)
+    vectors = [Vector()] + [
+        Vector.from_dict({c: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                          for c in sorted(rng.sample(range(1, 14), size))})
+        for size in range(1, 8) for _ in range(3)]
+    unconverged = 0
+    for x in vectors:
+        pairs = [(norm(space, x), norms._norm(space, x))]
+        pairs += [(interval_norm(space, x, n), norms._norm(space, x, n)) for n in (1, 2, 3)]
+        pairs += [(norm_j(space, x, j), norms._norm(space, x, j, j)) for j in (2, 3)]
+        for public, free in pairs:
+            fields = [(repr(r.value), r.exact, r.converged, repr(r.tolerance)) for r in (public, free)]
+            assert fields[0] == fields[1], x
+            assert free.witness is None and public.achieved(x)
+            # an unconverged X(1) value keeps the witness of its lower bound
+            floats = isinstance(space, (LpSpace, SchlumprechtSpace))
+            assert (public.witness is not None) == (not floats and not x.is_zero)
+            unconverged += not public.converged
+    # the lowered budget runs out on some vectors, and only there
+    assert (unconverged > 0) == (budget is not None)
+
+
 # ---------------------------------------------------------------------------
 # mixed Schreier space
 # ---------------------------------------------------------------------------
