@@ -37,7 +37,7 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .constructions import BudgetExhausted, _l1_average, _ris
+from .constructions import BudgetExhausted, _l1_average, _ris, _stage
 from .families import (
     Family,
     FinSet,
@@ -56,7 +56,7 @@ from .norms import (
     _admissible_sum,
     _norm,
 )
-from .ordinals import ONE, Ordinal, add, fundamental, omega_power
+from .ordinals import ONE, Ordinal, add, omega_power
 from .reports import Factory, Record, WitnessReport
 from .vectors import BlockSequence, Vector, combine
 
@@ -684,9 +684,7 @@ def alpha_index_diagnostic(
     """
     if size_floor < 2:
         raise ValueError("the average sizes need a floor >= 2")
-    base = omega_power(xi)
-    stage = fundamental(base, n) if base.is_limit else base
-    fam = SchreierFamily(stage)
+    fam = SchreierFamily(_stage(xi, n))
     limit = min(horizon, len(bs))
     best = Fraction(0)
     for block in bs.blocks[max(0, limit - ALPHA_TARGET_BLOCKS) : limit]:

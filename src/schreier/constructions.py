@@ -56,6 +56,13 @@ L1_TO_C0_SCC_BUDGET = 60
 L1_TO_C0_STAGE_CAP = 1
 
 
+def _stage(xi: Ordinal, n: int) -> Ordinal:
+    """The index of the n-th stage of S_{omega^xi}: omega^xi[n] when omega^xi
+    is a limit, omega^xi itself otherwise."""
+    base = omega_power(xi)
+    return fundamental(base, n) if base.is_limit else base
+
+
 def rational_sqrt_below(K: Fraction) -> Fraction:
     """Largest convenient rational t with t*t <= K, within 2^-SQRT_BITS of sqrt(K)."""
     if K <= 0:
@@ -380,8 +387,7 @@ def james_blocking_step(
     if K <= 1:
         raise ValueError("need K > 1")
     t = rational_sqrt_below(K)
-    stage = fundamental(omega_power(xi), n) if omega_power(xi).is_limit else None
-    fam = SchreierFamily(stage if stage is not None else omega_power(xi))
+    fam = SchreierFamily(_stage(xi, n))
     limit = min(horizon, len(bs))
 
     worst_ratio = Fraction(0)
@@ -444,11 +450,12 @@ def two_norm_blocking(
     if eps <= 0:
         raise ValueError("need eps > 0")
     fam = SchreierFamily(omega_power(xi))
+    stage = SchreierFamily(_stage(xi, n))
     current = bs
     rounds = []
     for round_no in range(max_rounds):
-        lower_second, _ = l1_lower_constant(second, current, SchreierFamily(fundamental(omega_power(xi), n)), horizon)
-        lower_first, _ = l1_lower_constant(space, current, SchreierFamily(fundamental(omega_power(xi), n)), horizon)
+        lower_second, _ = l1_lower_constant(second, current, stage, horizon)
+        lower_first, _ = l1_lower_constant(space, current, stage, horizon)
         rounds.append({"round": round_no, "second_lower": lower_second, "first_lower": lower_first})
         if lower_second > 0 and Fraction(1) / lower_second <= 1 + eps:
             break
@@ -526,7 +533,7 @@ def l1_to_c0_blocking(
     consumed = 0
     for k in range(1, count + 1):
         stage = min(k, L1_TO_C0_STAGE_CAP)
-        stage_hi = fundamental(base, stage + 1) if base.is_limit else base
+        stage_hi = _stage(xi, stage + 1)
         stage_lo = fundamental(base, stage) if base.is_limit else base.predecessor()
         tail_blocks = bs.blocks[consumed:]
         tail_origins = bs.origins[consumed:]

@@ -23,9 +23,12 @@ canonical rewriting and the two independent oracles read the expression.
 A kernel decides membership exactly and with a witness: it splits a set
 greedily into maximal blocks, which is complete when the outer family is
 spreading and the inner one hereditary, and backtracks everywhere else.
-`member` memoises those answers in a memo of at most MEMO_CAP entries, and
-`member_exhaustive` is an independent brute-force decider kept for
-cross-checking.  A kernel also carries a greedy state that it extends by
+`member` memoises those answers in a memo of at most MEMO_CAP entries.
+`member_exhaustive` is an independent decider kept for cross-checking: it
+tries every block end from left to right, with no greedy choice, and drops
+only a prefix of blocks whose minima leave the outer family, which no
+later block can undo, as every family here keeps the initial segments of
+its members.  A kernel also carries a greedy state that it extends by
 one element at a time along a DFS, and the labels its members' elements
 are drawn from; the maximal-set enumeration, the horizon-certified
 threshold and inclusion searches, and the exact maximisation of a weight
@@ -685,12 +688,16 @@ _exhaustive_cache: Dict[Tuple[Family, FinSet], bool] = {}
 
 
 def member_exhaustive(E, fam: Family) -> bool:
-    """Brute-force membership, enumerating every decomposition.
+    """Membership by a search over every split into successive blocks.
 
-    No greedy ordering and no structural pruning: successor and bracket
-    cases iterate over all 2^(|E|-1) compositions of E into successive
-    blocks.  Kept as an independent cross-check for `member`, and raises
-    the same ValueError for a tuple that is not a set.
+    No greedy ordering: in the successor and bracket cases
+    `_blocks_exhaustive` tries every end of every block, from left to
+    right, and asks this oracle whether the block lies in the inner family.
+    The one pruning is sound for every family here: a prefix of blocks
+    whose minima leave the outer family is dropped, because the outer
+    family keeps the initial segments of its members, so no later blocks
+    bring the minima back in.  Kept as an independent cross-check for
+    `member`, and raises the same ValueError for a tuple that is not a set.
     """
     E = tuple(E)
     key = (fam, E)
@@ -709,18 +716,17 @@ def _is_finset(E: tuple) -> bool:
     return all(isinstance(x, int) for x in E) and all(a < b for a, b in zip((0,) + E, E))
 
 
-def _compositions(E: FinSet) -> Iterator[List[FinSet]]:
-    """All splits of E into successive nonempty blocks."""
-    n = len(E)
-    for mask in range(1 << (n - 1)):
-        blocks: List[FinSet] = []
-        start = 0
-        for i in range(n - 1):
-            if mask >> i & 1:
-                blocks.append(E[start : i + 1])
-                start = i + 1
-        blocks.append(E[start:])
-        yield blocks
+def _blocks_exhaustive(E: FinSet, outer: Family, inner: Family, start: int = 0,
+                       minima: FinSet = ()) -> bool:
+    """Whether E[start:] splits into successive blocks in inner whose minima,
+    after those given, lie in outer; the search of `member_exhaustive`."""
+    if start == len(E):
+        return True
+    minima += (E[start],)
+    return member_exhaustive(minima, outer) and any(
+        member_exhaustive(E[start:end], inner) and _blocks_exhaustive(E, outer, inner, end, minima)
+        for end in range(start + 1, len(E) + 1)
+    )
 
 
 def _exhaustive_uncached(E: FinSet, fam: Family) -> bool:
@@ -735,21 +741,13 @@ def _exhaustive_uncached(E: FinSet, fam: Family) -> bool:
         if xi == ONE:
             return len(E) <= E[0]
         if xi.is_successor:
-            sub = SchreierFamily(xi.predecessor())
-            return any(
-                len(blocks) <= E[0] and all(member_exhaustive(b, sub) for b in blocks)
-                for blocks in _compositions(E)
-            )
+            return _blocks_exhaustive(E, SchreierFamily(ONE), SchreierFamily(xi.predecessor()))
         return any(
             member_exhaustive(E, SchreierFamily(fundamental(xi, n)))
             for n in range(1, E[0] + 1)
         )
     if isinstance(fam, BracketFamily):
-        return any(
-            member_exhaustive(tuple(b[0] for b in blocks), fam.outer)
-            and all(member_exhaustive(b, fam.inner) for b in blocks)
-            for blocks in _compositions(E)
-        )
+        return _blocks_exhaustive(E, fam.outer, fam.inner)
     if isinstance(fam, RelabeledFamily):
         pre = fam.labels.preimage(E)
         return pre is not None and member_exhaustive(pre, fam.base)

@@ -1,0 +1,127 @@
+"""Mutation checks: every check in the suite must be able to fail.
+
+Each entry of MUTANTS names a file, an exact source text in it, the text
+that replaces it, and the tests that must fail once it is replaced.  For
+each entry the script copies `src/`, `tests/` and `pyproject.toml` to a
+temporary directory, applies the edit there, runs the named tests, and
+reports the mutant as killed (the tests fail) or survived (they pass).  The
+working tree is never edited.
+
+Run from anywhere, with every entry or only those named:
+
+    python tests/mutants.py
+    python tests/mutants.py bracket-split-shortest-first
+
+It exits 0 when every entry ends as its `expect` says: "killed" for a real
+mutation, "survived" for an edit that changes nothing, which shows that the
+script can tell the two apart.  pytest does not collect this file;
+`tests/test_mutants.py` checks only that each source text occurs exactly
+once in its file, so that a refactor which moves a mutated line must
+update the table.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    source: str
+    replacement: str
+    tests: Tuple[str, ...]
+    expect: str = "killed"
+
+
+MUTANTS = [
+    Mutant(
+        "bracket-split-shortest-first",
+        "src/schreier/families.py",
+        "        for end in range(len(E), start, -1):\n",
+        "        for end in range(start + 1, len(E) + 1):\n",
+        ("tests/test_families.py::test_greedy_equals_exhaustive_small",),
+    ),
+    Mutant(
+        "bracket-push-opens-before-joining",
+        "src/schreier/families.py",
+        "        nxt = self.inner.push(inner, x)\n"
+        "        if nxt is not None:\n"
+        "            return outer, nxt\n"
+        "        outer = self.outer.push(outer, x)\n"
+        "        nxt = None if outer is None else self.inner.start(x)\n"
+        "        return None if nxt is None else (outer, nxt)\n",
+        "        opened = self.outer.push(outer, x)\n"
+        "        nxt = None if opened is None else self.inner.start(x)\n"
+        "        if nxt is not None:\n"
+        "            return opened, nxt\n"
+        "        nxt = self.inner.push(inner, x)\n"
+        "        return None if nxt is None else (outer, nxt)\n",
+        ("tests/test_families.py::test_greedy_state_matches_exhaustive",
+         "tests/test_families.py::test_greedy_state_matches_exhaustive_on_every_small_set"),
+    ),
+    Mutant(
+        "block-search-skips-last-end",
+        "src/schreier/families.py",
+        "        for end in range(start + 1, len(E) + 1)\n",
+        "        for end in range(start + 1, len(E))\n",
+        ("tests/test_families.py::test_greedy_equals_exhaustive_small",),
+    ),
+    Mutant(
+        "comment-only",
+        "src/schreier/families.py",
+        "        # x joins the open block when the inner family allows, else opens\n",
+        "        # x joins the open block if the inner family allows it, or opens\n",
+        ("tests/test_families.py::test_greedy_equals_exhaustive_small",),
+        expect="survived",
+    ),
+]
+
+
+def run(mutant: Mutant) -> Tuple[str, str]:
+    """The outcome of the named tests on a mutated copy, 'killed' or
+    'survived', and pytest's summary line."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        target = copy / mutant.file
+        text = target.read_text()
+        if text.count(mutant.source) != 1:
+            raise SystemExit(f"{mutant.name}: the source text does not occur exactly once in {mutant.file}")
+        target.write_text(text.replace(mutant.source, mutant.replacement))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, capture_output=True, text=True,
+        )
+    # 1: some tests failed; 0: all passed; anything else is an error of the run
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"{mutant.name}: pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
+    return "killed" if proc.returncode == 1 else "survived", proc.stdout.strip().splitlines()[-1]
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"no mutant named {', '.join(sorted(unknown))}")
+    wrong = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        outcome, summary = run(mutant)
+        wrong += outcome != mutant.expect
+        print(f"{mutant.name}: {outcome} (expected {mutant.expect}); {summary}", flush=True)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -24,7 +24,7 @@ from schreier.constructions import (
 )
 from schreier.families import IndexSequence, S, SchreierFamily, family_mass, member
 from schreier.norms import C0, L1, T, LpSpace, MixedSchreierSpace, SchlumprechtSpace, norm
-from schreier.ordinals import OMEGA, finite
+from schreier.ordinals import OMEGA, ZERO, finite
 from schreier.vectors import Average, BlockSequence, Unit, Vector, evaluate
 
 
@@ -229,6 +229,13 @@ def test_two_norm_blocking_improves_c0():
     out, report = two_norm_blocking(L1, C0, bs, Fraction(1), 24, max_rounds=2)
     firsts = [r["second_lower"] for r in report["rounds"]]
     assert len(firsts) >= 2 and firsts[-1] >= firsts[0]
+
+
+def test_two_norm_blocking_runs_on_s1_at_xi_zero():
+    # omega^0 = 1 is no limit, so every stage is S_1 itself: round 0 reads
+    # the l1 lower constants of the basis over S_1 in c0 and l1
+    _, report = two_norm_blocking(L1, C0, BlockSequence.basis(8), Fraction(1, 2), 8, xi=ZERO)
+    assert report["rounds"][0] == {"round": 0, "second_lower": Fraction(1, 4), "first_lower": 1}
 
 
 def test_two_norm_blocking_rejects_bad_eps():

@@ -219,6 +219,19 @@ def test_greedy_state_matches_exhaustive(fam, elements, evens):
     assert greedy_member(E, fam) == member_exhaustive(E, fam), E
 
 
+@pytest.mark.parametrize("fam, E", [
+    (BracketFamily(S(2), RelabeledFamily(S(1), EVENS)), (1, 3, 4, 5, 6, 8, 9, 13, 14, 15, 16, 18, 19, 20)),
+    (BracketFamily(S(2), S(1)), (1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 15, 16, 18, 19)),
+    (BracketFamily(S(2), RelabeledFamily(S(1), EVENS)), (3, 4, 5, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 20)),
+], ids=repr)
+def test_exhaustive_work_does_not_hang_on_the_draw(fam, E):
+    # draws of the property test above on which a search through all
+    # 2^(|E|-1) compositions fills the oracle's memo with 16k-25k entries
+    families._exhaustive_cache.clear()
+    member_exhaustive(E, fam)
+    assert len(families._exhaustive_cache) <= 100
+
+
 @pytest.mark.parametrize("fam", GREEDY_FAMILIES, ids=repr)
 def test_enumerations_match_oracles(fam):
     horizon = 10

@@ -117,7 +117,7 @@ PUBLIC = {
     "families": ["A", "BracketFamily", "CardinalityFamily", "EVENS", "Family", "IndexSequence",
                  "NATURALS", "RelabeledFamily", "S", "SchreierFamily", "construct_L",
                  "construct_L_bracket", "construct_N", "enumerate_maximal", "family_mass",
-                 "finset", "member", "member_exhaustive", "spread_of", "threshold_search",
+                 "finset", "member", "spread_of", "threshold_search",
                  "verify_bracket_inclusion", "verify_union_property"],
     "vectors": ["Average", "BlockSequence", "Functional", "SumNode", "Unit", "Vector",
                 "block_combine", "evaluate", "negate", "validate_functional"],
