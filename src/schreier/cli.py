@@ -65,10 +65,10 @@ def _at_least(low: int):
     return parse
 
 
-def _emit(args, command: str, params: dict, values, witnesses=None,
+def _emit(args, params: dict, values, witnesses=None,
           certified_horizon=None, budget_exhausted=False) -> int:
     report = {
-        "command": command,
+        "command": f"{args.verb} {args.sub}",
         "params": to_jsonable(params),
         "values": to_jsonable(values),
         "witnesses": to_jsonable(witnesses),
@@ -120,8 +120,7 @@ def _cmd_schreier(args) -> int:
         res = families.threshold_search(
             parsing.parse_ordinal(args.xi), parsing.parse_ordinal(args.zeta), args.horizon
         )
-        return _emit(args, "schreier threshold",
-                     {"xi": args.xi, "zeta": args.zeta, "horizon": args.horizon},
+        return _emit(args, {"xi": args.xi, "zeta": args.zeta, "horizon": args.horizon},
                      {"n": res.n, "minimal": res.minimal},
                      {"rejections": res.rejections},
                      certified_horizon=res.certified_horizon)
@@ -129,44 +128,36 @@ def _cmd_schreier(args) -> int:
     if args.sub == "member":
         E = parsing.parse_set(args.set)
         res = families.member(E, fam)
-        return _emit(args, "schreier member",
-                     {"family": args.family, "set": args.set},
+        return _emit(args, {"family": args.family, "set": args.set},
                      {"member": res.member}, res.witness)
     if args.sub == "maximal":
         enum = families.enumerate_maximal(fam, args.first, args.horizon)
-        return _emit(args, "schreier maximal",
-                     {"family": args.family, "first": args.first, "horizon": args.horizon},
+        return _emit(args, {"family": args.family, "first": args.first, "horizon": args.horizon},
                      {"sets": [parsing.print_set(s) for s in enum.sets],
                       "truncated": enum.truncated},
                      certified_horizon=args.horizon,
                      budget_exhausted=enum.all_truncated)
-    if args.sub == "mass":
-        coeffs = dict(parsing.parse_vector(args.coeffs).entries)
-        res = families.family_mass(coeffs, fam)
-        return _emit(args, "schreier mass",
-                     {"family": args.family, "coeffs": args.coeffs},
-                     {"mass": res.mass}, {"argmax": parsing.print_set(res.argmax)})
-    raise AssertionError(args.sub)
+    coeffs = dict(parsing.parse_vector(args.coeffs).entries)
+    res = families.family_mass(coeffs, fam)
+    return _emit(args, {"family": args.family, "coeffs": args.coeffs},
+                 {"mass": res.mass}, {"argmax": parsing.print_set(res.argmax)})
 
 
 def _cmd_ordinal(args) -> int:
     if args.sub == "add":
         value = parsing.parse_ordinal(args.a) + parsing.parse_ordinal(args.b)
-        return _emit(args, "ordinal add", {"a": args.a, "b": args.b},
+        return _emit(args, {"a": args.a, "b": args.b},
                      {"sum": parsing.print_ordinal(value)})
     if args.sub == "compare":
         c = compare(parsing.parse_ordinal(args.a), parsing.parse_ordinal(args.b))
         word = {-1: "less", 0: "equal", 1: "greater"}[c]
-        return _emit(args, "ordinal compare", {"a": args.a, "b": args.b}, {"order": word})
+        return _emit(args, {"a": args.a, "b": args.b}, {"order": word})
     if args.sub == "fundamental":
         value = fundamental(parsing.parse_ordinal(args.limit), args.n)
-        return _emit(args, "ordinal fundamental", {"limit": args.limit, "n": args.n},
+        return _emit(args, {"limit": args.limit, "n": args.n},
                      {"value": parsing.print_ordinal(value)})
-    if args.sub == "parse":
-        value = parsing.parse_ordinal(args.text)
-        return _emit(args, "ordinal parse", {"text": args.text},
-                     {"canonical": parsing.print_ordinal(value)})
-    raise AssertionError(args.sub)
+    value = parsing.parse_ordinal(args.text)
+    return _emit(args, {"text": args.text}, {"canonical": parsing.print_ordinal(value)})
 
 
 def _cmd_norm(args) -> int:
@@ -178,12 +169,9 @@ def _cmd_norm(args) -> int:
         res = norms.norm(space, x)
     elif args.sub == "j":
         res = norms.norm_j(space, x, args.j)
-    elif args.sub == "interval":
-        res = norms.interval_norm(space, x, args.n)
     else:
-        raise AssertionError(args.sub)
-    return _emit(args, f"norm {args.sub}",
-                 {"space": args.space, "vector": args.vector},
+        res = norms.interval_norm(space, x, args.n)
+    return _emit(args, {"space": args.space, "vector": args.vector},
                  {"value": res.value, "exact": res.exact, "converged": res.converged,
                   "tolerance": res.tolerance},
                  res.witness,
@@ -196,20 +184,19 @@ def _cmd_scc(args) -> int:
     xi = parsing.parse_ordinal(args.xi)
     zeta = parsing.parse_ordinal(args.zeta)
     eps = _parse_fraction(args.eps)
-    labels = parsing.parse_sequence(args.seq)
+    params = {"xi": args.xi, "zeta": args.zeta, "eps": args.eps}
     try:
         if args.sub == "basic":
-            res = constructions.scc_basic(xi, zeta, eps, labels, budget=args.budget)
-            vec, cert = res.vector, res
+            params["seq"] = args.seq
+            labels = parsing.parse_sequence(args.seq)
+            cert = constructions.scc_basic(xi, zeta, eps, labels, budget=args.budget)
+            vec = cert.vector
         else:
             bs = _load_blocks(args.blocks)
             vec, cert = constructions.scc_on_blocks(bs, xi, zeta, eps, budget=args.budget)
     except BudgetExhausted as exc:
-        return _emit(args, f"scc {args.sub}",
-                     {"xi": args.xi, "zeta": args.zeta, "eps": args.eps},
-                     {"error": str(exc)}, exc.best, budget_exhausted=True)
-    return _emit(args, f"scc {args.sub}",
-                 {"xi": args.xi, "zeta": args.zeta, "eps": args.eps, "seq": args.seq},
+        return _emit(args, params, {"error": str(exc)}, exc.best, budget_exhausted=True)
+    return _emit(args, params,
                  {"vector": parsing.print_vector(vec),
                   "mass": cert.mass_certificate[0],
                   "support": parsing.print_set(cert.support_set)},
@@ -223,8 +210,7 @@ def _cmd_smodel(args) -> int:
     fam = parsing.parse_family(args.family)
     bs = _load_blocks(args.blocks, default_length=max(16, args.horizon))
     est = analysis.spreading_profile(space, bs, fam, args.horizon)
-    return _emit(args, "smodel profile",
-                 {"space": args.space, "family": args.family, "horizon": args.horizon},
+    return _emit(args, {"space": args.space, "family": args.family, "horizon": args.horizon},
                  {"l1_lower": est.l1_lower, "l1_upper": est.l1_upper,
                   "c0_lower": est.c0_lower, "c0_upper": est.c0_upper},
                  est.witnesses, certified_horizon=est.horizon)
@@ -249,28 +235,22 @@ def _cmd_distort(args) -> int:
         bs = _load_blocks(args.blocks, default_length=24)
         report = analysis.distortion_witness(space, spec, fam, bs, t,
                                              corpus_label=args.blocks or "basis")
-        found = report.found is not None
-        code = _emit(args, "distort search",
-                     {"space": args.space, "second": args.second,
-                      "family": args.family, "t": args.t,
-                      "corpus": report.corpus_label},
-                     {"found": found, "best_ratio": report.best_ratio,
+        return _emit(args, {"space": args.space, "second": args.second,
+                            "family": args.family, "t": args.t,
+                            "corpus": report.corpus_label},
+                     {"found": report.found is not None, "best_ratio": report.best_ratio,
                       "best_pair": report.best_pair},
                      report.found)
-        return code
-    if args.sub == "baseline":
-        results = []
-        all_clear = True
-        for label, bs in analysis.standard_corpus(space, args.n):
-            report = analysis.distortion_witness(space, spec, fam, bs, t, corpus_label=label)
-            results.append({"corpus": label, "found": report.found is not None,
-                            "best_ratio": report.best_ratio})
-            all_clear = all_clear and report.found is None
-        code = _emit(args, "distort baseline",
-                     {"space": args.space, "second": args.second, "t": args.t, "n": args.n},
-                     {"results": results, "all_clear": all_clear})
-        return code if all_clear else EXIT_VIOLATION
-    raise AssertionError(args.sub)
+    results = []
+    all_clear = True
+    for label, bs in analysis.standard_corpus(space, args.n):
+        report = analysis.distortion_witness(space, spec, fam, bs, t, corpus_label=label)
+        results.append({"corpus": label, "found": report.found is not None,
+                        "best_ratio": report.best_ratio})
+        all_clear = all_clear and report.found is None
+    code = _emit(args, {"space": args.space, "second": args.second, "t": args.t, "n": args.n},
+                 {"results": results, "all_clear": all_clear})
+    return code if all_clear else EXIT_VIOLATION
 
 
 def _cmd_verify(args) -> int:
@@ -285,12 +265,9 @@ def _cmd_verify(args) -> int:
             families.EVENS,
         )
         report = families.verify_bracket_inclusion(lhs, SchreierFamily(xi), args.horizon)
-    elif args.sub == "refinement":
-        report = _verify_refinement(args)
     else:
-        raise AssertionError(args.sub)
-    code = _emit(args, f"verify {args.sub}",
-                 vars_of(args),
+        report = _verify_refinement(args)
+    code = _emit(args, vars_of(args),
                  {"ok": report.ok, "detail": report.detail, "method": report.method,
                   "stats": report.stats},
                  {"witness": report.witness, "counterexample": report.counterexample},
@@ -319,16 +296,14 @@ def _verify_refinement(args):
             families.BracketFamily(SchreierFamily(xi), SchreierFamily(zeta)), L
         )
         return families.verify_bracket_inclusion(lhs, target, horizon)
-    if args.which == "union":
-        blocks = []
-        start = 2
-        size = 2
-        while start + size - 1 <= horizon // 2:
-            blocks.append(tuple(range(start, start + size)))
-            start, size = start + size, size + 1
-        N = families.construct_N(xi, zeta, blocks, horizon)
-        return families.verify_union_property(N, blocks, xi, zeta)
-    raise AssertionError(args.which)
+    blocks = []
+    start = 2
+    size = 2
+    while start + size - 1 <= horizon // 2:
+        blocks.append(tuple(range(start, start + size)))
+        start, size = start + size, size + 1
+    N = families.construct_N(xi, zeta, blocks, horizon)
+    return families.verify_union_property(N, blocks, xi, zeta)
 
 
 def _cmd_diag(args) -> int:
@@ -336,8 +311,7 @@ def _cmd_diag(args) -> int:
 
     bs = _load_blocks(args.blocks, default_length=max(16, args.horizon))
     value = analysis.alpha_index_diagnostic(bs, args.n, args.floor, args.horizon)
-    return _emit(args, "diag alpha",
-                 {"n": args.n, "floor": args.floor, "horizon": args.horizon},
+    return _emit(args, {"n": args.n, "floor": args.floor, "horizon": args.horizon},
                  {"max_average_mass": value})
 
 
@@ -414,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--xi", required=True)
         q.add_argument("--zeta", required=True)
         q.add_argument("--eps", required=True)
-        q.add_argument("--seq", default="arith(2,1)")
+        if name == "basic":
+            q.add_argument("--seq", default="arith(2,1)")
         q.add_argument("--budget", type=_at_least(1), default=60)
         if name == "blocks":
             q.add_argument("--blocks", default=None)

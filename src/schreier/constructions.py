@@ -290,14 +290,7 @@ def _ris(space: NormSpace, sizes: Sequence[int], bs: BlockSequence, quality: Fra
             raise ValueError(
                 f"size {size} at stage {q + 1} does not exceed previous max support {prev_max}"
             )
-        found = None
-        for s in range(cursor, len(bs) - size + 2):
-            if size <= bs.blocks[s - 1].support()[0]:
-                found = s
-                break
-        if found is None:
-            raise BudgetExhausted(f"insufficient blocks for an average of size {size}")
-        vec, info = _l1_average(space, size, bs, quality, found, normed)
+        vec, info = _l1_average(space, size, bs, quality, cursor, normed)
         out.append(vec)
         origins.append(info["indices"])
         cursor = info["indices"][-1] + 1

@@ -210,19 +210,8 @@ EVENS = IndexSequence.arithmetic(2, 2)
 # ---------------------------------------------------------------------------
 
 
-# Family expressions key the member memo and the other memo tables, so each
-# computes its field hash once, at construction, and keeps it outside the
-# record fields; the value is the one the record hash would give.
-
-
 class SchreierFamily(Record, frozen=True):
     index: Ordinal
-
-    def __post_init__(self) -> None:
-        vars(self)["_hash"] = hash((self.index,))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 class CardinalityFamily(Record, frozen=True):
@@ -231,32 +220,16 @@ class CardinalityFamily(Record, frozen=True):
     def __post_init__(self) -> None:
         if self.bound < 0:
             raise ValueError("cardinality bound must be >= 0")
-        vars(self)["_hash"] = hash((self.bound,))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 class BracketFamily(Record, frozen=True):
     outer: "Family"
     inner: "Family"
 
-    def __post_init__(self) -> None:
-        vars(self)["_hash"] = hash((self.outer, self.inner))
-
-    def __hash__(self) -> int:
-        return self._hash
-
 
 class RelabeledFamily(Record, frozen=True):
     base: "Family"
     labels: IndexSequence
-
-    def __post_init__(self) -> None:
-        vars(self)["_hash"] = hash((self.base, self.labels))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 Family = Union[SchreierFamily, CardinalityFamily, BracketFamily, RelabeledFamily]
@@ -1032,17 +1005,12 @@ def construct_N(
     M = IndexSequence.explicit(mins)
     L = construct_L(xi, zeta, M, horizon)
     positions = []
-    i = 1
-    while True:
-        try:
-            v = L.value_at(i)
-        except SequenceExhausted:
-            break
+    # no value of L past the last minimum lies in M
+    for v in L.values_within(1, max(mins, default=0)):
         pos = M.position_of(v)
         if pos is None:
             break
         positions.append(pos)
-        i += 1
     if not positions:
         raise ConstructionError("no block minima survive the refinement")
     return IndexSequence.explicit(positions)

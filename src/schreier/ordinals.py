@@ -31,10 +31,10 @@ from .reports import Record
 class Ordinal(Record, frozen=True):
     """Cantor normal form: tuple of (exponent, coefficient) pairs.
 
-    The hash and the predicates `is_zero`, `is_successor` and `is_limit`
-    are computed once, at construction, and kept as read-only attributes
-    outside the record fields: ordinals key every family memo, and
-    hashing the nested exponents afresh on each lookup dominated them.
+    The predicates `is_zero`, `is_successor` and `is_limit` are computed
+    once, at construction, and kept as read-only attributes outside the
+    record fields; the hash, like that of every frozen record, is
+    computed once, on first use.
     """
 
     terms: Tuple[Tuple["Ordinal", int], ...] = ()
@@ -52,15 +52,11 @@ class Ordinal(Record, frozen=True):
         successor = bool(self.terms) and self.terms[-1][0].is_zero
         # frozen: derived attributes go straight into the instance dict
         vars(self).update(
-            _hash=hash((self.terms,)),
             _predecessor=None,
             is_zero=not self.terms,
             is_successor=successor,
             is_limit=bool(self.terms) and not successor,
         )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # -- structure predicates -------------------------------------------------
 

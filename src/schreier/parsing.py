@@ -103,17 +103,22 @@ class _Scanner:
         return Fraction(sign * num)
 
 
+def _whole(text: str, rule, what: str):
+    """`rule` read over the whole of `text`, bar surrounding whitespace."""
+    sc = _Scanner(text.strip())
+    value = rule(sc)
+    if not sc.eof():
+        raise sc.error(f"trailing input after {what}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # ordinals
 # ---------------------------------------------------------------------------
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    sc = _Scanner(text.strip())
-    value = _ordinal(sc)
-    if not sc.eof():
-        raise sc.error("trailing input after ordinal")
-    return value
+    return _whole(text, _ordinal, "ordinal")
 
 
 def _ordinal(sc: _Scanner) -> Ordinal:
@@ -160,11 +165,7 @@ print_ordinal = to_text
 
 
 def parse_family(text: str) -> Family:
-    sc = _Scanner(text.strip())
-    value = _family(sc)
-    if not sc.eof():
-        raise sc.error("trailing input after family")
-    return value
+    return _whole(text, _family, "family")
 
 
 def _family(sc: _Scanner) -> Family:
@@ -234,11 +235,7 @@ def print_family(fam: Family) -> str:
 
 
 def parse_sequence(text: str) -> IndexSequence:
-    sc = _Scanner(text.strip())
-    seq = _sequence(sc)
-    if not sc.eof():
-        raise sc.error("trailing input after sequence")
-    return seq
+    return _whole(text, _sequence, "sequence")
 
 
 def print_sequence(seq: IndexSequence) -> str:
@@ -318,11 +315,7 @@ def print_set(E: FinSet) -> str:
 
 
 def parse_space(text: str) -> NormSpace:
-    sc = _Scanner(text.strip())
-    space = _space(sc)
-    if not sc.eof():
-        raise sc.error("trailing input after space")
-    return space
+    return _whole(text, _space, "space")
 
 
 def _space(sc: _Scanner) -> NormSpace:
@@ -393,11 +386,7 @@ def print_functional(f: Functional) -> str:
 
 
 def parse_functional(text: str) -> Functional:
-    sc = _Scanner(text.strip())
-    f = _functional(sc)
-    if not sc.eof():
-        raise sc.error("trailing input after functional")
-    return f
+    return _whole(text, _functional, "functional")
 
 
 def _functional(sc: _Scanner) -> Functional:

@@ -47,8 +47,11 @@ class Record:
     repr `Name(field=value, ...)`.  Methods the class defines itself are
     kept.  `class R(Record, frozen=True)` makes the record immutable:
     assigning or deleting an attribute raises `FrozenInstanceError`, and
-    the hash is that of the field tuple.  Other records are mutable and
-    unhashable.
+    the hash is that of the field tuple.  A frozen record computes it on
+    first use and keeps it in the read-only attribute `_hash`, outside the
+    fields: ordinals and family expressions key every family memo, and
+    hashing their nested fields afresh on each lookup dominated those.
+    Other records are mutable and unhashable.
 
     These are the semantics of `dataclasses.dataclass`, and the methods
     are generated from source once per class as it does, but without the
@@ -89,7 +92,11 @@ class Record:
             f"        return {mine} == {theirs}\n"
             "    return NotImplemented\n"
             "def __hash__(self):\n"
-            f"    return hash({mine})\n"
+            "    try:\n"
+            "        return self._hash\n"
+            "    except AttributeError:\n"
+            f"        _setattr(self, '_hash', hash({mine}))\n"
+            "        return self._hash\n"
             "def __repr__(self):\n"
             f"    return f'{cls.__qualname__}({shown})'\n",
             ns,

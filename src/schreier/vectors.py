@@ -300,12 +300,7 @@ def validate_functional(f: Functional, xi: Ordinal) -> WitnessReport:
         if isinstance(g, Average):
             if not _successive_functionals(g.children):
                 return "average children must have successive supports"
-            for c in g.children:
-                bad = walk(c)
-                if bad:
-                    return bad
-            return None
-        if isinstance(g, SumNode):
+        elif isinstance(g, SumNode):
             if not _successive_functionals(g.children):
                 return "sum-node children must have successive supports"
             sizes = [c.size for c in g.children]
@@ -320,12 +315,13 @@ def validate_functional(f: Functional, xi: Ordinal) -> WitnessReport:
             minima = tuple(functional_support(c)[0] for c in g.children)
             if not member(minima, fam).member:
                 return f"min-support set {minima} not admissible for the family"
-            for c in g.children:
-                bad = walk(c)
-                if bad:
-                    return bad
-            return None
-        return f"not a functional: {g!r}"
+        else:
+            return f"not a functional: {g!r}"
+        for c in g.children:
+            bad = walk(c)
+            if bad:
+                return bad
+        return None
 
     violation = walk(f)
     if violation is None:

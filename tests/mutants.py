@@ -75,6 +75,53 @@ MUTANTS = [
         ("tests/test_families.py::test_greedy_equals_exhaustive_small",),
     ),
     Mutant(
+        "descent-bound-sums-blocks",
+        "src/schreier/analysis.py",
+        "                    if any(c * b >= value for c, b in zip(key, block_norms) if b is not None):\n",
+        "                    if sum(c * b for c, b in zip(key, block_norms) if b is not None) >= value:\n",
+        ("tests/test_analysis.py::test_descent_block_bound_matches_unskipped_descent",),
+    ),
+    Mutant(
+        "descent-bound-in-every-space",
+        "src/schreier/analysis.py",
+        "    bounded = isinstance(space, (TsirelsonSpace, L1Space, C0Space))\n",
+        "    bounded = True\n",
+        ("tests/test_analysis.py::test_descent_evaluates_every_step_in_budgeted_mixed_space",),
+    ),
+    Mutant(
+        "admissible-size-ignores-max-support",
+        "src/schreier/norms.py",
+        "        size = max(floor, prev_size + 1, prev_max + 1)\n",
+        "        size = max(floor, prev_size + 1)\n",
+        ("tests/test_norms.py::test_admissible_sum_matches_unpruned_search",),
+    ),
+    Mutant(
+        "chunk-keeps-spent-budget",
+        "src/schreier/norms.py",
+        "        if (i, j) not in self.norm_memo:\n"
+        "            self.budget = MIXED_TICK_BUDGET\n"
+        "        return self.value(i, j)\n",
+        "        return self.value(i, j)\n",
+        ("tests/test_norms.py::test_interval_norms_carry_chunk_convergence",),
+    ),
+    Mutant(
+        "whole-accepts-trailing-input",
+        "src/schreier/parsing.py",
+        "    value = rule(sc)\n"
+        "    if not sc.eof():\n"
+        "        raise sc.error(f\"trailing input after {what}\")\n"
+        "    return value\n",
+        "    return rule(sc)\n",
+        ("tests/test_cli.py::test_parsers_reject_trailing_input",),
+    ),
+    Mutant(
+        "frozen-hash-constant",
+        "src/schreier/reports.py",
+        "            f\"        _setattr(self, '_hash', hash({mine}))\\n\"\n",
+        "            \"        _setattr(self, '_hash', 0)\\n\"\n",
+        ("tests/test_reports.py::test_record_semantics",),
+    ),
+    Mutant(
         "comment-only",
         "src/schreier/families.py",
         "        # x joins the open block when the inner family allows, else opens\n",

@@ -19,6 +19,7 @@ from schreier.parsing import (
     parse_family,
     parse_functional,
     parse_ordinal,
+    parse_sequence,
     parse_set,
     parse_space,
     parse_vector,
@@ -87,6 +88,20 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as exc:
         parse_family("S(2)([3,2])")
     assert exc.value.offset == 5
+
+
+@pytest.mark.parametrize("parse, text, what, offset", [
+    (parse_ordinal, "w+1)", "ordinal", 3),
+    (parse_family, "S(1)]", "family", 4),
+    (parse_sequence, "even,", "sequence", 4),
+    (parse_space, "T x", "space", 1),
+    (parse_functional, "U(1)U(2)", "functional", 4),
+], ids=["ordinal", "family", "sequence", "space", "functional"])
+def test_parsers_reject_trailing_input(parse, text, what, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(f" {text} ")
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"trailing input after {what} at offset {offset}: {text!r}"
 
 
 @pytest.mark.parametrize("text", ["lp(1)", "lp(0.5)", "X(0)", "S(tol=0)", "S(tol=-1)"])
@@ -239,6 +254,7 @@ def test_scc_budget_exit_code(capsys):
                        "--eps", "1/100", "--seq", "arith(2,1)", "--budget", "3")
     assert code == EXIT_BUDGET
     assert report["budget_exhausted"] is True
+    assert report["params"] == {"xi": "1", "zeta": "0", "eps": "1/100", "seq": "arith(2,1)"}
 
 
 def test_budget_error_outside_a_handler_exit_code(capsys, monkeypatch):
@@ -307,6 +323,8 @@ def test_parse_error_exit(capsys):
     ["norm", "eval", "--space", "T"],
     ["norm", "j", "--space", "T", "--vector", "2:1", "--j", "1"],
     ["--seed", "1", "ordinal", "parse", "--text", "w"],
+    # only the basic combination reads an index sequence
+    ["scc", "blocks", "--xi", "2", "--zeta", "1", "--eps", "1/3", "--seq", "arith(3,1)"],
     # arguments that parse but cannot be run
     ["scc", "basic", "--xi", "1", "--zeta", "2", "--eps", "1/3", "--seq", "arith(2,1)"],
     ["scc", "basic", "--xi", "2", "--zeta", "1", "--eps", "0"],

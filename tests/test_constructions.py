@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from schreier import constructions, families
 from schreier.constructions import (
     BudgetExhausted,
     ImprovedBlocking,
@@ -22,7 +23,14 @@ from schreier.constructions import (
     scc_on_blocks,
     two_norm_blocking,
 )
-from schreier.families import IndexSequence, S, SchreierFamily, family_mass, member
+from schreier.families import (
+    IndexSequence,
+    S,
+    SchreierFamily,
+    family_mass,
+    member,
+    verify_bracket_inclusion,
+)
 from schreier.norms import C0, L1, T, LpSpace, MixedSchreierSpace, SchlumprechtSpace, norm
 from schreier.ordinals import OMEGA, ZERO, finite
 from schreier.vectors import Average, BlockSequence, Unit, Vector, evaluate
@@ -69,6 +77,31 @@ def test_scc_budget_exhaustion_reports_best():
         scc_basic(finite(1), finite(0), Fraction(1, 100), IndexSequence.arithmetic(2, 1), budget=3)
     assert exc.value.best is not None
     assert exc.value.best.mass_certificate[0] >= Fraction(1, 100)
+
+
+def _dominance_patterns_spent():
+    rep = verify_bracket_inclusion(S(1), S(2), 20)
+    assert not rep.ok and rep.budget_exhausted
+    assert rep.method == "dominance" and rep.certified_horizon is None
+    return rep.detail
+
+
+def _average_leaves_spent():
+    # every restart needs more leaves than the budget allows
+    with pytest.raises(BudgetExhausted) as exc:
+        scc_basic(finite(2), finite(1), Fraction(1, 3), IndexSequence.arithmetic(2, 1), budget=3)
+    assert exc.value.best is None
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("module, budget, spend, message", [
+    (families, "BRACKET_PATTERN_BUDGET", _dominance_patterns_spent, "more than 1 minima patterns"),
+    (constructions, "MAX_REPEATED_AVERAGE_LEAVES", _average_leaves_spent,
+     "no (2, 1, 1/3) combination certified within budget (best mass n/a)"),
+], ids=["bracket-patterns", "average-leaves"])
+def test_spent_budgets_end_the_search(monkeypatch, module, budget, spend, message):
+    monkeypatch.setattr(module, budget, 1)
+    assert spend() == message
 
 
 def test_scc_on_blocks_reduces_to_basic():

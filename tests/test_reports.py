@@ -4,9 +4,11 @@ field tuple."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +145,27 @@ def test_record_semantics(record, text):
         new = object()
         setattr(twin, name, new)
         assert getattr(twin, name) is new and twin != record
+
+
+def test_frozen_hash_is_cached_outside_the_fields():
+    fam = families.BracketFamily(families.S(2), families.A(3))
+    assert "_hash" not in vars(fam)
+    assert hash(fam) == hash((fam.outer, fam.inner))
+    assert vars(fam)["_hash"] == hash(fam)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam._hash = 0
+    assert list(to_jsonable(fam)) == ["type", "outer", "inner"]
+    assert repr(fam) == ("BracketFamily(outer=SchreierFamily(index=Ordinal[2]), "
+                         "inner=CardinalityFamily(bound=3))")
+
+
+def test_no_class_defines_its_own_hash():
+    # `Record` owns the hash of every frozen record, and its cache
+    package = Path(reports.__file__).parent
+    own = [f"{path.name}:{node.name}" for path in sorted(package.glob("*.py"))
+           for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+           if any(isinstance(item, ast.FunctionDef) and item.name == "__hash__" for item in node.body)]
+    assert own == []
 
 
 def test_factory_defaults_are_fresh():

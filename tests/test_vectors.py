@@ -114,6 +114,23 @@ def test_validate_size_versus_support():
     assert not rep.ok and "max support" in rep.detail
 
 
+@pytest.mark.parametrize("f, detail", [
+    (Average(2, (Unit(1, 3), Unit(1, 2))), "average children must have successive supports"),
+    # a sum node whose sizes do not increase, under an average
+    (Average(2, (Unit(1, 1), SumNode((Average(3, (Unit(1, 2),)), Average(2, (Unit(1, 4),)))))),
+     "sizes not strictly increasing"),
+    (SumNode((Average(2, (Unit(1, 3), Unit(1, 4))), Average(5, (Unit(1, 1), Unit(1, 2))))),
+     "sum-node children must have successive supports"),
+    # a valid sum node over an average whose children are not successive
+    (SumNode((Average(2, (Unit(1, 3), Unit(1, 2))),)),
+     "average children must have successive supports"),
+    ("U(1)", "not a functional: 'U(1)'"),
+], ids=["average", "average-child", "sum-node", "sum-node-child", "non-functional"])
+def test_validate_reports_each_violation(f, detail):
+    rep = validate_functional(f, finite(1))
+    assert not rep.ok and rep.detail == detail and rep.counterexample == f
+
+
 def test_average_arity_invariants():
     with pytest.raises(ValueError):
         Average(1, (Unit(1, 1),))
