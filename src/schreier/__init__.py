@@ -14,9 +14,12 @@ _EXPORTS = {
     "ordinals": "ONE OMEGA Ordinal ZERO add compare finite fundamental omega_power",
     "families": (
         "A BracketFamily CardinalityFamily EVENS Family IndexSequence NATURALS "
-        "RelabeledFamily S SchreierFamily construct_L construct_L_bracket "
-        "construct_N enumerate_maximal family_mass finset member spread_of "
-        "threshold_search verify_bracket_inclusion verify_union_property"
+        "RelabeledFamily S SchreierFamily enumerate_maximal family_mass finset "
+        "member spread_of"
+    ),
+    "verifiers": (
+        "construct_L construct_L_bracket construct_N threshold_search "
+        "verify_bracket_inclusion verify_union_property"
     ),
     "vectors": (
         "Average BlockSequence Functional SumNode Unit Vector block_combine "

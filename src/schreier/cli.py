@@ -26,14 +26,16 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-# Each verb handler imports the modules it needs.  `families` is the
-# exception and must load before build_parser() runs: compiling it (with no
-# cached bytecode) is a command's memory high-water mark, and on top of the
-# parser it raised every command's peak RSS by about 2%, 17.8 to 18.2 MB.
-from . import families, parsing
-from .families import SchreierFamily
+# Each verb handler imports the modules it needs, `families` included, and
+# the parser builds the subcommands of the verbs in argv only.  Compiling a
+# module from source is what peaks a command's memory: on Python 3.11 the
+# import of the 1,317-line families.py alone reached a VmHWM of 17.2 MB,
+# against 14.5 MB for `ordinals`.  Split into `families` and the
+# `verifiers` it loads on first use, which compile apart, it peaks at
+# 16.0 MB, and only `verify` and `schreier threshold` compile the second.
+from . import parsing
 from .ordinals import add, compare, fundamental
-from .reports import BudgetExhausted, to_jsonable
+from .reports import BudgetExhausted, ConstructionError, to_jsonable
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -116,6 +118,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _cmd_schreier(args) -> int:
+    from . import families
+
     if args.sub == "threshold":
         res = families.threshold_search(
             parsing.parse_ordinal(args.xi), parsing.parse_ordinal(args.zeta), args.horizon
@@ -254,20 +258,26 @@ def _cmd_distort(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import families
+
     if args.sub == "bracket":
+        params = {"lhs": args.lhs, "rhs": args.rhs, "horizon": args.horizon}
         lhs = parsing.parse_family(args.lhs)
         rhs = parsing.parse_family(args.rhs)
         report = families.verify_bracket_inclusion(lhs, rhs, args.horizon)
     elif args.sub == "pair-absorption":
-        xi = parsing.parse_ordinal(args.xi)
+        params = {"xi": args.xi, "horizon": args.horizon}
+        target = families.SchreierFamily(parsing.parse_ordinal(args.xi))
         lhs = families.RelabeledFamily(
-            families.BracketFamily(SchreierFamily(xi), families.CardinalityFamily(2)),
-            families.EVENS,
+            families.BracketFamily(target, families.CardinalityFamily(2)), families.EVENS
         )
-        report = families.verify_bracket_inclusion(lhs, SchreierFamily(xi), args.horizon)
+        report = families.verify_bracket_inclusion(lhs, target, args.horizon)
     else:
+        params = {"which": args.which, "xi": args.xi, "zeta": args.zeta, "horizon": args.horizon}
+        if args.seq is not None:
+            params["seq"] = args.seq
         report = _verify_refinement(args)
-    code = _emit(args, vars_of(args),
+    code = _emit(args, params,
                  {"ok": report.ok, "detail": report.detail, "method": report.method,
                   "stats": report.stats},
                  {"witness": report.witness, "counterexample": report.counterexample},
@@ -279,6 +289,9 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_refinement(args):
+    from . import families
+    from .families import SchreierFamily
+
     xi = parsing.parse_ordinal(args.xi)
     zeta = parsing.parse_ordinal(args.zeta)
     horizon = args.horizon
@@ -315,16 +328,15 @@ def _cmd_diag(args) -> int:
                  {"max_average_mass": value})
 
 
-def vars_of(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
-
-
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of `argv`.  Every verb is added with its help, but only
+    the verbs named somewhere in argv get their subcommands: argparse takes
+    a verb only by its full name, so the one argv selects is among them."""
     top = _Parser(
         prog="schreier",
         description="Exact Schreier-family combinatorics, implicit norms, "
@@ -332,127 +344,127 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--out", help="write the JSON report to this path")
     verbs = top.add_subparsers(dest="verb", required=True)
+    named = set(argv)
 
-    p = verbs.add_parser("schreier", help="family membership and enumeration")
-    sub = p.add_subparsers(dest="sub", required=True)
-    q = sub.add_parser("member")
-    q.add_argument("--family", required=True)
-    q.add_argument("--set", required=True)
-    q = sub.add_parser("maximal")
-    q.add_argument("--family", required=True)
-    q.add_argument("--first", type=_at_least(1), required=True)
-    q.add_argument("--horizon", type=_at_least(1), required=True)
-    q = sub.add_parser("mass")
-    q.add_argument("--family", required=True)
-    q.add_argument("--coeffs", required=True, help="coord:value pairs, comma separated")
-    q = sub.add_parser("threshold")
-    q.add_argument("--xi", required=True)
-    q.add_argument("--zeta", required=True)
-    q.add_argument("--horizon", type=_at_least(1), required=True)
-    p.set_defaults(func=_cmd_schreier)
+    def verb(name, summary, func):
+        p = verbs.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p.add_subparsers(dest="sub", required=True) if name in named else None
 
-    p = verbs.add_parser("ordinal", help="ordinal arithmetic")
-    sub = p.add_subparsers(dest="sub", required=True)
-    q = sub.add_parser("add")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q = sub.add_parser("compare")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q = sub.add_parser("fundamental")
-    q.add_argument("--limit", required=True)
-    q.add_argument("--n", type=_at_least(1), required=True)
-    q = sub.add_parser("parse")
-    q.add_argument("--text", required=True)
-    p.set_defaults(func=_cmd_ordinal)
-
-    p = verbs.add_parser("norm", help="norm evaluation")
-    sub = p.add_subparsers(dest="sub", required=True)
-    q = sub.add_parser("eval")
-    q.add_argument("--space", required=True)
-    q.add_argument("--vector", required=True)
-    q = sub.add_parser("j")
-    q.add_argument("--space", required=True)
-    q.add_argument("--vector", required=True)
-    q.add_argument("--j", type=_at_least(2), required=True)
-    q = sub.add_parser("interval")
-    q.add_argument("--space", required=True)
-    q.add_argument("--vector", required=True)
-    q.add_argument("--n", type=_at_least(1), required=True)
-    p.set_defaults(func=_cmd_norm)
-
-    p = verbs.add_parser("scc", help="special convex combinations")
-    sub = p.add_subparsers(dest="sub", required=True)
-    for name in ("basic", "blocks"):
-        q = sub.add_parser(name)
+    sub = verb("schreier", "family membership and enumeration", _cmd_schreier)
+    if sub is not None:
+        q = sub.add_parser("member")
+        q.add_argument("--family", required=True)
+        q.add_argument("--set", required=True)
+        q = sub.add_parser("maximal")
+        q.add_argument("--family", required=True)
+        q.add_argument("--first", type=_at_least(1), required=True)
+        q.add_argument("--horizon", type=_at_least(1), required=True)
+        q = sub.add_parser("mass")
+        q.add_argument("--family", required=True)
+        q.add_argument("--coeffs", required=True, help="coord:value pairs, comma separated")
+        q = sub.add_parser("threshold")
         q.add_argument("--xi", required=True)
         q.add_argument("--zeta", required=True)
-        q.add_argument("--eps", required=True)
-        if name == "basic":
-            q.add_argument("--seq", default="arith(2,1)")
-        q.add_argument("--budget", type=_at_least(1), default=60)
-        if name == "blocks":
-            q.add_argument("--blocks", default=None)
-    p.set_defaults(func=_cmd_scc)
+        q.add_argument("--horizon", type=_at_least(1), required=True)
 
-    p = verbs.add_parser("smodel", help="spreading-model constants")
-    sub = p.add_subparsers(dest="sub", required=True)
-    q = sub.add_parser("profile")
-    q.add_argument("--space", required=True)
-    q.add_argument("--family", required=True)
-    q.add_argument("--horizon", type=_at_least(1), required=True)
-    q.add_argument("--blocks", default=None)
-    p.set_defaults(func=_cmd_smodel)
+    sub = verb("ordinal", "ordinal arithmetic", _cmd_ordinal)
+    if sub is not None:
+        q = sub.add_parser("add")
+        q.add_argument("--a", required=True)
+        q.add_argument("--b", required=True)
+        q = sub.add_parser("compare")
+        q.add_argument("--a", required=True)
+        q.add_argument("--b", required=True)
+        q = sub.add_parser("fundamental")
+        q.add_argument("--limit", required=True)
+        q.add_argument("--n", type=_at_least(1), required=True)
+        q = sub.add_parser("parse")
+        q.add_argument("--text", required=True)
 
-    p = verbs.add_parser("distort", help="distortion witness search")
-    sub = p.add_subparsers(dest="sub", required=True)
-    q = sub.add_parser("search")
-    q.add_argument("--space", required=True)
-    q.add_argument("--second", required=True, help="a space or interval:<n>")
-    q.add_argument("--family", required=True)
-    q.add_argument("--t", required=True)
-    q.add_argument("--blocks", default=None)
-    q = sub.add_parser("baseline")
-    q.add_argument("--space", required=True)
-    q.add_argument("--second", required=True)
-    q.add_argument("--family", default="S(1)")
-    q.add_argument("--t", default="101/100")
-    q.add_argument("--n", type=_at_least(1), default=2)
-    p.set_defaults(func=_cmd_distort)
+    sub = verb("norm", "norm evaluation", _cmd_norm)
+    if sub is not None:
+        q = sub.add_parser("eval")
+        q.add_argument("--space", required=True)
+        q.add_argument("--vector", required=True)
+        q = sub.add_parser("j")
+        q.add_argument("--space", required=True)
+        q.add_argument("--vector", required=True)
+        q.add_argument("--j", type=_at_least(2), required=True)
+        q = sub.add_parser("interval")
+        q.add_argument("--space", required=True)
+        q.add_argument("--vector", required=True)
+        q.add_argument("--n", type=_at_least(1), required=True)
 
-    p = verbs.add_parser("verify", help="inclusion and construction checks")
-    sub = p.add_subparsers(dest="sub", required=True)
-    q = sub.add_parser("bracket")
-    q.add_argument("--lhs", required=True)
-    q.add_argument("--rhs", required=True)
-    q.add_argument("--horizon", type=_at_least(1), required=True)
-    q = sub.add_parser("pair-absorption")
-    q.add_argument("--xi", required=True)
-    q.add_argument("--horizon", type=_at_least(1), required=True)
-    q = sub.add_parser("refinement")
-    q.add_argument("--which", choices=("outer", "whole", "union"), required=True,
-                   help="refine the outer family, the whole bracket, or block unions")
-    q.add_argument("--xi", required=True)
-    q.add_argument("--zeta", required=True)
-    q.add_argument("--horizon", type=_at_least(1), required=True)
-    q.add_argument("--seq", default=None)
-    p.set_defaults(func=_cmd_verify)
+    sub = verb("scc", "special convex combinations", _cmd_scc)
+    if sub is not None:
+        for name in ("basic", "blocks"):
+            q = sub.add_parser(name)
+            q.add_argument("--xi", required=True)
+            q.add_argument("--zeta", required=True)
+            q.add_argument("--eps", required=True)
+            if name == "basic":
+                q.add_argument("--seq", default="arith(2,1)")
+            q.add_argument("--budget", type=_at_least(1), default=60)
+            if name == "blocks":
+                q.add_argument("--blocks", default=None)
 
-    p = verbs.add_parser("diag", help="finite index diagnostics")
-    sub = p.add_subparsers(dest="sub", required=True)
-    q = sub.add_parser("alpha")
-    q.add_argument("--n", type=_at_least(1), required=True)
-    q.add_argument("--floor", type=_at_least(2), required=True)
-    q.add_argument("--horizon", type=_at_least(1), required=True)
-    q.add_argument("--blocks", default=None)
-    p.set_defaults(func=_cmd_diag)
+    sub = verb("smodel", "spreading-model constants", _cmd_smodel)
+    if sub is not None:
+        q = sub.add_parser("profile")
+        q.add_argument("--space", required=True)
+        q.add_argument("--family", required=True)
+        q.add_argument("--horizon", type=_at_least(1), required=True)
+        q.add_argument("--blocks", default=None)
+
+    sub = verb("distort", "distortion witness search", _cmd_distort)
+    if sub is not None:
+        q = sub.add_parser("search")
+        q.add_argument("--space", required=True)
+        q.add_argument("--second", required=True, help="a space or interval:<n>")
+        q.add_argument("--family", required=True)
+        q.add_argument("--t", required=True)
+        q.add_argument("--blocks", default=None)
+        q = sub.add_parser("baseline")
+        q.add_argument("--space", required=True)
+        q.add_argument("--second", required=True)
+        q.add_argument("--family", default="S(1)")
+        q.add_argument("--t", default="101/100")
+        q.add_argument("--n", type=_at_least(1), default=2)
+
+    sub = verb("verify", "inclusion and construction checks", _cmd_verify)
+    if sub is not None:
+        q = sub.add_parser("bracket")
+        q.add_argument("--lhs", required=True)
+        q.add_argument("--rhs", required=True)
+        q.add_argument("--horizon", type=_at_least(1), required=True)
+        q = sub.add_parser("pair-absorption")
+        q.add_argument("--xi", required=True)
+        q.add_argument("--horizon", type=_at_least(1), required=True)
+        q = sub.add_parser("refinement")
+        q.add_argument("--which", choices=("outer", "whole", "union"), required=True,
+                       help="refine the outer family, the whole bracket, or block unions")
+        q.add_argument("--xi", required=True)
+        q.add_argument("--zeta", required=True)
+        q.add_argument("--horizon", type=_at_least(1), required=True)
+        q.add_argument("--seq", default=None)
+
+    sub = verb("diag", "finite index diagnostics", _cmd_diag)
+    if sub is not None:
+        q = sub.add_parser("alpha")
+        q.add_argument("--n", type=_at_least(1), required=True)
+        q.add_argument("--floor", type=_at_least(2), required=True)
+        q.add_argument("--horizon", type=_at_least(1), required=True)
+        q.add_argument("--blocks", default=None)
 
     return top
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     # a ParseError is a ValueError; its own clause keeps its offset
     except parsing.ParseError as exc:
@@ -461,7 +473,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExhausted, families.ConstructionError) as exc:
+    except (BudgetExhausted, ConstructionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_BUDGET
 

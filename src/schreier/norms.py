@@ -90,7 +90,6 @@ import math
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
-from .families import SchreierFamily, member
 from .ordinals import Ordinal, omega_power
 from .reports import Record
 from .vectors import (
@@ -277,6 +276,8 @@ def _admissible_sum(fam, pos, prefix, i: int, j: int, floor: int, piece, best):
     in DFS order) are those of the unpruned search; only the pieces
     evaluated are fewer.
     """
+    from .families import member
+
     found, path = None, []
 
     def dfs(start, minima, prev_size, prev_max, total):
@@ -422,6 +423,8 @@ class _MixedSession:
     exact, scale, tolerance = True, None, 0.0
 
     def __init__(self, x: Vector, xi: Ordinal):
+        from .families import SchreierFamily
+
         self.pos = x.support()
         self.vals = [v for _, v in x.entries]
         self.absvals = [abs(v) for v in self.vals]

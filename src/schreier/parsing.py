@@ -3,9 +3,10 @@
 Recursive descent with precise error positions.  Printers emit the same
 grammars canonically, and parsing a printed value returns an equal value;
 ordinal literals that are not in normal form are normalised rather than
-rejected (the sum is folded through ordinal addition).  `norms` and
-`vectors` are imported by the functions that build spaces, vectors and
-functionals, so a command that reads none of them loads neither.
+rejected (the sum is folded through ordinal addition).  `families`,
+`norms` and `vectors` are imported by the functions that build families
+and sequences, spaces, vectors and functionals, so a command that reads
+none of them loads none of them.
 
     ordinal   := term ('+' term)*
     term      := nat | 'w' ('^' expbase)? ('*' nat)?
@@ -24,18 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .families import (
-    BracketFamily,
-    CardinalityFamily,
-    Family,
-    FinSet,
-    IndexSequence,
-    RelabeledFamily,
-    SchreierFamily,
-)
 from .ordinals import ONE, OMEGA, Ordinal, add, finite, omega_power, to_text
 
 if TYPE_CHECKING:
+    from .families import Family, FinSet, IndexSequence
     from .norms import NormSpace
     from .vectors import Functional, Vector
 
@@ -169,6 +162,8 @@ def parse_family(text: str) -> Family:
 
 
 def _family(sc: _Scanner) -> Family:
+    from .families import BracketFamily, RelabeledFamily
+
     fam = _family_atom(sc)
     while True:
         if sc.take("["):
@@ -184,6 +179,8 @@ def _family(sc: _Scanner) -> Family:
 
 
 def _family_atom(sc: _Scanner) -> Family:
+    from .families import CardinalityFamily, SchreierFamily
+
     if sc.take("S("):
         idx = _ordinal(sc)
         sc.expect(")")
@@ -196,6 +193,8 @@ def _family_atom(sc: _Scanner) -> Family:
 
 
 def _sequence(sc: _Scanner) -> IndexSequence:
+    from .families import IndexSequence
+
     start = sc.pos
     prefix, tail = (), (None, None)
     if sc.take("["):
@@ -223,6 +222,8 @@ def _sequence(sc: _Scanner) -> IndexSequence:
 
 
 def print_family(fam: Family) -> str:
+    from .families import BracketFamily, CardinalityFamily, RelabeledFamily, SchreierFamily
+
     if isinstance(fam, SchreierFamily):
         return f"S({to_text(fam.index)})"
     if isinstance(fam, CardinalityFamily):

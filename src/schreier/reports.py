@@ -1,4 +1,5 @@
-"""Small result records, and the budget error, shared across modules.
+"""Small result records, and the budget and construction errors, shared
+across modules.
 
 Every record of the package (ordinals, families, witnesses, vectors,
 spaces and results) is a plain class on `Record`: its fields are its
@@ -139,6 +140,10 @@ class BudgetExhausted(Exception):
     def __init__(self, message: str, best=None):
         super().__init__(message)
         self.best = best
+
+
+class ConstructionError(Exception):
+    """A construction ran out of room before reaching the requested length."""
 
 
 def to_jsonable(obj: Any) -> Any:

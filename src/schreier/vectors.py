@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .families import FinSet, SchreierFamily, member, successive
 from .ordinals import Ordinal, omega_power
 from .reports import Record, WitnessReport
+
+if TYPE_CHECKING:
+    from .families import FinSet
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +127,13 @@ def combine(vectors: Sequence[Vector], coefficients: Sequence) -> Vector:
 # ---------------------------------------------------------------------------
 # block sequences
 # ---------------------------------------------------------------------------
+
+
+def successive(blocks: Sequence[FinSet]) -> bool:
+    """True when max of each block is below min of the next (empty blocks rejected)."""
+    if any(not b for b in blocks):
+        return False
+    return all(blocks[i][-1] < blocks[i + 1][0] for i in range(len(blocks) - 1))
 
 
 class BlockSequence(Record, frozen=True):
@@ -292,6 +301,8 @@ def validate_functional(f: Functional, xi: Ordinal) -> WitnessReport:
     child's max support (very fast growing), and the set of min supports
     admissible for S_{w^xi}.  The first violation is reported.
     """
+    from .families import SchreierFamily, member
+
     fam = SchreierFamily(omega_power(xi))
 
     def walk(g: Functional) -> Optional[str]:

@@ -122,6 +122,27 @@ MUTANTS = [
         ("tests/test_reports.py::test_record_semantics",),
     ),
     Mutant(
+        "families-getattr-drops-a-verifier",
+        "src/schreier/families.py",
+        '    "construct_N", "verify_union_property", "verify_bracket_inclusion",\n',
+        '    "construct_N", "verify_union_property",\n',
+        ("tests/test_imports.py::test_verifier_names_are_one_object_everywhere",),
+    ),
+    Mutant(
+        "parser-builds-first-argument-only",
+        "src/schreier/cli.py",
+        "    named = set(argv)\n",
+        "    named = set(argv[:1])\n",
+        ("tests/test_cli.py::test_help_and_usage_errors_are_unchanged",),
+    ),
+    Mutant(
+        "threshold-reads-the-pattern-budget",
+        "src/schreier/verifiers.py",
+        "        budget = THRESHOLD_MINIMALITY_BUDGET\n",
+        "        budget = BRACKET_PATTERN_BUDGET\n",
+        ("tests/test_families.py::test_threshold_budget_path_is_not_remembered",),
+    ),
+    Mutant(
         "comment-only",
         "src/schreier/families.py",
         "        # x joins the open block when the inner family allows, else opens\n",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +242,22 @@ def test_verify_refinement_whole_bracket_command(capsys):
     assert report["values"]["ok"] is True
 
 
+@pytest.mark.parametrize("argv, params", [
+    (["verify", "bracket", "--lhs", "S(1)", "--rhs", "S(2)", "--horizon", "10"],
+     {"lhs": "S(1)", "rhs": "S(2)", "horizon": 10}),
+    (["verify", "pair-absorption", "--xi", "1", "--horizon", "8"], {"xi": "1", "horizon": 8}),
+    (["verify", "refinement", "--which", "whole", "--xi", "1", "--zeta", "1", "--horizon", "40"],
+     {"which": "whole", "xi": "1", "zeta": "1", "horizon": 40}),
+    (["verify", "refinement", "--which", "outer", "--xi", "1", "--zeta", "1", "--horizon", "12",
+      "--seq", "even"],
+     {"which": "outer", "xi": "1", "zeta": "1", "horizon": 12, "seq": "even"}),
+], ids=["bracket", "pair-absorption", "refinement", "refinement with seq"])
+def test_verify_reports_list_their_own_params(capsys, argv, params):
+    code, report = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert report["params"] == params
+
+
 def test_verify_violation_exit_code(capsys):
     code, report = run(capsys, "verify", "bracket", "--lhs", "S(2)", "--rhs", "S(1)",
                        "--horizon", "12")
@@ -405,3 +422,23 @@ def test_threshold_command_takes_no_family(capsys):
                        "--horizon", "20")
     assert code == EXIT_OK
     assert report["values"]["n"] == 1 and report["values"]["minimal"] is True
+
+
+# --help and the usage errors as printed at 80 columns by the parser that
+# built every verb's subcommands; the parser now builds those of the verbs
+# argv names only, so the verb lists, choices and errors must not change
+USAGE = json.loads((Path(__file__).parent / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=lambda case: " ".join(case["argv"]) or "no arguments")
+def test_help_and_usage_errors_are_unchanged(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # a case may write its --out report here
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:  # --help prints and exits 0
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+    if "file" in case:
+        assert (tmp_path / case["argv"][1]).read_text() == case["file"]

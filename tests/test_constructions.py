@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from schreier import constructions, families
+from schreier import constructions, verifiers
 from schreier.constructions import (
     BudgetExhausted,
     ImprovedBlocking,
@@ -95,7 +95,7 @@ def _average_leaves_spent():
 
 
 @pytest.mark.parametrize("module, budget, spend, message", [
-    (families, "BRACKET_PATTERN_BUDGET", _dominance_patterns_spent, "more than 1 minima patterns"),
+    (verifiers, "BRACKET_PATTERN_BUDGET", _dominance_patterns_spent, "more than 1 minima patterns"),
     (constructions, "MAX_REPEATED_AVERAGE_LEAVES", _average_leaves_spent,
      "no (2, 1, 1/3) combination certified within budget (best mass n/a)"),
 ], ids=["bracket-patterns", "average-leaves"])

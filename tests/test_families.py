@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import dfs_leaves_oracle, mass_oracle, members_over_oracle
-from schreier import families
+from schreier import families, verifiers
 from schreier.families import (
     A,
     BracketFamily,
@@ -41,15 +41,13 @@ from schreier.families import (
     threshold_search,
     verify_bracket_inclusion,
     verify_union_property,
-    _bracket_shape,
-    _dominance_blocks,
     _kernel,
-    _verify_by_dominance,
     _walk,
 )
 from schreier.ordinals import OMEGA, ONE, add, finite, fundamental, omega_power
 from schreier.parsing import parse_family, print_family
-from schreier.reports import to_jsonable
+from schreier.reports import ConstructionError, to_jsonable
+from schreier.verifiers import _bracket_shape, _dominance_blocks, _verify_by_dominance
 
 
 def subsets(universe):
@@ -487,7 +485,7 @@ def test_threshold_budget_path_is_not_remembered(monkeypatch):
     # one DFS leaf is too few to certify n = 1, so the structural n = 2
     # comes back unproven; with the budget restored the same call proves
     # n = 1, as a fresh search would
-    monkeypatch.setattr(families, "THRESHOLD_MINIMALITY_BUDGET", 1)
+    monkeypatch.setattr(verifiers, "THRESHOLD_MINIMALITY_BUDGET", 1)
     res = threshold_search(finite(2), OMEGA, 12)
     assert res.n == 2 and not res.minimal
     monkeypatch.undo()
@@ -519,8 +517,6 @@ def test_construct_N_reduces_to_L_on_singletons():
 
 
 def test_construct_L_horizon_too_small():
-    from schreier.families import ConstructionError
-
     with pytest.raises(ConstructionError, match="stage"):
         construct_L(OMEGA, ONE, IndexSequence.explicit([2, 4]), 30)
 

@@ -99,11 +99,13 @@ def family_checks(node: ast.AST, owner=None):
 
 
 def test_only_the_kernel_compiler_reads_family_expressions():
-    """Past compilation every question about a family is asked of its kernel."""
-    tree = ast.parse((PACKAGE / "families.py").read_text())
-    stray = [f"{owner} (line {line})" for owner, line in family_checks(tree)
-             if owner not in FAMILY_READERS]
-    assert not stray, f"families.py dispatches on family expressions in {', '.join(stray)}"
+    """Past compilation every question about a family is asked of its kernel,
+    in `families` and in the verifiers built on it."""
+    for name in ("families.py", "verifiers.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        stray = [f"{owner} (line {line})" for owner, line in family_checks(tree)
+                 if owner not in FAMILY_READERS]
+        assert not stray, f"{name} dispatches on family expressions in {', '.join(stray)}"
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +117,10 @@ PUBLIC = {
     "ordinals": ["ONE", "OMEGA", "Ordinal", "ZERO", "add", "compare", "finite", "fundamental",
                  "omega_power"],
     "families": ["A", "BracketFamily", "CardinalityFamily", "EVENS", "Family", "IndexSequence",
-                 "NATURALS", "RelabeledFamily", "S", "SchreierFamily", "construct_L",
-                 "construct_L_bracket", "construct_N", "enumerate_maximal", "family_mass",
-                 "finset", "member", "spread_of", "threshold_search",
-                 "verify_bracket_inclusion", "verify_union_property"],
+                 "NATURALS", "RelabeledFamily", "S", "SchreierFamily", "enumerate_maximal",
+                 "family_mass", "finset", "member", "spread_of"],
+    "verifiers": ["construct_L", "construct_L_bracket", "construct_N", "threshold_search",
+                  "verify_bracket_inclusion", "verify_union_property"],
     "vectors": ["Average", "BlockSequence", "Functional", "SumNode", "Unit", "Vector",
                 "block_combine", "evaluate", "negate", "validate_functional"],
     "norms": ["C0", "C0Space", "L1", "L1Space", "LpSpace", "MixedSchreierSpace", "NormResult",
@@ -149,6 +151,21 @@ def test_public_names_are_the_submodules_own(module):
         assert getattr(schreier, name) is getattr(mod, name), name
 
 
+# the names `verifiers` defines that `families` binds on first read
+MOVED_TO_VERIFIERS = ["ThresholdResult", "threshold_search", "construct_L", "construct_L_bracket",
+                      "construct_N", "verify_union_property", "verify_bracket_inclusion"]
+
+
+@pytest.mark.parametrize("name", MOVED_TO_VERIFIERS)
+def test_verifier_names_are_one_object_everywhere(name):
+    families, verifiers = import_module("schreier.families"), import_module("schreier.verifiers")
+    value = getattr(verifiers, name)
+    assert getattr(families, name) is value
+    assert vars(families)[name] is value  # bound for whoever reads families.<name> next
+    if name in PUBLIC["verifiers"]:
+        assert getattr(schreier, name) is value
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError):
         schreier.no_such_name
@@ -169,20 +186,42 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
+# no command outside `verify` and `schreier threshold` compiles the verifiers
+NO_VERIFIERS = ["verifiers"]
+
+
 @pytest.mark.parametrize("argv, unused", [
     (["ordinal", "add", "--a", "w^2*2+w", "--b", "w^2"],
-     ["norms", "vectors", "constructions", "analysis"]),
+     ["families", "norms", "vectors", "constructions", "analysis"] + NO_VERIFIERS),
     (["schreier", "member", "--family", "S(2)", "--set", "2,3,4,5,6"],
-     ["norms", "vectors", "constructions", "analysis"]),
+     ["norms", "vectors", "constructions", "analysis"] + NO_VERIFIERS),
     (["verify", "bracket", "--lhs", "S(1)", "--rhs", "S(2)", "--horizon", "10"],
      ["norms", "vectors", "constructions", "analysis"]),
     (["norm", "eval", "--space", "T", "--vector", "3:1,4:1,5:1"],
-     ["constructions", "analysis"]),
+     ["families", "constructions", "analysis"] + NO_VERIFIERS),
     (["scc", "basic", "--xi", "2", "--zeta", "1", "--eps", "1/3", "--seq", "arith(2,1)"],
-     ["analysis"]),
-    (["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "8"], []),
+     ["analysis"] + NO_VERIFIERS),
+    (["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "8"], NO_VERIFIERS),
+    (["schreier", "maximal", "--family", "A(2)", "--first", "1", "--horizon", "4"],
+     ["norms", "vectors", "constructions", "analysis"] + NO_VERIFIERS),
+    (["schreier", "mass", "--family", "S(1)", "--coeffs", "2:1/6,3:1/6,4:1/6,5:1/6,6:1/6,7:1/6"],
+     ["norms", "constructions", "analysis"] + NO_VERIFIERS),
+    (["schreier", "threshold", "--xi", "2", "--zeta", "w", "--horizon", "20"],
+     ["norms", "vectors", "constructions", "analysis"]),
+    (["norm", "interval", "--space", "T", "--vector", "4:1/2,5:1/2,6:1/2,7:1/2", "--n", "2"],
+     ["families", "constructions", "analysis"] + NO_VERIFIERS),
+    (["distort", "search", "--space", "T", "--second", "interval:2", "--family", "S(1)",
+      "--t", "6/5"], NO_VERIFIERS),
+    (["distort", "baseline", "--space", "c0", "--second", "interval:3", "--n", "3"], NO_VERIFIERS),
+    (["verify", "pair-absorption", "--xi", "1", "--horizon", "14"],
+     ["norms", "vectors", "constructions", "analysis"]),
+    (["verify", "refinement", "--which", "outer", "--xi", "w", "--zeta", "1", "--horizon", "20"],
+     ["norms", "vectors", "constructions", "analysis"]),
+    (["diag", "alpha", "--n", "1", "--floor", "4", "--horizon", "8"], NO_VERIFIERS),
 ], ids=["ordinal add", "schreier member", "verify bracket", "norm eval", "scc basic",
-        "smodel profile"])
+        "smodel profile", "schreier maximal", "schreier mass", "schreier threshold",
+        "norm interval", "distort search", "distort baseline", "verify pair-absorption",
+        "verify refinement", "diag alpha"])
 def test_cli_loads_only_what_the_command_uses(argv, unused):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env=env,
