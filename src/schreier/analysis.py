@@ -50,8 +50,10 @@ from .families import (
 from .norms import (
     C0Space,
     L1Space,
+    LpSpace,
     MixedSchreierSpace,
     NormSpace,
+    SchlumprechtSpace,
     TsirelsonSpace,
     _admissible_sum,
     _norm,
@@ -95,9 +97,14 @@ SecondNorm = Union[NormSpace, IntervalNormSpec]
 
 
 def second_norm_value(space: NormSpace, spec: SecondNorm, x: Vector):
-    if isinstance(spec, IntervalNormSpec):
-        return _norm(space, x, spec.n).value
-    return _norm(spec, x).value
+    """The second norm of x: `spec`, or the interval norm it names in
+    `space`.  Raises ValueError when that norm is a float (lp,
+    Schlumprecht), as the first norms do: a ratio of floats is no exact
+    ratio."""
+    space, n = (space, spec.n) if isinstance(spec, IntervalNormSpec) else (spec, 0)
+    if isinstance(space, (LpSpace, SchlumprechtSpace)):
+        raise ValueError(f"the norm of {space} is not exact; a second norm needs exact values")
+    return _norm(space, x, n).value
 
 
 # ---------------------------------------------------------------------------

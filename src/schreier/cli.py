@@ -6,6 +6,13 @@ report with the shape
     { "command": ..., "params": ..., "values": ..., "witnesses": ...,
       "certified_horizon": ..., "budget_exhausted": ... }
 
+Each flag is declared once, in `_OPTIONS`, and each subcommand in
+`_COMMANDS` lists the flags it takes.  A report's "params" are the options
+of its subcommand that have a value, given or by default, under their
+names, so a report can be rerun from its own params; `--out` is not among
+them.  What a command found, such as the corpus `distort search` read,
+goes in "values".
+
 Exact rationals are serialised as "p/q" strings.  Exit codes: 0 success,
 1 a verification command found a violation, 2 a budget or horizon was
 exhausted before the answer was certified, or a construction ran out of
@@ -67,8 +74,14 @@ def _at_least(low: int):
     return parse
 
 
-def _emit(args, params: dict, values, witnesses=None,
-          certified_horizon=None, budget_exhausted=False) -> int:
+# the parsed names that are not the subcommand's options
+_NOT_PARAMS = ("verb", "sub", "func", "out")
+
+
+def _emit(args, values, witnesses=None, certified_horizon=None, budget_exhausted=False) -> int:
+    """Print the report of the parsed subcommand `args`, or write it to
+    --out; its params are read from `args`."""
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None}
     report = {
         "command": f"{args.verb} {args.sub}",
         "params": to_jsonable(params),
@@ -78,7 +91,7 @@ def _emit(args, params: dict, values, witnesses=None,
         "budget_exhausted": budget_exhausted,
     }
     text = json.dumps(report, indent=2)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -124,44 +137,37 @@ def _cmd_schreier(args) -> int:
         res = families.threshold_search(
             parsing.parse_ordinal(args.xi), parsing.parse_ordinal(args.zeta), args.horizon
         )
-        return _emit(args, {"xi": args.xi, "zeta": args.zeta, "horizon": args.horizon},
-                     {"n": res.n, "minimal": res.minimal},
+        return _emit(args, {"n": res.n, "minimal": res.minimal},
                      {"rejections": res.rejections},
                      certified_horizon=res.certified_horizon)
     fam = parsing.parse_family(args.family)
     if args.sub == "member":
         E = parsing.parse_set(args.set)
         res = families.member(E, fam)
-        return _emit(args, {"family": args.family, "set": args.set},
-                     {"member": res.member}, res.witness)
+        return _emit(args, {"member": res.member}, res.witness)
     if args.sub == "maximal":
         enum = families.enumerate_maximal(fam, args.first, args.horizon)
-        return _emit(args, {"family": args.family, "first": args.first, "horizon": args.horizon},
-                     {"sets": [parsing.print_set(s) for s in enum.sets],
-                      "truncated": enum.truncated},
-                     certified_horizon=args.horizon,
-                     budget_exhausted=enum.all_truncated)
+        return _emit(args, {"sets": [parsing.print_set(s) for s in enum.sets],
+                            "truncated": enum.truncated},
+                     certified_horizon=args.horizon, budget_exhausted=enum.all_truncated)
     coeffs = dict(parsing.parse_vector(args.coeffs).entries)
     res = families.family_mass(coeffs, fam)
-    return _emit(args, {"family": args.family, "coeffs": args.coeffs},
-                 {"mass": res.mass}, {"argmax": parsing.print_set(res.argmax)})
+    return _emit(args, {"mass": res.mass}, {"argmax": parsing.print_set(res.argmax)})
 
 
 def _cmd_ordinal(args) -> int:
     if args.sub == "add":
         value = parsing.parse_ordinal(args.a) + parsing.parse_ordinal(args.b)
-        return _emit(args, {"a": args.a, "b": args.b},
-                     {"sum": parsing.print_ordinal(value)})
+        return _emit(args, {"sum": parsing.print_ordinal(value)})
     if args.sub == "compare":
         c = compare(parsing.parse_ordinal(args.a), parsing.parse_ordinal(args.b))
         word = {-1: "less", 0: "equal", 1: "greater"}[c]
-        return _emit(args, {"a": args.a, "b": args.b}, {"order": word})
+        return _emit(args, {"order": word})
     if args.sub == "fundamental":
         value = fundamental(parsing.parse_ordinal(args.limit), args.n)
-        return _emit(args, {"limit": args.limit, "n": args.n},
-                     {"value": parsing.print_ordinal(value)})
+        return _emit(args, {"value": parsing.print_ordinal(value)})
     value = parsing.parse_ordinal(args.text)
-    return _emit(args, {"text": args.text}, {"canonical": parsing.print_ordinal(value)})
+    return _emit(args, {"canonical": parsing.print_ordinal(value)})
 
 
 def _cmd_norm(args) -> int:
@@ -175,11 +181,9 @@ def _cmd_norm(args) -> int:
         res = norms.norm_j(space, x, args.j)
     else:
         res = norms.interval_norm(space, x, args.n)
-    return _emit(args, {"space": args.space, "vector": args.vector},
-                 {"value": res.value, "exact": res.exact, "converged": res.converged,
-                  "tolerance": res.tolerance},
-                 res.witness,
-                 budget_exhausted=not res.converged)
+    return _emit(args, {"value": res.value, "exact": res.exact, "converged": res.converged,
+                        "tolerance": res.tolerance},
+                 res.witness, budget_exhausted=not res.converged)
 
 
 def _cmd_scc(args) -> int:
@@ -188,10 +192,8 @@ def _cmd_scc(args) -> int:
     xi = parsing.parse_ordinal(args.xi)
     zeta = parsing.parse_ordinal(args.zeta)
     eps = _parse_fraction(args.eps)
-    params = {"xi": args.xi, "zeta": args.zeta, "eps": args.eps}
     try:
         if args.sub == "basic":
-            params["seq"] = args.seq
             labels = parsing.parse_sequence(args.seq)
             cert = constructions.scc_basic(xi, zeta, eps, labels, budget=args.budget)
             vec = cert.vector
@@ -199,11 +201,9 @@ def _cmd_scc(args) -> int:
             bs = _load_blocks(args.blocks)
             vec, cert = constructions.scc_on_blocks(bs, xi, zeta, eps, budget=args.budget)
     except BudgetExhausted as exc:
-        return _emit(args, params, {"error": str(exc)}, exc.best, budget_exhausted=True)
-    return _emit(args, params,
-                 {"vector": parsing.print_vector(vec),
-                  "mass": cert.mass_certificate[0],
-                  "support": parsing.print_set(cert.support_set)},
+        return _emit(args, {"error": str(exc)}, exc.best, budget_exhausted=True)
+    return _emit(args, {"vector": parsing.print_vector(vec), "mass": cert.mass_certificate[0],
+                        "support": parsing.print_set(cert.support_set)},
                  {"mass_argmax": parsing.print_set(cert.mass_certificate[1])})
 
 
@@ -214,9 +214,8 @@ def _cmd_smodel(args) -> int:
     fam = parsing.parse_family(args.family)
     bs = _load_blocks(args.blocks, default_length=max(16, args.horizon))
     est = analysis.spreading_profile(space, bs, fam, args.horizon)
-    return _emit(args, {"space": args.space, "family": args.family, "horizon": args.horizon},
-                 {"l1_lower": est.l1_lower, "l1_upper": est.l1_upper,
-                  "c0_lower": est.c0_lower, "c0_upper": est.c0_upper},
+    return _emit(args, {"l1_lower": est.l1_lower, "l1_upper": est.l1_upper,
+                        "c0_lower": est.c0_lower, "c0_upper": est.c0_upper},
                  est.witnesses, certified_horizon=est.horizon)
 
 
@@ -239,11 +238,8 @@ def _cmd_distort(args) -> int:
         bs = _load_blocks(args.blocks, default_length=24)
         report = analysis.distortion_witness(space, spec, fam, bs, t,
                                              corpus_label=args.blocks or "basis")
-        return _emit(args, {"space": args.space, "second": args.second,
-                            "family": args.family, "t": args.t,
-                            "corpus": report.corpus_label},
-                     {"found": report.found is not None, "best_ratio": report.best_ratio,
-                      "best_pair": report.best_pair},
+        return _emit(args, {"corpus": report.corpus_label, "found": report.found is not None,
+                            "best_ratio": report.best_ratio, "best_pair": report.best_pair},
                      report.found)
     results = []
     all_clear = True
@@ -252,8 +248,7 @@ def _cmd_distort(args) -> int:
         results.append({"corpus": label, "found": report.found is not None,
                         "best_ratio": report.best_ratio})
         all_clear = all_clear and report.found is None
-    code = _emit(args, {"space": args.space, "second": args.second, "t": args.t, "n": args.n},
-                 {"results": results, "all_clear": all_clear})
+    code = _emit(args, {"results": results, "all_clear": all_clear})
     return code if all_clear else EXIT_VIOLATION
 
 
@@ -261,25 +256,19 @@ def _cmd_verify(args) -> int:
     from . import families
 
     if args.sub == "bracket":
-        params = {"lhs": args.lhs, "rhs": args.rhs, "horizon": args.horizon}
         lhs = parsing.parse_family(args.lhs)
         rhs = parsing.parse_family(args.rhs)
         report = families.verify_bracket_inclusion(lhs, rhs, args.horizon)
     elif args.sub == "pair-absorption":
-        params = {"xi": args.xi, "horizon": args.horizon}
         target = families.SchreierFamily(parsing.parse_ordinal(args.xi))
         lhs = families.RelabeledFamily(
             families.BracketFamily(target, families.CardinalityFamily(2)), families.EVENS
         )
         report = families.verify_bracket_inclusion(lhs, target, args.horizon)
     else:
-        params = {"which": args.which, "xi": args.xi, "zeta": args.zeta, "horizon": args.horizon}
-        if args.seq is not None:
-            params["seq"] = args.seq
         report = _verify_refinement(args)
-    code = _emit(args, params,
-                 {"ok": report.ok, "detail": report.detail, "method": report.method,
-                  "stats": report.stats},
+    code = _emit(args, {"ok": report.ok, "detail": report.detail, "method": report.method,
+                        "stats": report.stats},
                  {"witness": report.witness, "counterexample": report.counterexample},
                  certified_horizon=report.certified_horizon,
                  budget_exhausted=report.budget_exhausted)
@@ -324,13 +313,72 @@ def _cmd_diag(args) -> int:
 
     bs = _load_blocks(args.blocks, default_length=max(16, args.horizon))
     value = analysis.alpha_index_diagnostic(bs, args.n, args.floor, args.horizon)
-    return _emit(args, {"n": args.n, "floor": args.floor, "horizon": args.horizon},
-                 {"max_average_mass": value})
+    return _emit(args, {"max_average_mass": value})
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
+
+
+# every flag once, with its argparse settings; a subcommand lists the flags
+# it takes, each a name or (name, overrides) where one use differs
+_OPTIONS = {
+    **dict.fromkeys(("--a", "--b", "--eps", "--family", "--lhs", "--limit", "--rhs", "--second",
+                     "--set", "--space", "--t", "--text", "--vector", "--xi", "--zeta"),
+                    {"required": True}),
+    **dict.fromkeys(("--first", "--horizon", "--n"), {"type": _at_least(1), "required": True}),
+    **dict.fromkeys(("--j", "--floor"), {"type": _at_least(2), "required": True}),
+    "--coeffs": {"required": True, "help": "coord:value pairs, comma separated"},
+    "--which": {"choices": ("outer", "whole", "union"), "required": True,
+                "help": "refine the outer family, the whole bracket, or block unions"},
+    "--budget": {"type": _at_least(1), "default": 60},
+    "--seq": {},
+    "--blocks": {},
+}
+
+# verb: (help, handler, {subcommand: flags})
+_COMMANDS = {
+    "schreier": ("family membership and enumeration", _cmd_schreier, {
+        "member": ("--family", "--set"),
+        "maximal": ("--family", "--first", "--horizon"),
+        "mass": ("--family", "--coeffs"),
+        "threshold": ("--xi", "--zeta", "--horizon"),
+    }),
+    "ordinal": ("ordinal arithmetic", _cmd_ordinal, {
+        "add": ("--a", "--b"),
+        "compare": ("--a", "--b"),
+        "fundamental": ("--limit", "--n"),
+        "parse": ("--text",),
+    }),
+    "norm": ("norm evaluation", _cmd_norm, {
+        "eval": ("--space", "--vector"),
+        "j": ("--space", "--vector", "--j"),
+        "interval": ("--space", "--vector", "--n"),
+    }),
+    "scc": ("special convex combinations", _cmd_scc, {
+        "basic": ("--xi", "--zeta", "--eps", ("--seq", {"default": "arith(2,1)"}), "--budget"),
+        "blocks": ("--xi", "--zeta", "--eps", "--budget", "--blocks"),
+    }),
+    "smodel": ("spreading-model constants", _cmd_smodel, {
+        "profile": ("--space", "--family", "--horizon", "--blocks"),
+    }),
+    "distort": ("distortion witness search", _cmd_distort, {
+        "search": ("--space", ("--second", {"help": "a space or interval:<n>"}), "--family", "--t",
+                   "--blocks"),
+        "baseline": ("--space", "--second", ("--family", {"required": False, "default": "S(1)"}),
+                     ("--t", {"required": False, "default": "101/100"}),
+                     ("--n", {"required": False, "default": 2})),
+    }),
+    "verify": ("inclusion and construction checks", _cmd_verify, {
+        "bracket": ("--lhs", "--rhs", "--horizon"),
+        "pair-absorption": ("--xi", "--horizon"),
+        "refinement": ("--which", "--xi", "--zeta", "--horizon", "--seq"),
+    }),
+    "diag": ("finite index diagnostics", _cmd_diag, {
+        "alpha": ("--n", "--floor", "--horizon", "--blocks"),
+    }),
+}
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
@@ -344,119 +392,17 @@ def build_parser(argv) -> argparse.ArgumentParser:
     )
     top.add_argument("--out", help="write the JSON report to this path")
     verbs = top.add_subparsers(dest="verb", required=True)
-    named = set(argv)
-
-    def verb(name, summary, func):
-        p = verbs.add_parser(name, help=summary)
+    for verb, (summary, func, subcommands) in _COMMANDS.items():
+        p = verbs.add_parser(verb, help=summary)
         p.set_defaults(func=func)
-        return p.add_subparsers(dest="sub", required=True) if name in named else None
-
-    sub = verb("schreier", "family membership and enumeration", _cmd_schreier)
-    if sub is not None:
-        q = sub.add_parser("member")
-        q.add_argument("--family", required=True)
-        q.add_argument("--set", required=True)
-        q = sub.add_parser("maximal")
-        q.add_argument("--family", required=True)
-        q.add_argument("--first", type=_at_least(1), required=True)
-        q.add_argument("--horizon", type=_at_least(1), required=True)
-        q = sub.add_parser("mass")
-        q.add_argument("--family", required=True)
-        q.add_argument("--coeffs", required=True, help="coord:value pairs, comma separated")
-        q = sub.add_parser("threshold")
-        q.add_argument("--xi", required=True)
-        q.add_argument("--zeta", required=True)
-        q.add_argument("--horizon", type=_at_least(1), required=True)
-
-    sub = verb("ordinal", "ordinal arithmetic", _cmd_ordinal)
-    if sub is not None:
-        q = sub.add_parser("add")
-        q.add_argument("--a", required=True)
-        q.add_argument("--b", required=True)
-        q = sub.add_parser("compare")
-        q.add_argument("--a", required=True)
-        q.add_argument("--b", required=True)
-        q = sub.add_parser("fundamental")
-        q.add_argument("--limit", required=True)
-        q.add_argument("--n", type=_at_least(1), required=True)
-        q = sub.add_parser("parse")
-        q.add_argument("--text", required=True)
-
-    sub = verb("norm", "norm evaluation", _cmd_norm)
-    if sub is not None:
-        q = sub.add_parser("eval")
-        q.add_argument("--space", required=True)
-        q.add_argument("--vector", required=True)
-        q = sub.add_parser("j")
-        q.add_argument("--space", required=True)
-        q.add_argument("--vector", required=True)
-        q.add_argument("--j", type=_at_least(2), required=True)
-        q = sub.add_parser("interval")
-        q.add_argument("--space", required=True)
-        q.add_argument("--vector", required=True)
-        q.add_argument("--n", type=_at_least(1), required=True)
-
-    sub = verb("scc", "special convex combinations", _cmd_scc)
-    if sub is not None:
-        for name in ("basic", "blocks"):
+        if verb not in argv:
+            continue
+        sub = p.add_subparsers(dest="sub", required=True)
+        for name, flags in subcommands.items():
             q = sub.add_parser(name)
-            q.add_argument("--xi", required=True)
-            q.add_argument("--zeta", required=True)
-            q.add_argument("--eps", required=True)
-            if name == "basic":
-                q.add_argument("--seq", default="arith(2,1)")
-            q.add_argument("--budget", type=_at_least(1), default=60)
-            if name == "blocks":
-                q.add_argument("--blocks", default=None)
-
-    sub = verb("smodel", "spreading-model constants", _cmd_smodel)
-    if sub is not None:
-        q = sub.add_parser("profile")
-        q.add_argument("--space", required=True)
-        q.add_argument("--family", required=True)
-        q.add_argument("--horizon", type=_at_least(1), required=True)
-        q.add_argument("--blocks", default=None)
-
-    sub = verb("distort", "distortion witness search", _cmd_distort)
-    if sub is not None:
-        q = sub.add_parser("search")
-        q.add_argument("--space", required=True)
-        q.add_argument("--second", required=True, help="a space or interval:<n>")
-        q.add_argument("--family", required=True)
-        q.add_argument("--t", required=True)
-        q.add_argument("--blocks", default=None)
-        q = sub.add_parser("baseline")
-        q.add_argument("--space", required=True)
-        q.add_argument("--second", required=True)
-        q.add_argument("--family", default="S(1)")
-        q.add_argument("--t", default="101/100")
-        q.add_argument("--n", type=_at_least(1), default=2)
-
-    sub = verb("verify", "inclusion and construction checks", _cmd_verify)
-    if sub is not None:
-        q = sub.add_parser("bracket")
-        q.add_argument("--lhs", required=True)
-        q.add_argument("--rhs", required=True)
-        q.add_argument("--horizon", type=_at_least(1), required=True)
-        q = sub.add_parser("pair-absorption")
-        q.add_argument("--xi", required=True)
-        q.add_argument("--horizon", type=_at_least(1), required=True)
-        q = sub.add_parser("refinement")
-        q.add_argument("--which", choices=("outer", "whole", "union"), required=True,
-                       help="refine the outer family, the whole bracket, or block unions")
-        q.add_argument("--xi", required=True)
-        q.add_argument("--zeta", required=True)
-        q.add_argument("--horizon", type=_at_least(1), required=True)
-        q.add_argument("--seq", default=None)
-
-    sub = verb("diag", "finite index diagnostics", _cmd_diag)
-    if sub is not None:
-        q = sub.add_parser("alpha")
-        q.add_argument("--n", type=_at_least(1), required=True)
-        q.add_argument("--floor", type=_at_least(2), required=True)
-        q.add_argument("--horizon", type=_at_least(1), required=True)
-        q.add_argument("--blocks", default=None)
-
+            for flag in flags:
+                flag, overrides = (flag, {}) if isinstance(flag, str) else flag
+                q.add_argument(flag, **{**_OPTIONS[flag], **overrides})
     return top
 
 

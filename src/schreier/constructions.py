@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .families import (
     FinSet,
@@ -32,7 +32,6 @@ from .families import (
     family_mass,
     member,
 )
-from .norms import NormSpace, _norm
 from .ordinals import ONE, Ordinal, compare, fundamental, omega_power
 from .reports import BudgetExhausted, Record
 from .vectors import (
@@ -46,6 +45,10 @@ from .vectors import (
     negate,
     validate_functional,
 )
+
+# `scc` builds no normed vector, so the norms load where they are evaluated
+if TYPE_CHECKING:
+    from .norms import NormSpace
 
 # binary digits of precision in `rational_sqrt_below`
 SQRT_BITS = 40
@@ -232,6 +235,8 @@ def _l1_average(space: NormSpace, k: int, bs: BlockSequence, quality: Fraction, 
     """`build_l1_average`, keeping in `normed` each window's average and its
     norm under (k, window start): a window an earlier scan normed over the
     same space and blocks is read, not normed again."""
+    from .norms import _norm
+
     quality = Fraction(quality)
     best = None
     for s in range(start, len(bs) - k + 2):
@@ -516,6 +521,8 @@ def l1_to_c0_blocking(
     are clamped, and every output carries the certificate actually used.
     Raises ValueError when the space's norm is not exact.
     """
+    from .norms import _norm
+
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("need eps > 0")

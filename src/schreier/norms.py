@@ -88,7 +88,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .ordinals import Ordinal, omega_power
 from .reports import Record
@@ -124,6 +124,8 @@ class LpSpace(Record, frozen=True):
     def __post_init__(self) -> None:
         if not self.p > 1:
             raise ValueError("lp requires p > 1 (use l1 for p = 1)")
+        if self.p == math.inf:
+            raise ValueError("lp requires a finite p (use c0 for the sup norm)")
 
 
 class TsirelsonSpace(Record, frozen=True):
@@ -387,7 +389,7 @@ class _SchlumprechtSession:
 
     def __init__(self, x: Vector, tolerance: float):
         self.tolerance = tolerance
-        self.vals = [abs(float(v)) for _, v in x.entries]
+        self.vals = _magnitudes(x)
         self.memo: Dict[Tuple[int, int], float] = {}
         self.cover_memo: dict = {}
 
@@ -471,9 +473,11 @@ class _MixedSession:
 
 class _ClosedSession:
     """l1, c0 and lp on support positions i..j: the l1 mass as a difference
-    of prefix sums, the first largest |x_c|, or the p-th root of the sum of
-    p-th powers, added in support order.  l1 ties its mass on every chunk,
-    so it hands the kernel no `cover_prefix`."""
+    of prefix sums, the first largest |x_c|, or m (sum (|x_c|/m)^p)^(1/p)
+    with m the chunk's largest |x_c|, added in support order: no ratio
+    exceeds 1, so no power overflows, and the ratio 1 keeps the sum from
+    underflowing to 0.  l1 ties its mass on every chunk, so it hands the
+    kernel no `cover_prefix`."""
 
     converged, scale, cover_prefix = True, None, None
 
@@ -481,10 +485,7 @@ class _ClosedSession:
         self.space, self.entries, self.memo = space, x.entries, {}
         self.exact = not isinstance(space, LpSpace)
         self.tolerance = 0.0 if self.exact else 1e-12
-        if self.exact:
-            self.absvals = [abs(v) for _, v in x.entries]
-        else:
-            self.powers = [abs(float(v)) ** space.p for _, v in x.entries]
+        self.absvals = [abs(v) for _, v in x.entries] if self.exact else _magnitudes(x)
         if isinstance(space, L1Space):
             self.prefix = list(itertools.accumulate(self.absvals, initial=Fraction(0)))
 
@@ -496,7 +497,9 @@ class _ClosedSession:
             elif isinstance(self.space, C0Space):
                 hit = max(self.absvals[i : j + 1])
             else:
-                hit = sum(self.powers[i : j + 1]) ** (1.0 / self.space.p)
+                p, chunk = self.space.p, self.absvals[i : j + 1]
+                m = max(chunk)
+                hit = m * sum((a / m) ** p for a in chunk) ** (1.0 / p)
             self.memo[(i, j)] = hit
         return hit
 
@@ -506,6 +509,21 @@ class _ClosedSession:
             i = j = max(range(i, j + 1), key=self.absvals.__getitem__)
         leaves = tuple(PartLeaf(c, -1 if v < 0 else 1) for c, v in self.entries[i : j + 1])
         return PartNode(Fraction(1), leaves) if isinstance(self.space, L1Space) else leaves[0]
+
+
+def _magnitudes(x: Vector) -> List[float]:
+    """The |x_c| of a float space; a ValueError for a coefficient that no
+    finite nonzero float holds."""
+    out = []
+    for c, v in x.entries:
+        try:
+            a = abs(float(v))
+        except OverflowError:
+            a = math.inf
+        if not 0 < a < math.inf:
+            raise ValueError(f"the coefficient at coordinate {c} does not fit a float")
+        out.append(a)
+    return out
 
 
 def _session(space: NormSpace, x: Vector):

@@ -131,9 +131,25 @@ MUTANTS = [
     Mutant(
         "parser-builds-first-argument-only",
         "src/schreier/cli.py",
-        "    named = set(argv)\n",
-        "    named = set(argv[:1])\n",
+        "        if verb not in argv:\n",
+        "        if verb not in argv[:1]:\n",
         ("tests/test_cli.py::test_help_and_usage_errors_are_unchanged",),
+    ),
+    Mutant(
+        "params-keep-unset-options",
+        "src/schreier/cli.py",
+        "    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None}\n",
+        "    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}\n",
+        ("tests/test_cli.py::test_reports_list_their_own_params",),
+    ),
+    Mutant(
+        "lp-accepts-infinite-p",
+        "src/schreier/norms.py",
+        "        if self.p == math.inf:\n"
+        "            raise ValueError(\"lp requires a finite p (use c0 for the sup norm)\")\n",
+        "",
+        ("tests/test_cli.py::test_space_descriptor_errors_point_at_the_descriptor",
+         "tests/test_cli.py::test_usage_error_exit"),
     ),
     Mutant(
         "threshold-reads-the-pattern-budget",

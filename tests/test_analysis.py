@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import alpha_oracle
-from schreier import analysis, constructions, norms
+from schreier import analysis, norms
 from schreier.analysis import (
     IntervalNormSpec,
     alpha_index_diagnostic,
@@ -414,7 +414,7 @@ def test_distortion_norms_no_window_twice(monkeypatch, args, expected):
         return _norm(space, x, *rest)
 
     monkeypatch.setattr(analysis, "_norm", counting)
-    monkeypatch.setattr(constructions, "_norm", counting)
+    monkeypatch.setattr(norms, "_norm", counting)
     rep = distortion_witness(*args)
     assert (rep.candidates_tried, rep.found is not None, rep.best_ratio, rep.best_pair) == expected
     assert normed and len(normed) == len(set(normed))
@@ -425,6 +425,13 @@ def test_distortion_takes_no_float_candidates():
     # be normalised exactly, so no pair is tried
     rep = distortion_witness(SchlumprechtSpace(), IntervalNormSpec(2), S(1), BlockSequence.basis(24), Fraction(6, 5))
     assert rep.candidates_tried == 0 and rep.found is None
+
+
+@pytest.mark.parametrize("second", [LpSpace(2.0), SchlumprechtSpace()], ids=repr)
+def test_distortion_rejects_a_second_norm_that_is_not_exact(second):
+    # a ratio of floats would be reported as an exact ratio
+    with pytest.raises(ValueError, match="not exact"):
+        distortion_witness(T, second, S(1), BlockSequence.basis(24), Fraction(11, 10))
 
 
 def test_distortion_requires_t_above_one():
@@ -540,6 +547,13 @@ def test_ratio_chain_rejects_a_norm_that_is_not_exact(space):
     with pytest.raises(ValueError, match="not exact"):
         ratio_bound_check(space, IntervalNormSpec(2), BlockSequence.basis(12), S(1),
                           1, 1, 1, 1, samples=3)
+
+
+@pytest.mark.parametrize("second", [LpSpace(2.0), SchlumprechtSpace()], ids=repr)
+def test_ratio_chain_rejects_a_second_norm_that_is_not_exact(second):
+    # a float second norm would pass as a Fraction of its float
+    with pytest.raises(ValueError, match="not exact"):
+        ratio_bound_check(T, second, BlockSequence.basis(12), S(1), 2, 2, 1, 2, samples=3)
 
 
 # ---------------------------------------------------------------------------

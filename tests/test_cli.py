@@ -105,7 +105,7 @@ def test_parsers_reject_trailing_input(parse, text, what, offset):
     assert str(exc.value) == f"trailing input after {what} at offset {offset}: {text!r}"
 
 
-@pytest.mark.parametrize("text", ["lp(1)", "lp(0.5)", "X(0)", "S(tol=0)", "S(tol=-1)"])
+@pytest.mark.parametrize("text", ["lp(1)", "lp(0.5)", "lp(1e400)", "X(0)", "S(tol=0)", "S(tol=-1)"])
 def test_space_descriptor_errors_point_at_the_descriptor(text):
     with pytest.raises(ParseError) as exc:
         parse_space(text)
@@ -242,7 +242,39 @@ def test_verify_refinement_whole_bracket_command(capsys):
     assert report["values"]["ok"] is True
 
 
-@pytest.mark.parametrize("argv, params", [
+# every subcommand, with the params its report must carry: each option
+# given or defaulted, by its name, so that a report can be rerun from them
+PARAMS = [
+    (["schreier", "member", "--family", "S(2)", "--set", "2,3,4,5,6"],
+     {"family": "S(2)", "set": "2,3,4,5,6"}),
+    (["schreier", "maximal", "--family", "A(2)", "--first", "1", "--horizon", "4"],
+     {"family": "A(2)", "first": 1, "horizon": 4}),
+    (["schreier", "mass", "--family", "S(1)", "--coeffs", "2:1/2,3:1/2"],
+     {"family": "S(1)", "coeffs": "2:1/2,3:1/2"}),
+    (["schreier", "threshold", "--xi", "1", "--zeta", "2", "--horizon", "8"],
+     {"xi": "1", "zeta": "2", "horizon": 8}),
+    (["ordinal", "add", "--a", "w", "--b", "1"], {"a": "w", "b": "1"}),
+    (["ordinal", "compare", "--a", "w", "--b", "3"], {"a": "w", "b": "3"}),
+    (["ordinal", "fundamental", "--limit", "w^2", "--n", "3"], {"limit": "w^2", "n": 3}),
+    (["ordinal", "parse", "--text", "3+w"], {"text": "3+w"}),
+    (["norm", "eval", "--space", "T", "--vector", "3:1,4:1,5:1"],
+     {"space": "T", "vector": "3:1,4:1,5:1"}),
+    (["norm", "j", "--space", "T", "--vector", "3:1,4:1,5:1", "--j", "3"],
+     {"space": "T", "vector": "3:1,4:1,5:1", "j": 3}),
+    (["norm", "interval", "--space", "T", "--vector", "3:1,4:1,5:1", "--n", "2"],
+     {"space": "T", "vector": "3:1,4:1,5:1", "n": 2}),
+    (["scc", "basic", "--xi", "1", "--zeta", "0", "--eps", "1/3"],
+     {"xi": "1", "zeta": "0", "eps": "1/3", "seq": "arith(2,1)", "budget": 60}),
+    (["scc", "blocks", "--xi", "1", "--zeta", "0", "--eps", "1/3", "--budget", "5"],
+     {"xi": "1", "zeta": "0", "eps": "1/3", "budget": 5}),
+    (["smodel", "profile", "--space", "l1", "--family", "S(1)", "--horizon", "4",
+      "--blocks", "corpus.json"],
+     {"space": "l1", "family": "S(1)", "horizon": 4, "blocks": "corpus.json"}),
+    (["distort", "search", "--space", "T", "--second", "interval:2", "--family", "S(1)",
+      "--t", "6/5"],
+     {"space": "T", "second": "interval:2", "family": "S(1)", "t": "6/5"}),
+    (["distort", "baseline", "--space", "c0", "--second", "interval:2"],
+     {"space": "c0", "second": "interval:2", "family": "S(1)", "t": "101/100", "n": 2}),
     (["verify", "bracket", "--lhs", "S(1)", "--rhs", "S(2)", "--horizon", "10"],
      {"lhs": "S(1)", "rhs": "S(2)", "horizon": 10}),
     (["verify", "pair-absorption", "--xi", "1", "--horizon", "8"], {"xi": "1", "horizon": 8}),
@@ -251,11 +283,32 @@ def test_verify_refinement_whole_bracket_command(capsys):
     (["verify", "refinement", "--which", "outer", "--xi", "1", "--zeta", "1", "--horizon", "12",
       "--seq", "even"],
      {"which": "outer", "xi": "1", "zeta": "1", "horizon": 12, "seq": "even"}),
-], ids=["bracket", "pair-absorption", "refinement", "refinement with seq"])
-def test_verify_reports_list_their_own_params(capsys, argv, params):
+    (["diag", "alpha", "--n", "1", "--floor", "4", "--horizon", "8", "--blocks", "corpus.json"],
+     {"n": 1, "floor": 4, "horizon": 8, "blocks": "corpus.json"}),
+]
+
+CORPUS = {"blocks": ["2:1", "3:1/2,4:1/2", "5:1", "6:1,7:1", "8:1", "9:1", "10:1", "11:1", "12:1"]}
+
+
+@pytest.mark.parametrize("argv, params", PARAMS, ids=[" ".join(argv[:2]) for argv, _ in PARAMS])
+def test_reports_list_their_own_params(capsys, monkeypatch, tmp_path, argv, params):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.json").write_text(json.dumps(CORPUS))
     code, report = run(capsys, *argv)
     assert code == EXIT_OK
+    assert report["command"] == " ".join(argv[:2])
     assert report["params"] == params
+
+
+@pytest.mark.parametrize("blocks, corpus", [([], "basis"), (["--blocks", "corpus.json"], "corpus.json")],
+                         ids=["basis", "file"])
+def test_distortion_search_reports_its_corpus(capsys, monkeypatch, tmp_path, blocks, corpus):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.json").write_text(json.dumps(CORPUS))
+    code, report = run(capsys, "distort", "search", "--space", "T", "--second", "interval:2",
+                       "--family", "S(1)", "--t", "6/5", *blocks)
+    assert code == EXIT_OK
+    assert report["values"]["corpus"] == corpus
 
 
 def test_verify_violation_exit_code(capsys):
@@ -271,7 +324,8 @@ def test_scc_budget_exit_code(capsys):
                        "--eps", "1/100", "--seq", "arith(2,1)", "--budget", "3")
     assert code == EXIT_BUDGET
     assert report["budget_exhausted"] is True
-    assert report["params"] == {"xi": "1", "zeta": "0", "eps": "1/100", "seq": "arith(2,1)"}
+    assert report["params"] == {"xi": "1", "zeta": "0", "eps": "1/100", "seq": "arith(2,1)",
+                                "budget": 3}
 
 
 def test_budget_error_outside_a_handler_exit_code(capsys, monkeypatch):
@@ -335,6 +389,10 @@ def test_parse_error_exit(capsys):
     ["norm", "eval", "--space", "lp(0.5)", "--vector", "2:1"],
     ["norm", "eval", "--space", "X(0)", "--vector", "2:1"],
     ["norm", "eval", "--space", "S(tol=-1)", "--vector", "2:1"],
+    ["norm", "eval", "--space", "lp(1e400)", "--vector", "1:1/2"],
+    # coefficients that no float holds, in the float spaces
+    ["norm", "eval", "--space", "lp(3)", "--vector", f"1:{10 ** 400}"],
+    ["norm", "eval", "--space", "S", "--vector", f"2:1/{10 ** 400}"],
     # argparse errors, which would otherwise exit with 2 (EXIT_BUDGET)
     ["schreier", "nosuch"],
     ["norm", "eval", "--space", "T"],
@@ -415,6 +473,15 @@ def test_mixed_norm_budget_exit_code(capsys, monkeypatch):
                        "--vector", "4:1,5:1,6:1,7:1,8:1,9:1")
     assert code == EXIT_BUDGET
     assert report["values"]["converged"] is False and report["budget_exhausted"] is True
+
+
+@pytest.mark.parametrize("vector, value", [("1:2", 2.0), ("1:1/2,2:1/3", 0.5)])
+def test_lp_norm_with_a_large_exponent(capsys, vector, value):
+    # the 2000th powers of 2 and of 1/2 leave the float range; the chunk's
+    # largest |x_c| is taken out before the powers
+    code, report = run(capsys, "norm", "eval", "--space", "lp(2000)", "--vector", vector)
+    assert code == EXIT_OK
+    assert abs(report["values"]["value"] - value) <= report["values"]["tolerance"]
 
 
 def test_threshold_command_takes_no_family(capsys):

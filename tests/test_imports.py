@@ -200,7 +200,9 @@ NO_VERIFIERS = ["verifiers"]
     (["norm", "eval", "--space", "T", "--vector", "3:1,4:1,5:1"],
      ["families", "constructions", "analysis"] + NO_VERIFIERS),
     (["scc", "basic", "--xi", "2", "--zeta", "1", "--eps", "1/3", "--seq", "arith(2,1)"],
-     ["analysis"] + NO_VERIFIERS),
+     ["norms", "analysis"] + NO_VERIFIERS),
+    (["scc", "blocks", "--xi", "1", "--zeta", "0", "--eps", "1/3"],
+     ["norms", "analysis"] + NO_VERIFIERS),
     (["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "8"], NO_VERIFIERS),
     (["schreier", "maximal", "--family", "A(2)", "--first", "1", "--horizon", "4"],
      ["norms", "vectors", "constructions", "analysis"] + NO_VERIFIERS),
@@ -219,7 +221,7 @@ NO_VERIFIERS = ["verifiers"]
      ["norms", "vectors", "constructions", "analysis"]),
     (["diag", "alpha", "--n", "1", "--floor", "4", "--horizon", "8"], NO_VERIFIERS),
 ], ids=["ordinal add", "schreier member", "verify bracket", "norm eval", "scc basic",
-        "smodel profile", "schreier maximal", "schreier mass", "schreier threshold",
+        "scc blocks", "smodel profile", "schreier maximal", "schreier mass", "schreier threshold",
         "norm interval", "distort search", "distort baseline", "verify pair-absorption",
         "verify refinement", "diag alpha"])
 def test_cli_loads_only_what_the_command_uses(argv, unused):
