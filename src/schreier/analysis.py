@@ -27,7 +27,9 @@ a lower bound, and a step is taken only on a strict improvement.
 first use, and its rapidly increasing sums read the l1 averages already
 normed for the same window.  The memos live for one call.  Every search
 here reads only values, exactness and convergence, so it calls the
-witness-free evaluation `norms._norm` and builds no witness tree.
+witness-free evaluation `norms._norm` and builds no witness tree; every
+scale it divides by and every ratio it reports is read through
+`norms._exact`, which refuses a float or budget-limited value.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .constructions import BudgetExhausted, _l1_average, _ris, _stage
 from .families import (
     Family,
     FinSet,
@@ -50,16 +51,15 @@ from .families import (
 from .norms import (
     C0Space,
     L1Space,
-    LpSpace,
     MixedSchreierSpace,
     NormSpace,
-    SchlumprechtSpace,
     TsirelsonSpace,
     _admissible_sum,
+    _exact,
     _norm,
 )
-from .ordinals import ONE, Ordinal, add, omega_power
-from .reports import Factory, Record, WitnessReport
+from .ordinals import ONE, Ordinal, _stage, add, omega_power
+from .reports import BudgetExhausted, Factory, Record, WitnessReport
 from .vectors import BlockSequence, Vector, combine
 
 # rounds of the exact mass-shifting descent that refines the l1 lower constant
@@ -96,15 +96,12 @@ class IntervalNormSpec(Record, frozen=True):
 SecondNorm = Union[NormSpace, IntervalNormSpec]
 
 
-def second_norm_value(space: NormSpace, spec: SecondNorm, x: Vector):
+def second_norm_value(space: NormSpace, spec: SecondNorm, x: Vector) -> Fraction:
     """The second norm of x: `spec`, or the interval norm it names in
-    `space`.  Raises ValueError when that norm is a float (lp,
-    Schlumprecht), as the first norms do: a ratio of floats is no exact
-    ratio."""
+    `space`, read through `norms._exact`: a ratio of floats or of lower
+    bounds is no exact ratio."""
     space, n = (space, spec.n) if isinstance(spec, IntervalNormSpec) else (spec, 0)
-    if isinstance(space, (LpSpace, SchlumprechtSpace)):
-        raise ValueError(f"the norm of {space} is not exact; a second norm needs exact values")
-    return _norm(space, x, n).value
+    return _exact(space, x, n)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +195,27 @@ def _descend_l1(
     return value, coeffs
 
 
-def _uniform_candidates(
+def l1_lower_candidates(
     space: NormSpace,
     bs: BlockSequence,
     fam: Family,
     min_first: int,
     limit: int,
-    ones: Dict[FinSet, Fraction],
+    *,
+    ones: Optional[Dict[FinSet, Fraction]] = None,
 ) -> Iterator[Tuple[FinSet, Tuple[Fraction, ...], Fraction]]:
-    """`l1_lower_candidates` over `ones`, exact norms of all-ones sums: the
-    uniform combination on E is 1/|E| times the all-ones sum over E, so it
-    reads its value from `ones[E]` when that holds it."""
+    """Structured candidate combinations on the l1 sphere: uniform
+    coefficients over admissible index sets, lazily: the first
+    L1_CANDIDATES_PER_FIRST DFS leaves of `iter_maximal` for each starting
+    index, which need not be maximal (the enumeration is exponential at
+    large horizons; the cap keeps the search structured, not exhaustive,
+    which the reported estimates already acknowledge).
+
+    `ones`, a memo that changes no result, holds exact norms of all-ones
+    sums: the uniform combination on E is 1/|E| times the all-ones sum
+    over E, so it reads its value from `ones[E]` when that holds it."""
+    if ones is None:
+        ones = {}
     for first in range(min_first, limit + 1):
         taken = 0
         for E in iter_maximal(fam, first, limit):
@@ -226,35 +233,28 @@ def _uniform_candidates(
             yield E, coeffs, value
 
 
-def l1_lower_candidates(
-    space: NormSpace,
-    bs: BlockSequence,
-    fam: Family,
-    min_first: int,
-    limit: int,
-) -> Iterator[Tuple[FinSet, Tuple[Fraction, ...], Fraction]]:
-    """Structured candidate combinations on the l1 sphere: uniform
-    coefficients over admissible index sets, lazily: the first
-    L1_CANDIDATES_PER_FIRST DFS leaves of `iter_maximal` for each starting
-    index, which need not be maximal (the enumeration is exponential at
-    large horizons; the cap keeps the search structured, not exhaustive,
-    which the reported estimates already acknowledge)."""
-    yield from _uniform_candidates(space, bs, fam, min_first, limit, {})
-
-
-def _l1_lower(
+def l1_lower_constant(
     space: NormSpace,
     bs: BlockSequence,
     fam: Family,
     horizon: int,
-    min_first: int,
-    ones: Dict[FinSet, Fraction],
+    min_first: int = 1,
+    *,
+    ones: Optional[Dict[FinSet, Fraction]] = None,
 ) -> Tuple[Fraction, Tuple[FinSet, Tuple[Fraction, ...]]]:
-    """`l1_lower_constant` over `ones`, as in `_uniform_candidates`."""
+    """Best (smallest) norm found on the l1 sphere over admissible index sets.
+
+    This is an upper estimate of the true infimum, with the witness
+    achieving it; uniform patterns are scanned first and the best is
+    refined by exact local descent.  Both read the memo `ones` of
+    `l1_lower_candidates`.
+    """
+    if ones is None:
+        ones = {}
     limit = min(horizon, len(bs))
     best: Optional[Fraction] = None
     best_witness: Tuple[FinSet, Tuple[Fraction, ...]] = ((), ())
-    for E, coeffs, value in _uniform_candidates(space, bs, fam, min_first, limit, ones):
+    for E, coeffs, value in l1_lower_candidates(space, bs, fam, min_first, limit, ones=ones):
         if best is None or value < best:
             best, best_witness = value, (E, coeffs)
     if best is None:
@@ -265,22 +265,6 @@ def _l1_lower(
     if refined < best:
         best, best_witness = refined, (E, tuple(new_coeffs))
     return best, best_witness
-
-
-def l1_lower_constant(
-    space: NormSpace,
-    bs: BlockSequence,
-    fam: Family,
-    horizon: int,
-    min_first: int = 1,
-) -> Tuple[Fraction, Tuple[FinSet, Tuple[Fraction, ...]]]:
-    """Best (smallest) norm found on the l1 sphere over admissible index sets.
-
-    This is an upper estimate of the true infimum, with the witness
-    achieving it; uniform patterns are scanned first and the best is
-    refined by exact local descent.
-    """
-    return _l1_lower(space, bs, fam, horizon, min_first, {})
 
 
 def spreading_profile(
@@ -324,7 +308,7 @@ def spreading_profile(
         if v > c0_up:
             c0_up, c0_wit = v, (E, all_ones)
     witnesses["c0_upper"] = c0_wit
-    l1_low, l1_wit = _l1_lower(space, bs, fam, limit, 1, ones)
+    l1_low, l1_wit = l1_lower_constant(space, bs, fam, limit, ones=ones)
     witnesses["l1_lower"] = l1_wit
     return SpreadingEstimate(
         family=fam,
@@ -360,7 +344,7 @@ class DistortionWitness(Record):
             return False
         rx = second_norm_value(space, spec, self.x)
         ry = second_norm_value(space, spec, self.y)
-        return Fraction(rx) / Fraction(ry) == self.ratio
+        return rx / ry == self.ratio
 
 
 class DistortionReport(Record):
@@ -376,32 +360,30 @@ def _candidate_vectors(space: NormSpace, bs: BlockSequence) -> List[Tuple[str, V
     """Structured candidates: normalised single blocks, l1 averages of a few
     window sizes, and short rapidly-increasing average sums, which read the
     windows the averages already normed."""
+    from .constructions import build_l1_average, build_ris
+
     out: List[Tuple[str, Vector, FinSet]] = []
-    for i in range(1, min(len(bs), 8) + 1):
-        r = _norm(space, bs.blocks[i - 1])
-        if r.exact and r.value > 0:
-            out.append((f"block[{i}]", bs.blocks[i - 1] * (Fraction(1) / r.value), (i,)))
+    for i, block in enumerate(bs.blocks[:8], 1):
+        out.append((f"block[{i}]", block * (Fraction(1) / _exact(space, block)), (i,)))
     normed: dict = {}
     for k in (2, 3, 4, 6, 8):
         if k > len(bs):
             continue
         try:
-            vec, info = _l1_average(space, k, bs, Fraction(0), 1, normed)
-        except (BudgetExhausted, ValueError):
+            vec, info = build_l1_average(space, k, bs, Fraction(0), normed=normed)
+        except BudgetExhausted:
             continue
         out.append((f"avg[{k}]", vec, info["indices"]))
     for sizes in ((2, 4), (2, 6), (3, 8)):
         if sizes[-1] > len(bs):
             continue
         try:
-            ris = _ris(space, sizes, bs, Fraction(0), normed)
+            ris = build_ris(space, sizes, bs, normed=normed)
         except (BudgetExhausted, ValueError):
             continue
         total = combine(ris.blocks, [1] * len(ris.blocks))
-        r = _norm(space, total)
-        if r.exact and r.value > 0:
-            indices = tuple(sorted(set(itertools.chain.from_iterable(ris.origins))))
-            out.append((f"ris{sizes}", total * (Fraction(1) / r.value), indices))
+        indices = tuple(sorted(set(itertools.chain.from_iterable(ris.origins))))
+        out.append((f"ris{sizes}", total * (Fraction(1) / _exact(space, total)), indices))
     return out
 
 
@@ -443,12 +425,11 @@ def distortion_witness(
         membership = member(combined, fam)
         if not membership.member:
             continue
+        # a second norm of a nonzero vector is positive
         rx = second(kx)
         ry = second(ky)
-        if ry == 0:
-            continue
         tried += 1
-        ratio = Fraction(rx) / Fraction(ry)
+        ratio = rx / ry
         if ratio > best_ratio:
             best_ratio, best_pair = ratio, (lx, ly)
         if ratio > t and found is None:
@@ -458,8 +439,8 @@ def distortion_witness(
                 x=vx,
                 y=vy,
                 ratio=ratio,
-                x_second=Fraction(rx),
-                y_second=Fraction(ry),
+                x_second=rx,
+                y_second=ry,
                 x_label=lx,
                 y_label=ly,
             )
@@ -626,7 +607,8 @@ def ratio_bound_check(
 
     using l(x) <= a and l(y) >= 1/b.  A violation therefore means a
     constant was measured wrong, and the report names the check that failed.
-    Raises ValueError when the space's norm is not exact.
+    Raises `norms._exact`'s errors when the first or the second norm is
+    not exact.
     """
     if samples < 1:
         raise ValueError(f"the ratio check needs at least one sample, got {samples}")
@@ -640,29 +622,24 @@ def ratio_bound_check(
     if not sets:
         raise ValueError("no admissible index sets within the horizon")
     violations: List[dict] = []
-    done = 0
-    while done < samples:
+    for _ in range(samples):
         E = rng.choice(sets)
         coeffs = [Fraction(rng.randint(1, 8), 8) for _ in E]
+        # nonzero: the blocks are, with disjoint supports
         raw = combine([bs.blocks[i - 1] for i in E], coeffs)
-        nr = _norm(space, raw)
-        if not nr.exact:
-            raise ValueError(f"the norm of {space} is not exact; the ratio checks need an exact scale")
-        if nr.value == 0:
-            continue
-        unit_coeffs = [c / nr.value for c in coeffs]
+        scale = _exact(space, raw)
+        unit_coeffs = [c / scale for c in coeffs]
         ell1 = sum(map(abs, unit_coeffs))
-        second = Fraction(second_norm_value(space, spec, raw * (Fraction(1) / nr.value)))
+        second = second_norm_value(space, spec, raw * (Fraction(1) / scale))
         checks = {
             "first_lower": ell1 / a <= 1,
             "first_upper": 1 <= b * ell1,
             "second_lower": ell1 / a0 <= second,
             "second_upper": second <= b0 * ell1,
         }
-        done += 1
         if not all(checks.values()):
             violations.append({"set": E, "coeffs": unit_coeffs, "checks": checks})
-    return RatioCheckReport(delta=delta, samples=done, violations=violations)
+    return RatioCheckReport(delta=delta, samples=samples, violations=violations)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,7 @@ from fractions import Fraction
 from typing import Optional
 
 # Each verb handler imports the modules it needs, `families` included, and
-# the parser builds the subcommands of the verbs in argv only.  Compiling a
-# module from source is what peaks a command's memory: on Python 3.11 the
-# import of the 1,317-line families.py alone reached a VmHWM of 17.2 MB,
-# against 14.5 MB for `ordinals`.  Split into `families` and the
-# `verifiers` it loads on first use, which compile apart, it peaks at
-# 16.0 MB, and only `verify` and `schreier threshold` compile the second.
+# the parser builds the subcommands of the verbs in argv only.
 from . import parsing
 from .ordinals import add, compare, fundamental
 from .reports import BudgetExhausted, ConstructionError, to_jsonable
@@ -90,7 +85,8 @@ def _emit(args, values, witnesses=None, certified_horizon=None, budget_exhausted
         "certified_horizon": certified_horizon,
         "budget_exhausted": budget_exhausted,
     }
-    text = json.dumps(report, indent=2)
+    # a float that left its range is no number: refuse it, never print it
+    text = json.dumps(report, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -239,17 +235,19 @@ def _cmd_distort(args) -> int:
         report = analysis.distortion_witness(space, spec, fam, bs, t,
                                              corpus_label=args.blocks or "basis")
         return _emit(args, {"corpus": report.corpus_label, "found": report.found is not None,
-                            "best_ratio": report.best_ratio, "best_pair": report.best_pair},
-                     report.found)
-    results = []
-    all_clear = True
-    for label, bs in analysis.standard_corpus(space, args.n):
-        report = analysis.distortion_witness(space, spec, fam, bs, t, corpus_label=label)
-        results.append({"corpus": label, "found": report.found is not None,
-                        "best_ratio": report.best_ratio})
-        all_clear = all_clear and report.found is None
-    code = _emit(args, {"results": results, "all_clear": all_clear})
-    return code if all_clear else EXIT_VIOLATION
+                            "best_ratio": report.best_ratio, "best_pair": report.best_pair,
+                            "candidates_tried": report.candidates_tried},
+                     report.found, budget_exhausted=not report.candidates_tried)
+    # a corpus on which no pair was tried checked nothing, so it is not clear
+    reports = [analysis.distortion_witness(space, spec, fam, bs, t, corpus_label=label)
+               for label, bs in analysis.standard_corpus(space, args.n)]
+    results = [{"corpus": r.corpus_label, "found": r.found is not None, "best_ratio": r.best_ratio,
+                "candidates_tried": r.candidates_tried} for r in reports]
+    found = any(r.found is not None for r in reports)
+    untried = not all(r.candidates_tried for r in reports)
+    code = _emit(args, {"results": results, "all_clear": not (found or untried)},
+                 budget_exhausted=untried)
+    return EXIT_VIOLATION if found else code
 
 
 def _cmd_verify(args) -> int:

@@ -32,7 +32,7 @@ from .families import (
     family_mass,
     member,
 )
-from .ordinals import ONE, Ordinal, compare, fundamental, omega_power
+from .ordinals import ONE, Ordinal, _stage, compare, fundamental, omega_power
 from .reports import BudgetExhausted, Record
 from .vectors import (
     Average,
@@ -57,13 +57,6 @@ MAX_REPEATED_AVERAGE_LEAVES = 20_000
 # restarts per block of `l1_to_c0_blocking`, and the largest stage it uses
 L1_TO_C0_SCC_BUDGET = 60
 L1_TO_C0_STAGE_CAP = 1
-
-
-def _stage(xi: Ordinal, n: int) -> Ordinal:
-    """The index of the n-th stage of S_{omega^xi}: omega^xi[n] when omega^xi
-    is a limit, omega^xi itself otherwise."""
-    base = omega_power(xi)
-    return fundamental(base, n) if base.is_limit else base
 
 
 def rational_sqrt_below(K: Fraction) -> Fraction:
@@ -217,6 +210,8 @@ def build_l1_average(
     bs: BlockSequence,
     quality: Fraction,
     start: int = 1,
+    *,
+    normed: Optional[dict] = None,
 ) -> Tuple[Vector, dict]:
     """Normalised average of k successive blocks with certified norm quality.
 
@@ -225,18 +220,15 @@ def build_l1_average(
     the first block's min support) and whose unnormalised average has norm
     at least `quality`.  Returns the normalised average and a certificate
     dict; raises BudgetExhausted with the best window when quality is
-    unreachable, and ValueError when the space's norm is not exact.
+    unreachable, and `norms._exact`'s errors when the space's norm is not
+    exact.  `normed`, a memo that changes no result, keeps each window's
+    average and its norm under (k, window start), so that a scan over the
+    same space and blocks reads a window an earlier one normed.
     """
-    return _l1_average(space, k, bs, quality, start, {})
+    from .norms import _exact
 
-
-def _l1_average(space: NormSpace, k: int, bs: BlockSequence, quality: Fraction, start: int,
-                normed: dict) -> Tuple[Vector, dict]:
-    """`build_l1_average`, keeping in `normed` each window's average and its
-    norm under (k, window start): a window an earlier scan normed over the
-    same space and blocks is read, not normed again."""
-    from .norms import _norm
-
+    if normed is None:
+        normed = {}
     quality = Fraction(quality)
     best = None
     for s in range(start, len(bs) - k + 2):
@@ -248,10 +240,7 @@ def _l1_average(space: NormSpace, k: int, bs: BlockSequence, quality: Fraction, 
             avg = window[0] * Fraction(1, k)
             for b in window[1:]:
                 avg = avg + b * Fraction(1, k)
-            res = _norm(space, avg)
-            if not res.exact:
-                raise ValueError(f"the norm of {space} is not exact; an l1 average needs an exact scale")
-            hit = normed[(k, s)] = (avg, res.value)
+            hit = normed[(k, s)] = (avg, _exact(space, avg))
         avg, value = hit
         info = {
             "start": s,
@@ -268,21 +257,15 @@ def _l1_average(space: NormSpace, k: int, bs: BlockSequence, quality: Fraction, 
     )
 
 
-def build_ris(
-    space: NormSpace, sizes: Sequence[int], bs: BlockSequence, quality: Fraction = Fraction(0)
-) -> BlockSequence:
+def build_ris(space: NormSpace, sizes: Sequence[int], bs: BlockSequence, quality: Fraction = Fraction(0),
+              *, normed: Optional[dict] = None) -> BlockSequence:
     """Rapidly increasing sequence of normalised l1 averages.
 
     Sizes must increase strictly, and each size must exceed the previous
     average's max support (the vector-side mirror of very fast growth);
-    windows are chosen greedily left to right.
+    windows are chosen greedily left to right, over the window memo
+    `normed` of `build_l1_average`.
     """
-    return _ris(space, sizes, bs, quality, {})
-
-
-def _ris(space: NormSpace, sizes: Sequence[int], bs: BlockSequence, quality: Fraction,
-         normed: dict) -> BlockSequence:
-    """`build_ris` over the window memo `normed` of `_l1_average`."""
     sizes = list(sizes)
     if any(s1 >= s2 for s1, s2 in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
@@ -295,7 +278,7 @@ def _ris(space: NormSpace, sizes: Sequence[int], bs: BlockSequence, quality: Fra
             raise ValueError(
                 f"size {size} at stage {q + 1} does not exceed previous max support {prev_max}"
             )
-        vec, info = _l1_average(space, size, bs, quality, cursor, normed)
+        vec, info = build_l1_average(space, size, bs, quality, cursor, normed=normed)
         out.append(vec)
         origins.append(info["indices"])
         cursor = info["indices"][-1] + 1
@@ -519,9 +502,9 @@ def l1_to_c0_blocking(
     L1_TO_C0_STAGE_CAP): the canonical hierarchy has supports exponential in the
     stage, so the desk-scale schedule shrinks the epsilons while the stages
     are clamped, and every output carries the certificate actually used.
-    Raises ValueError when the space's norm is not exact.
+    Raises `norms._exact`'s errors when the space's norm is not exact.
     """
-    from .norms import _norm
+    from .norms import _exact
 
     eps = Fraction(eps)
     if eps <= 0:
@@ -541,10 +524,7 @@ def l1_to_c0_blocking(
             raise BudgetExhausted(f"ran out of blocks at stage {k}")
         tail = BlockSequence(tuple(tail_blocks), tuple(tail_origins))
         vec, cert = scc_on_blocks(tail, stage_hi, stage_lo, eps / (2 ** (k - 1)), L1_TO_C0_SCC_BUDGET)
-        res = _norm(space, vec)
-        if not res.exact:
-            raise ValueError(f"the norm of {space} is not exact; a normalised block needs an exact scale")
-        out_blocks.append(vec * (1 / res.value))
+        out_blocks.append(vec * (1 / _exact(space, vec)))
         chosen = set(cert.support_set)
         used = [i + 1 for i, b in enumerate(tail.blocks) if b.support()[0] in chosen]
         origin = tuple(sorted(set(i for u in used for i in tail.origins[u - 1])))

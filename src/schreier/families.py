@@ -23,7 +23,8 @@ canonical rewriting and the two independent oracles read the expression.
 A kernel decides membership exactly and with a witness: it splits a set
 greedily into maximal blocks, which is complete when the outer family is
 spreading and the inner one hereditary, and backtracks everywhere else.
-`member` memoises those answers in a memo of at most MEMO_CAP entries.
+`member` memoises those answers in a memo of at most MEMO_CAP entries,
+and the kernel table clears with it.
 `member_exhaustive` is an independent decider kept for cross-checking: it
 tries every block end from left to right, with no greedy choice, and drops
 only a prefix of blocks whose minima leave the outer family, which no
@@ -54,8 +55,8 @@ from .reports import Record
 FinSet = Tuple[int, ...]
 
 # entries the member memo holds at most, well above the ~40k of a
-# verification pass; a store into a full memo first clears it whole, so a
-# hit does no bookkeeping
+# verification pass; a store into a full memo first clears it whole, and
+# the kernel table with it, so a hit does no bookkeeping
 MEMO_CAP = 1 << 17
 
 
@@ -346,7 +347,7 @@ def member(E, fam: Family) -> MembershipResult:
             prev = x
         hit = k.decide(E) if E else _EMPTY_MEMBER
         if len(_member_cache) >= MEMO_CAP:
-            _member_cache.clear()
+            _clear_memo()
         _member_cache[key] = hit
     return hit
 
@@ -359,9 +360,17 @@ def _member(E: FinSet, k: "_Kernel") -> MembershipResult:
     if hit is None:
         hit = k.decide(E)
         if len(_member_cache) >= MEMO_CAP:
-            _member_cache.clear()
+            _clear_memo()
         _member_cache[key] = hit
     return hit
+
+
+def _clear_memo() -> None:
+    """Empty the member memo at its cap, and the kernel table whose kernels
+    its keys hold; a family compiled again gets a new kernel, so nothing
+    may tell kernels apart by identity."""
+    _member_cache.clear()
+    _kernels.clear()
 
 
 def _kernel(fam: Family) -> "_Kernel":

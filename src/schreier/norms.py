@@ -36,6 +36,8 @@ chunk of their covers from the same session.  One private evaluation,
 public entry points ask, while `analysis` and `constructions`, which read
 only the value, exactness and convergence, build no witness tree.  The
 witness never feeds back into the value, so both give the same numbers.
+A caller that scales or divides by a norm reads it through `_exact`, the
+one gate that refuses a float or budget-limited value.
 
 The Tsirelson, Schlumprecht and mixed evaluators and the interval norms
 share one kernel, `_cover`: the best sum of chunk values over at most k
@@ -91,7 +93,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .ordinals import Ordinal, omega_power
-from .reports import Record
+from .reports import BudgetExhausted, Record
 from .vectors import (
     Average,
     Functional,
@@ -544,11 +546,15 @@ def _session(space: NormSpace, x: Vector):
 
 
 def _result(session, total, witness, tolerance: float, scale: int = 1) -> NormResult:
-    """The NormResult of a session value (or sum of values) over `scale`."""
+    """The NormResult of a session value (or sum of values) over `scale`;
+    a ValueError for a float value that left the float range, which finite
+    coefficients can reach in lp and Schlumprecht."""
     if session.scale:
         total = Fraction(total, session.scale * scale)
     elif scale != 1:
         total = total / scale
+    if not session.exact and not math.isfinite(total):
+        raise ValueError("the norm does not fit a float")
     exact = session.exact and session.converged
     return NormResult(total, exact, session.converged, witness, tolerance)
 
@@ -586,6 +592,20 @@ def interval_norm(space: NormSpace, x: Vector, n: int) -> NormResult:
     if n < 1:
         raise ValueError("need n >= 1 intervals")
     return _norm(space, x, n, 1, True)
+
+
+def _exact(space: NormSpace, x: Vector, n: int = 0) -> Fraction:
+    """The value of `_norm(space, x, n)` for a caller that scales or
+    divides by it, which needs it exact: a ValueError for lp and
+    Schlumprecht, whose floats are no exact scale, raised before anything
+    is evaluated, and BudgetExhausted for an X(xi) value whose budget ran
+    out, which is only a lower bound."""
+    if isinstance(space, (LpSpace, SchlumprechtSpace)):
+        raise ValueError(f"the norm of {space} is not exact; a scale or a ratio needs exact values")
+    r = _norm(space, x, n)
+    if not r.converged:
+        raise BudgetExhausted(f"the norm of {space} ran out of its tick budget; its value is only a lower bound")
+    return r.value
 
 
 def _norm(space: NormSpace, x: Vector, n: int = 0, scale: int = 1, witnessed: bool = False) -> NormResult:

@@ -191,6 +191,13 @@ def fundamental(limit: Ordinal, n: int) -> Ordinal:
     return add(Ordinal(head), tail_value)
 
 
+def _stage(xi: Ordinal, n: int) -> Ordinal:
+    """The index of the n-th stage of S_{omega^xi}: omega^xi[n] when omega^xi
+    is a limit, omega^xi itself otherwise."""
+    base = omega_power(xi)
+    return fundamental(base, n) if base.is_limit else base
+
+
 def to_text(a: Ordinal) -> str:
     """Canonical literal: `0`, naturals, `w`, `w^<exp>`, `*<nat>`, `+`.
 

@@ -280,7 +280,7 @@ def _bracket_shape(k: _Kernel):
     labels = k.labels
     if isinstance(k, _Relabeled):
         k = k.base
-    if k is _kernel(S(1)):
+    if k.fam == S(1):
         return k, _kernel(S(0)), labels
     if isinstance(k, _Bracket):
         return k.outer, k.inner, labels

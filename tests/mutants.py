@@ -159,6 +159,54 @@ MUTANTS = [
         ("tests/test_families.py::test_threshold_budget_path_is_not_remembered",),
     ),
     Mutant(
+        "exact-gate-takes-floats",
+        "src/schreier/norms.py",
+        "    if isinstance(space, (LpSpace, SchlumprechtSpace)):\n"
+        "        raise ValueError(f\"the norm of {space} is not exact; a scale or a ratio needs exact values\")\n",
+        "",
+        ("tests/test_analysis.py::test_distortion_rejects_a_first_norm_that_is_not_exact",
+         "tests/test_constructions.py::test_float_norms_give_no_exact_scale"),
+    ),
+    Mutant(
+        "exact-gate-takes-lower-bounds",
+        "src/schreier/norms.py",
+        "    if not r.converged:\n",
+        "    if False:\n",
+        ("tests/test_analysis.py::test_distortion_rejects_a_second_norm_whose_budget_ran_out",
+         "tests/test_constructions.py::test_budget_limited_norms_give_no_exact_scale"),
+    ),
+    Mutant(
+        "report-allows-nan",
+        "src/schreier/cli.py",
+        "    text = json.dumps(report, indent=2, allow_nan=False)\n",
+        "    text = json.dumps(report, indent=2)\n",
+        ("tests/test_cli.py::test_edge_inputs_exit_as_documented",),
+    ),
+    Mutant(
+        "empty-search-reads-clean",
+        "src/schreier/cli.py",
+        "                     report.found, budget_exhausted=not report.candidates_tried)\n",
+        "                     report.found)\n",
+        ("tests/test_cli.py::test_edge_inputs_exit_as_documented",),
+    ),
+    Mutant(
+        "empty-baseline-reads-clear",
+        "src/schreier/cli.py",
+        "    untried = not all(r.candidates_tried for r in reports)\n",
+        "    untried = False\n",
+        ("tests/test_cli.py::test_edge_inputs_exit_as_documented",),
+    ),
+    Mutant(
+        "kernel-table-unbounded",
+        "src/schreier/families.py",
+        "    may tell kernels apart by identity.\"\"\"\n"
+        "    _member_cache.clear()\n"
+        "    _kernels.clear()\n",
+        "    may tell kernels apart by identity.\"\"\"\n"
+        "    _member_cache.clear()\n",
+        ("tests/test_families.py::test_kernel_table_clears_with_the_member_memo",),
+    ),
+    Mutant(
         "comment-only",
         "src/schreier/families.py",
         "        # x joins the open block when the inner family allows, else opens\n",

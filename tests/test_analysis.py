@@ -26,6 +26,7 @@ from schreier.analysis import (
 from schreier.families import A, S, enumerate_maximal, member, verify_bracket_inclusion
 from schreier.norms import C0, L1, T, LpSpace, MixedSchreierSpace, SchlumprechtSpace, _norm, norm
 from schreier.ordinals import OMEGA, finite
+from schreier.reports import BudgetExhausted
 from schreier.vectors import BlockSequence, Vector, combine
 
 
@@ -158,15 +159,15 @@ def test_shared_all_ones_values_match_direct_norms(monkeypatch, space, fam):
     # must equal the norm of the uniform combination itself, bit for bit
     # in the float spaces, where nothing may be read that way
     seen = []
-    uniform_candidates = analysis._uniform_candidates
+    uniform_candidates = analysis.l1_lower_candidates
 
-    def recording(space, bs, fam, min_first, limit, ones):
-        known = set(ones)
-        for E, coeffs, value in uniform_candidates(space, bs, fam, min_first, limit, ones):
+    def recording(space, bs, fam, min_first, limit, *, ones=None):
+        known = set(ones or ())
+        for E, coeffs, value in uniform_candidates(space, bs, fam, min_first, limit, ones=ones):
             seen.append((E, coeffs, value, E in known))
             yield E, coeffs, value
 
-    monkeypatch.setattr(analysis, "_uniform_candidates", recording)
+    monkeypatch.setattr(analysis, "l1_lower_candidates", recording)
     for seed in range(3):
         bs = _seeded_blocks(seed)
         seen.clear()
@@ -420,11 +421,23 @@ def test_distortion_norms_no_window_twice(monkeypatch, args, expected):
     assert normed and len(normed) == len(set(normed))
 
 
-def test_distortion_takes_no_float_candidates():
-    # the Schlumprecht norm is a float: no block, average or sum of it can
-    # be normalised exactly, so no pair is tried
-    rep = distortion_witness(SchlumprechtSpace(), IntervalNormSpec(2), S(1), BlockSequence.basis(24), Fraction(6, 5))
-    assert rep.candidates_tried == 0 and rep.found is None
+@pytest.mark.parametrize("space", [LpSpace(2.0), SchlumprechtSpace()], ids=repr)
+def test_distortion_rejects_a_first_norm_that_is_not_exact(space):
+    # no block, average or sum of a float norm can be normalised exactly:
+    # the search refuses the space, where a search that tried no pair
+    # would read as one that found no distortion
+    with pytest.raises(ValueError, match="not exact"):
+        distortion_witness(space, IntervalNormSpec(2), S(1), BlockSequence.basis(24), Fraction(6, 5))
+
+
+@pytest.mark.parametrize("budget", [1, 8, 20])
+def test_distortion_rejects_a_second_norm_whose_budget_ran_out(monkeypatch, budget):
+    # an X(1) value whose budget ran out is a lower bound, and a ratio of
+    # lower bounds is no exact ratio: at these budgets it read as 4,
+    # 144144/39653 and 396/113
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", budget)
+    with pytest.raises(BudgetExhausted, match="lower bound"):
+        distortion_witness(T, MixedSchreierSpace(finite(1)), S(1), BlockSequence.basis(24), Fraction(100))
 
 
 @pytest.mark.parametrize("second", [LpSpace(2.0), SchlumprechtSpace()], ids=repr)

@@ -311,6 +311,64 @@ def test_distortion_search_reports_its_corpus(capsys, monkeypatch, tmp_path, blo
     assert report["values"]["corpus"] == corpus
 
 
+def _strict_json(text):
+    """stdout as JSON, refusing the NaN and Infinity that `json.loads`
+    would otherwise take."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# argv, the MIXED_TICK_BUDGET it runs under (None: the default), its exit
+# code, and values its report must hold
+EDGE_CASES = [
+    # a float first norm is no exact scale, even where it would try no pair
+    (["distort", "search", "--space", "S", "--second", "interval:2", "--family", "S(1)", "--t", "6/5"],
+     None, EXIT_USAGE, {}),
+    (["distort", "baseline", "--space", "S", "--second", "interval:3", "--n", "3"], None, EXIT_USAGE, {}),
+    # A(0) holds no pair: a search that tried none checked nothing
+    (["distort", "search", "--space", "T", "--second", "interval:2", "--family", "A(0)", "--t", "6/5"],
+     None, EXIT_BUDGET, {"found": False, "candidates_tried": 0}),
+    (["distort", "baseline", "--space", "T", "--second", "interval:2", "--family", "A(0)"],
+     None, EXIT_BUDGET, {"all_clear": False}),
+    # a ratio of X(1) values whose budget ran out is no exact ratio
+    (["distort", "search", "--space", "T", "--second", "X(1)", "--family", "S(1)", "--t", "100"],
+     8, EXIT_BUDGET, {}),
+    # the README searches
+    (["distort", "search", "--space", "T", "--second", "interval:2", "--family", "S(1)", "--t", "6/5"],
+     None, EXIT_OK, {"found": True, "candidates_tried": 64}),
+    (["distort", "baseline", "--space", "c0", "--second", "interval:3", "--n", "3"],
+     None, EXIT_OK, {"all_clear": True}),
+    # floats past their range reach no report
+    (["norm", "eval", "--space", "S", "--vector", ",".join(f"{c}:{10 ** 308}" for c in (2, 3, 4))],
+     None, EXIT_USAGE, {}),
+    (["norm", "eval", "--space", "S(tol=1e999)", "--vector", "1:1"], None, EXIT_USAGE, {}),
+    (["norm", "interval", "--space", "S(tol=1e308)", "--vector", "1:1,2:1", "--n", "2"],
+     None, EXIT_USAGE, {}),
+]
+
+
+@pytest.mark.parametrize("argv, budget, code, values", EDGE_CASES,
+                         ids=[" ".join(a[:4]) + f" #{i}" for i, (a, *_) in enumerate(EDGE_CASES)])
+def test_edge_inputs_exit_as_documented(capsys, monkeypatch, argv, budget, code, values):
+    # every report is strict JSON; a usage error writes none, and a budget
+    # exit that reports says so in `budget_exhausted`
+    if budget is not None:
+        monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", budget)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if not captured.out:
+        assert code != EXIT_OK and "error" in _strict_json(captured.err)
+        return
+    report = _strict_json(captured.out)
+    assert report["budget_exhausted"] is (code == EXIT_BUDGET)
+    assert {k: report["values"][k] for k in values} == values
+    for result in report["values"].get("results", ()):
+        assert result["candidates_tried"] == 0 if code == EXIT_BUDGET else result["candidates_tried"] > 0
+
+
 def test_verify_violation_exit_code(capsys):
     code, report = run(capsys, "verify", "bracket", "--lhs", "S(2)", "--rhs", "S(1)",
                        "--horizon", "12")

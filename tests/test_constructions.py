@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from schreier import constructions, verifiers
+from schreier import constructions, norms, verifiers
 from schreier.constructions import (
     BudgetExhausted,
     ImprovedBlocking,
@@ -149,6 +149,17 @@ def test_float_norms_give_no_exact_scale(space):
         build_l1_average(space, 2, bs, Fraction(0))
     with pytest.raises(ValueError, match="not exact"):
         l1_to_c0_blocking(space, bs, finite(1), Fraction(1, 2), count=1)
+
+
+def test_budget_limited_norms_give_no_exact_scale(monkeypatch):
+    # an X(1) value whose budget ran out is only a lower bound: a budget
+    # error (exit 2), not an argument error
+    monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", 1)
+    X1 = MixedSchreierSpace(finite(1))
+    with pytest.raises(BudgetExhausted, match="lower bound"):
+        build_l1_average(X1, 4, BlockSequence.basis(12), Fraction(0))
+    with pytest.raises(BudgetExhausted, match="lower bound"):
+        build_ris(X1, (2, 4), BlockSequence.basis(12))
 
 
 def test_l1_average_unreachable_quality_in_c0():

@@ -785,6 +785,34 @@ def test_member_memo_stays_within_its_cap(monkeypatch):
         assert got == expected
 
 
+def test_kernel_table_clears_with_the_member_memo(monkeypatch):
+    # each S(2)(M)[S(1)] with a new M compiles kernels of its own; the
+    # kernel table empties with the memo at its cap, so it stays bounded
+    # however many families are asked about, and no answer changes
+    rng = random.Random(3)
+    cases = []
+    for _ in range(300):
+        M = sorted(rng.sample(range(2, 40), 12))
+        fam = BracketFamily(RelabeledFamily(S(2), IndexSequence.explicit(M)), S(1))
+        cases.append((tuple(sorted(rng.sample(M, rng.randint(1, 6)))), fam))
+    families.clear_caches()
+    expected = [member(E, fam) for E, fam in cases]
+    assert 0 < sum(r.member for r in expected) < len(cases)
+    assert len(families._kernels) > 2 * len(cases)
+    families.clear_caches()
+    monkeypatch.setattr(families, "MEMO_CAP", 32)
+    got, sizes = [], []
+    for E, fam in cases:
+        got.append(member(E, fam))
+        sizes.append(len(families._kernels))
+    assert got == expected
+    assert max(sizes) <= 2 * 32 + 8
+    # a kernel compiled before a clear is still read as the S(1) it is
+    k = families._kernel(S(1))
+    families.clear_caches()
+    assert verifiers._bracket_shape(k)[0] is k
+
+
 def test_family_hash_is_read_only_and_hidden():
     fam = parse_family("S(1)[A(2)](even)")
     parts = (fam, fam.base, fam.base.outer, fam.base.inner)

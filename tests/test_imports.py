@@ -203,7 +203,8 @@ NO_VERIFIERS = ["verifiers"]
      ["norms", "analysis"] + NO_VERIFIERS),
     (["scc", "blocks", "--xi", "1", "--zeta", "0", "--eps", "1/3"],
      ["norms", "analysis"] + NO_VERIFIERS),
-    (["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "8"], NO_VERIFIERS),
+    (["smodel", "profile", "--space", "T", "--family", "S(1)", "--horizon", "8"],
+     ["constructions"] + NO_VERIFIERS),
     (["schreier", "maximal", "--family", "A(2)", "--first", "1", "--horizon", "4"],
      ["norms", "vectors", "constructions", "analysis"] + NO_VERIFIERS),
     (["schreier", "mass", "--family", "S(1)", "--coeffs", "2:1/6,3:1/6,4:1/6,5:1/6,6:1/6,7:1/6"],
@@ -219,7 +220,7 @@ NO_VERIFIERS = ["verifiers"]
      ["norms", "vectors", "constructions", "analysis"]),
     (["verify", "refinement", "--which", "outer", "--xi", "w", "--zeta", "1", "--horizon", "20"],
      ["norms", "vectors", "constructions", "analysis"]),
-    (["diag", "alpha", "--n", "1", "--floor", "4", "--horizon", "8"], NO_VERIFIERS),
+    (["diag", "alpha", "--n", "1", "--floor", "4", "--horizon", "8"], ["constructions"] + NO_VERIFIERS),
 ], ids=["ordinal add", "schreier member", "verify bracket", "norm eval", "scc basic",
         "scc blocks", "smodel profile", "schreier maximal", "schreier mass", "schreier threshold",
         "norm interval", "distort search", "distort baseline", "verify pair-absorption",
