@@ -615,15 +615,17 @@ class _Relabeled(_Kernel):
 
 def _walk(
     fam: Family, universe: Sequence[int], root: FinSet = (), rhs: Optional[Family] = None
-) -> Iterator[Tuple[FinSet, bool, bool]]:
+) -> Iterator[Tuple[FinSet, bool, bool, object]]:
     """The members of fam that extend root (empty or a singleton) by
     elements of the ascending universe, in DFS pre-order and increasing
-    element order, as (E, leaf, escaped).
+    element order, as (E, leaf, escaped, state).
 
     Greedy states ride along the DFS, so an extension costs one push per
-    family.  A leaf has no extension by a later universe element.  With rhs
-    given, a member outside rhs comes back escaped, and its extensions,
-    which lie outside rhs as well because rhs is hereditary, are skipped.
+    family, and each member comes with its greedy state in fam (None for
+    the empty set).  A leaf has no extension by a later universe element.
+    With rhs given, a member outside rhs comes back escaped, and its
+    extensions, which lie outside rhs as well because rhs is hereditary,
+    are skipped.
     """
     k = _kernel(fam)
     start, push = k.start, k.push
@@ -637,7 +639,7 @@ def _walk(
         if r is not None and E:
             rhs_state = r.push(rhs_state, E[-1]) if len(E) > 1 else r.start(E[0])
             if rhs_state is None:
-                yield E, False, True
+                yield E, False, True, state
                 continue
         kids = []
         for i in range(first, len(universe)):
@@ -645,7 +647,7 @@ def _walk(
             nxt = push(state, x) if E else start(x)
             if nxt is not None:
                 kids.append((E + (x,), nxt, rhs_state, i + 1))
-        yield E, not kids, False
+        yield E, not kids, False, state
         stack.extend(reversed(kids))
 
 
@@ -791,14 +793,19 @@ def iter_maximal(fam: Family, first: int, horizon: int) -> Iterator[FinSet]:
     member is a leaf, which is what the horizon-certified searches need;
     `enumerate_maximal` filters the leaves down to the maximal ones.
     """
+    # the canonical form keeps a bracket under an identity relabeling plain
+    for E, _ in _leaves(canonicalize(fam), first, horizon):
+        yield E
+
+
+def _leaves(fam: Family, first: int, horizon: int) -> Iterator[Tuple[FinSet, object]]:
+    """The DFS leaves of `iter_maximal` for a canonical fam, each with its
+    greedy state; only the kernel's labels can extend a member."""
     if first > horizon:
         raise ValueError("first must be <= horizon")
-    # the canonical form keeps a bracket under an identity relabeling plain,
-    # and only the kernel's labels can extend a member
-    fam = canonicalize(fam)
-    for E, leaf, _ in _walk(fam, _kernel(fam).labels.values_within(first + 1, horizon), (first,)):
+    for E, leaf, _, state in _walk(fam, _kernel(fam).labels.values_within(first + 1, horizon), (first,)):
         if leaf:
-            yield E
+            yield E, state
 
 
 def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumeration:
@@ -807,24 +814,29 @@ def enumerate_maximal(fam: Family, first: int, horizon: int) -> MaximalEnumerati
     Sets that could still be extended past the horizon are flagged as
     truncated; if every maximal set is truncated the horizon was too small
     for this family and the result says so.
+
+    A DFS leaf E is maximal when no single element y between its own joins
+    it, as the family is hereditary.  For a plain family (hereditary and
+    spreading) sorted(E + (y,)) lies pointwise below E + (z,) for every z >
+    max E, so a gap that joins E would let every such z join it too.  So a
+    leaf with max E < horizon, which refuses max E + 1, is maximal, and so
+    is one that refuses horizon + 1; only a leaf at the horizon that takes
+    horizon + 1 is asked about a gap, the largest one.
     """
     sets: List[FinSet] = []
     truncated: List[bool] = []
     fam = canonicalize(fam)
     k = _kernel(fam)
     probe_values = k.labels.values_above(horizon, 4)
-    for current in iter_maximal(fam, first, horizon):
-        # a DFS leaf need not be maximal (A_3 from 1 at horizon 4 yields the
-        # leaf (1, 4) inside (1, 2, 4)); as the family is hereditary, it is
-        # maximal when no single element between its own joins it, and for
-        # a spreading family the largest such element is the one to try
-        gaps = [y for y in k.labels.values_within(first + 1, current[-1]) if y not in current]
-        if k.plain:
-            gaps = gaps[-1:]
-        if any(k.state_of(tuple(sorted(current + (y,)))) is not None for y in gaps):
-            continue
+    for current, state in _leaves(fam, first, horizon):
+        if not k.plain or (current[-1] == horizon and k.push(state, horizon + 1) is not None):
+            gaps = [y for y in k.labels.values_within(first + 1, current[-1]) if y not in current]
+            if k.plain:
+                # by spreading again, a gap that joins E lets every later one join
+                gaps = gaps[-1:]
+            if any(k.state_of(tuple(sorted(current + (y,)))) is not None for y in gaps):
+                continue
         sets.append(current)
-        state = k.state_of(current)
         truncated.append(any(k.push(state, v) is not None for v in probe_values))
     all_truncated = bool(sets) and all(truncated)
     return MaximalEnumeration(sets, truncated, all_truncated)

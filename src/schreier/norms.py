@@ -138,8 +138,8 @@ class SchlumprechtSpace(Record, frozen=True):
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError("the Schlumprecht tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("the Schlumprecht tolerance must be finite and positive")
 
 
 class MixedSchreierSpace(Record, frozen=True):
@@ -637,10 +637,19 @@ def _norm(space: NormSpace, x: Vector, n: int = 0, scale: int = 1, witnessed: bo
         if witnessed and session.exact:
             witness = session.witness(0, last)
         return _result(session, total, witness, tolerance)
+    tolerance = 0.0
+    if session.tolerance:
+        # at most n chunks enter the sum, each within the chunk tolerance
+        try:
+            tolerance = n * session.tolerance / scale
+        except OverflowError:  # an n that no float holds
+            tolerance = math.inf
+        if tolerance == math.inf:
+            raise ValueError(f"{n} chunks at tolerance {session.tolerance:g} give a tolerance past the float range")
     memo, prefix = {}, session.cover_prefix
     chunk = session.chunk if isinstance(session, _MixedSession) else session.value
     total = _cover(chunk, memo, 0, last, n, False, prefix)
     if witnessed and session.exact:
         parts = _cover_parts(chunk, session.witness, memo, 0, last, n, False, prefix)
         witness = PartNode(Fraction(1, scale), parts)
-    return _result(session, total, witness, n * session.tolerance / scale, scale)
+    return _result(session, total, witness, tolerance, scale)

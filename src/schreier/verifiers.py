@@ -1,9 +1,11 @@
 """Horizon-certified verifiers over the regular families of `families`.
 
 `threshold_search` finds the least n from which S_xi sits inside S_zeta
-up to a horizon; `construct_L`, `construct_L_bracket` and `construct_N`
-build the index sequences that push brackets into higher families, and
-`verify_union_property` checks the block unions they promise;
+up to a horizon, walking only the members whose minimum lies below a
+threshold that a structural proof certifies; `construct_L`,
+`construct_L_bracket` and `construct_N` build the index sequences that
+push brackets into higher families, and `verify_union_property` checks
+the block unions they promise;
 `verify_bracket_inclusion` checks F subset G up to a horizon, by a member
 sweep or, for a bracket, by a spread-dominance pass over its minima
 patterns.  Each asks the family kernels of `families`, and each report
@@ -42,7 +44,8 @@ from .ordinals import Ordinal, add, compare, fundamental
 from .reports import ConstructionError, Record, WitnessReport
 
 # cap on the DFS leaves of S_xi members `threshold_search` reaches per
-# candidate n before it settles for the structural threshold
+# candidate n, over the roots below the structural threshold, before it
+# settles for the structural threshold
 THRESHOLD_MINIMALITY_BUDGET = 200_000
 # cap on the minima patterns of the dominance pass in `verify_bracket_inclusion`
 BRACKET_PATTERN_BUDGET = 2_000_000
@@ -82,10 +85,13 @@ def threshold_search(xi: Ordinal, zeta: Ordinal, horizon: int) -> ThresholdResul
     """Least n so that every E in S_xi with n <= min E, support in [n, horizon],
     lies in S_zeta.
 
-    Requires xi <= zeta.  A structurally certified n (valid at every
-    horizon) is computed first; candidates below it are then checked by a
-    DFS over the S_xi members that carries their S_zeta state along, so
-    the first member to leave S_zeta, in DFS order, rejects the candidate
+    Requires xi <= zeta.  A structurally certified n_struct (valid at every
+    horizon) is computed first: every S_xi member with min E >= n_struct
+    lies in S_zeta by proof, so no such member is walked.  Each candidate
+    n below n_struct is then checked by a DFS over the S_xi members with
+    min E in [n, n_struct) that carries their S_zeta state along.  Roots
+    come in ascending order, so the first member to leave S_zeta, in DFS
+    order, is the first of a walk over every root; it rejects the candidate
     and is recorded with it.  If the DFS for one candidate would reach more
     than THRESHOLD_MINIMALITY_BUDGET leaves, the structural n is returned
     with minimal=False rather than an uncertified smaller value.
@@ -101,11 +107,13 @@ def threshold_search(xi: Ordinal, zeta: Ordinal, horizon: int) -> ThresholdResul
     while n < n_struct:
         bad: Optional[FinSet] = None
         budget = THRESHOLD_MINIMALITY_BUDGET
-        for E, leaf, escaped in _walk(fam_xi, range(n, horizon + 1), rhs=fam_zeta):
+        walks = (_walk(fam_xi, range(root + 1, horizon + 1), (root,), rhs=fam_zeta)
+                 for root in range(n, min(n_struct, horizon + 1)))
+        for E, leaf, escaped, _ in itertools.chain.from_iterable(walks):
             if escaped:
                 bad = E
                 break
-            if leaf and E:
+            if leaf:
                 budget -= 1
                 if budget < 0:
                     break
@@ -240,7 +248,7 @@ def verify_union_property(
     indexed = RelabeledFamily(SchreierFamily(xi), N)
     count = 0
     limit = len(blocks)
-    for E, _, _ in _walk(indexed, range(1, limit + 1)):
+    for E, _, _, _ in _walk(indexed, range(1, limit + 1)):
         if not E:
             continue
         union = tuple(itertools.chain.from_iterable(blocks[i - 1] for i in E))
@@ -333,7 +341,7 @@ def _dominance_blocks(
         )
         return parts
 
-    for Apat, _, _ in _walk(minima.fam, minima.labels.values_within(1, top)):
+    for Apat, _, _, _ in _walk(minima.fam, minima.labels.values_within(1, top)):
         if Apat:
             # block i ends below the next minimum, the last one at the top
             ends = zip(Apat, Apat[1:] + (top + 1,))
@@ -362,7 +370,7 @@ def verify_bracket_inclusion(lhs: Family, rhs: Family, horizon: int) -> WitnessR
 
     if horizon <= 16:
         checked = 0
-        for E, _, escaped in _walk(lhs_c, range(1, horizon + 1), rhs=rhs_c):
+        for E, _, escaped, _ in _walk(lhs_c, range(1, horizon + 1), rhs=rhs_c):
             if escaped:
                 return WitnessReport(
                     False, detail="member of lhs escapes rhs",

@@ -159,6 +159,35 @@ MUTANTS = [
         ("tests/test_families.py::test_threshold_budget_path_is_not_remembered",),
     ),
     Mutant(
+        "threshold-roots-stop-short",
+        "src/schreier/verifiers.py",
+        "                 for root in range(n, min(n_struct, horizon + 1)))\n",
+        "                 for root in range(n, min(n_struct - 1, horizon + 1)))\n",
+        ("tests/test_families.py::test_threshold_matches_oracle",),
+    ),
+    Mutant(
+        "threshold-structural-drops-k",
+        "src/schreier/verifiers.py",
+        "    return max(k, _structural_threshold(xi, fundamental(zeta, k)))\n",
+        "    return _structural_threshold(xi, fundamental(zeta, k))\n",
+        ("tests/test_families.py::test_threshold_matches_oracle",),
+    ),
+    Mutant(
+        "enumerate-skips-the-gap-check",
+        "src/schreier/families.py",
+        "        if not k.plain or (current[-1] == horizon and k.push(state, horizon + 1) is not None):\n",
+        "        if not k.plain:\n",
+        ("tests/test_families.py::test_enumerations_match_oracles",),
+    ),
+    Mutant(
+        "schlumprecht-takes-infinite-tolerance",
+        "src/schreier/norms.py",
+        "        if not 0 < self.tolerance < math.inf:\n",
+        "        if not self.tolerance > 0:\n",
+        ("tests/test_cli.py::test_space_descriptor_errors_point_at_the_descriptor",
+         "tests/test_cli.py::test_edge_inputs_exit_as_documented"),
+    ),
+    Mutant(
         "exact-gate-takes-floats",
         "src/schreier/norms.py",
         "    if isinstance(space, (LpSpace, SchlumprechtSpace)):\n"
@@ -180,7 +209,7 @@ MUTANTS = [
         "src/schreier/cli.py",
         "    text = json.dumps(report, indent=2, allow_nan=False)\n",
         "    text = json.dumps(report, indent=2)\n",
-        ("tests/test_cli.py::test_edge_inputs_exit_as_documented",),
+        ("tests/test_cli.py::test_reports_refuse_non_finite_floats",),
     ),
     Mutant(
         "empty-search-reads-clean",

@@ -26,6 +26,11 @@ These deliberately avoid the production algorithms' shortcuts:
   the members of a family by testing every subset with the exhaustive
   decider, where the production enumerations extend greedy states.
 
+* `threshold_oracle` finds the threshold n of S_xi inside S_zeta and its
+  rejection chain from every subset of the window and the exhaustive
+  decider, where `threshold_search` walks greedy states and trusts a
+  structural threshold for every set with a larger minimum.
+
 * `mass_oracle` maximises a coefficient sum over every subset of the
   support that the exhaustive decider accepts, where `family_mass` uses a
   closed form or a pruned search over capped greedy states.
@@ -103,6 +108,23 @@ def dfs_leaves_oracle(fam, first: int, horizon: int) -> List[Tuple[int, ...]]:
 def members_over_oracle(fam, universe: Sequence[int]) -> List[Tuple[int, ...]]:
     """Every member with support inside universe, in DFS (lexicographic) order."""
     return sorted(E for E in _subsets(universe) if member_exhaustive(E, fam))
+
+
+def threshold_oracle(xi: Ordinal, zeta: Ordinal, horizon: int):
+    """(n, rejections) of the threshold search of S_xi inside S_zeta up to
+    the horizon, from the members of S_xi outside S_zeta among all subsets
+    of [1, horizon]: each candidate n, from 1 on, is rejected by the first
+    such set in DFS (lexicographic) order with min >= n, and the next
+    candidate lies past that set's minimum."""
+    fam_xi, fam_zeta = SchreierFamily(xi), SchreierFamily(zeta)
+    escapes = sorted(E for E in _subsets(range(1, horizon + 1))
+                     if E and member_exhaustive(E, fam_xi) and not member_exhaustive(E, fam_zeta))
+    n, rejections = 1, []
+    for E in escapes:
+        if E[0] >= n:
+            rejections.append((n, E))
+            n = max(n + 1, E[0] + 1)
+    return n, rejections
 
 
 def mass_oracle(coeffs: Dict[int, Fraction], fam) -> Fraction:

@@ -105,7 +105,8 @@ def test_parsers_reject_trailing_input(parse, text, what, offset):
     assert str(exc.value) == f"trailing input after {what} at offset {offset}: {text!r}"
 
 
-@pytest.mark.parametrize("text", ["lp(1)", "lp(0.5)", "lp(1e400)", "X(0)", "S(tol=0)", "S(tol=-1)"])
+@pytest.mark.parametrize("text", ["lp(1)", "lp(0.5)", "lp(1e400)", "X(0)", "S(tol=0)", "S(tol=-1)",
+                                  "S(tol=1e999)"])
 def test_space_descriptor_errors_point_at_the_descriptor(text):
     with pytest.raises(ParseError) as exc:
         parse_space(text)
@@ -344,29 +345,53 @@ EDGE_CASES = [
     # floats past their range reach no report
     (["norm", "eval", "--space", "S", "--vector", ",".join(f"{c}:{10 ** 308}" for c in (2, 3, 4))],
      None, EXIT_USAGE, {}),
-    (["norm", "eval", "--space", "S(tol=1e999)", "--vector", "1:1"], None, EXIT_USAGE, {}),
+    # a tolerance past the float range is refused where it is declared, or
+    # where n chunks of it would pass the range, and named in the error
+    (["norm", "eval", "--space", "S(tol=1e999)", "--vector", "1:1"], None, EXIT_USAGE,
+     {"error": "the Schlumprecht tolerance must be finite and positive at offset 0: 'S(tol=1e999)'",
+      "offset": 0}),
     (["norm", "interval", "--space", "S(tol=1e308)", "--vector", "1:1,2:1", "--n", "2"],
+     None, EXIT_USAGE, {"error": "2 chunks at tolerance 1e+308 give a tolerance past the float range"}),
+    (["norm", "j", "--space", "S(tol=1e308)", "--vector", "1:1,2:1", "--j", "2"],
+     None, EXIT_USAGE, {"error": "2 chunks at tolerance 1e+308 give a tolerance past the float range"}),
+    (["norm", "interval", "--space", "S", "--vector", "1:1,2:1", "--n", str(10 ** 400)],
      None, EXIT_USAGE, {}),
+    # an exact space has no tolerance to scale, whatever the count of chunks
+    (["norm", "interval", "--space", "T", "--vector", "1:1,2:1", "--n", str(10 ** 400)],
+     None, EXIT_OK, {"value": "2/1", "tolerance": 0.0}),
 ]
 
 
 @pytest.mark.parametrize("argv, budget, code, values", EDGE_CASES,
                          ids=[" ".join(a[:4]) + f" #{i}" for i, (a, *_) in enumerate(EDGE_CASES)])
 def test_edge_inputs_exit_as_documented(capsys, monkeypatch, argv, budget, code, values):
-    # every report is strict JSON; a usage error writes none, and a budget
-    # exit that reports says so in `budget_exhausted`
+    # every report is strict JSON; a usage error writes none, and its error
+    # holds `values`; a budget exit that reports says so in `budget_exhausted`
     if budget is not None:
         monkeypatch.setattr(norms, "MIXED_TICK_BUDGET", budget)
     assert main(argv) == code
     captured = capsys.readouterr()
     if not captured.out:
-        assert code != EXIT_OK and "error" in _strict_json(captured.err)
+        error = _strict_json(captured.err)
+        assert code != EXIT_OK and "error" in error
+        assert {k: error[k] for k in values} == values
         return
     report = _strict_json(captured.out)
     assert report["budget_exhausted"] is (code == EXIT_BUDGET)
     assert {k: report["values"][k] for k in values} == values
     for result in report["values"].get("results", ()):
         assert result["candidates_tried"] == 0 if code == EXIT_BUDGET else result["candidates_tried"] > 0
+
+
+@pytest.mark.parametrize("value, tolerance", [(float("inf"), 1e-9), (1.0, float("inf")), (float("nan"), 1e-9)])
+def test_reports_refuse_non_finite_floats(capsys, monkeypatch, value, tolerance):
+    # the library refuses every non-finite float the edge table reaches
+    # before a report is built; a result that carried one anyway must not
+    # print as NaN or Infinity
+    monkeypatch.setattr(norms, "norm", lambda space, x: norms.NormResult(value, False, True, None, tolerance))
+    assert main(["norm", "eval", "--space", "S", "--vector", "1:1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not JSON compliant" in json.loads(captured.err)["error"]
 
 
 def test_verify_violation_exit_code(capsys):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import dfs_leaves_oracle, mass_oracle, members_over_oracle
+from oracles import dfs_leaves_oracle, mass_oracle, members_over_oracle, threshold_oracle
 from schreier import families, verifiers
 from schreier.families import (
     A,
@@ -250,7 +250,7 @@ def test_enumerations_match_oracles(fam):
             any(member_exhaustive(E + (v,), fam) for v in probes) for E in maximal
         ], first
     for universe in (list(range(1, horizon + 1)), EVENS.values_within(1, 2 * horizon)):
-        assert [E for E, _, _ in _walk(fam, universe)] == members_over_oracle(fam, universe)
+        assert [E for E, _, _, _ in _walk(fam, universe)] == members_over_oracle(fam, universe)
 
 
 @pytest.mark.parametrize("fam", GREEDY_FAMILIES, ids=repr)
@@ -463,9 +463,26 @@ def test_threshold_s1_in_s2():
 
 def test_threshold_s2_to_omega_golden():
     # derived: with canonical stages, every S_2 set with min >= 1 already
-    # sits inside some stage below its min; frozen after exhaustive check
+    # sits inside some stage below its min; the search walks the S_2
+    # members with min 1, below the structural n = 2, and the exhaustive
+    # decider agrees up to horizon 10 (test_threshold_matches_oracle)
     res = threshold_search(finite(2), OMEGA, 20)
     assert res.n == 1 and res.minimal
+
+
+THRESHOLD_ORDINALS = [finite(0), finite(1), finite(2), finite(3), finite(4), OMEGA, add(OMEGA, ONE),
+                      omega_power(ONE, 2), omega_power(finite(2))]
+
+
+@pytest.mark.parametrize("xi, zeta", [
+    (xi, zeta) for i, xi in enumerate(THRESHOLD_ORDINALS) for zeta in THRESHOLD_ORDINALS[i:]
+], ids=str)
+def test_threshold_matches_oracle(xi, zeta):
+    # the search trusts the structural threshold for every set with a
+    # larger minimum; the oracle trusts nothing but the exhaustive decider
+    for horizon in range(6, 11):
+        res = threshold_search(xi, zeta, horizon)
+        assert res.minimal and (res.n, res.rejections) == threshold_oracle(xi, zeta, horizon), horizon
 
 
 def test_threshold_rejection_is_first_escaping_member():
@@ -482,15 +499,39 @@ def test_threshold_rejects_bad_order():
 
 
 def test_threshold_budget_path_is_not_remembered(monkeypatch):
-    # one DFS leaf is too few to certify n = 1, so the structural n = 2
-    # comes back unproven; with the budget restored the same call proves
-    # n = 1, as a fresh search would
+    # one DFS leaf is too few to certify n = 1 (the walk below the
+    # structural n = 3 reaches 513), so n = 3 comes back unproven; with the
+    # budget restored the same call proves n = 1, as a fresh search would
     monkeypatch.setattr(verifiers, "THRESHOLD_MINIMALITY_BUDGET", 1)
-    res = threshold_search(finite(2), OMEGA, 12)
-    assert res.n == 2 and not res.minimal
+    res = threshold_search(finite(3), add(OMEGA, ONE), 12)
+    assert res.n == 3 and not res.minimal
     monkeypatch.undo()
-    res = threshold_search(finite(2), OMEGA, 12)
+    res = threshold_search(finite(3), add(OMEGA, ONE), 12)
     assert res.n == 1 and res.minimal
+
+
+def test_threshold_walks_only_below_the_structural_threshold(monkeypatch):
+    # every S_2 member with min >= 2 lies in S_w by the structural proof,
+    # so the walk tries each element above the root 1 once: a few pushes
+    # per position, where a walk over every root pushed 143k times at
+    # horizon 16 and ran out of budget at horizon 40
+    pushes = 0
+
+    def counted(push):
+        def wrapper(self, state, x):
+            nonlocal pushes
+            pushes += 1
+            return push(self, state, x)
+        return wrapper
+
+    for cls in (families._Room, families._Bracket, families._SetBracket, families._Limit,
+                families._Relabeled):
+        monkeypatch.setattr(cls, "push", counted(cls.push))
+    for horizon in (20, 40):
+        pushes = 0
+        res = threshold_search(finite(2), OMEGA, horizon)
+        assert (res.n, res.rejections, res.minimal) == (1, [], True)
+        assert pushes < 200, (horizon, pushes)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +669,7 @@ def test_dominance_pass_matches_member_sweep(case):
         for Apat, blocks in pass_blocks.items():
             for i, (a, (comp, left, top_packed)) in enumerate(zip(Apat, blocks)):
                 upper = Apat[i + 1] - 1 if i + 1 < len(Apat) else top
-                k = max(len(E) for E, _, _ in _walk(inner_fam, range(a + 1, upper + 1), (a,)))
+                k = max(len(E) for E, _, _, _ in _walk(inner_fam, range(a + 1, upper + 1), (a,)))
                 assert comp == tuple(range(base(a), base(a) + k)), (horizon, Apat, i)
                 assert left == tuple(range(a, a + k)), (horizon, Apat, i)
                 assert len(top_packed) == k and top_packed[0] == a, (horizon, Apat, i)
@@ -636,7 +677,7 @@ def test_dominance_pass_matches_member_sweep(case):
                 assert member(top_packed, inner_fam).member, (horizon, Apat, i)
         # every lhs member of the sweep splits into blocks that fit the
         # pass's blocks for the same minima
-        for E, _, _ in _walk(lhs_c, range(1, horizon + 1)):
+        for E, _, _, _ in _walk(lhs_c, range(1, horizon + 1)):
             if not E:
                 continue
             split = _split_blocks(E, lhs_c)
@@ -645,7 +686,7 @@ def test_dominance_pass_matches_member_sweep(case):
         # the verdicts agree with the sweep, also on a false inclusion
         for target in (rhs_c, S(1)):
             walk = _walk(lhs_c, range(1, horizon + 1), rhs=target)
-            escaped = next((E for E, _, out in walk if out), None)
+            escaped = next((E for E, _, out, _ in walk if out), None)
             dominance = _verify_by_dominance(_kernel(lhs_c), _kernel(target), horizon)
             assert dominance.method == "dominance"
             assert dominance.ok == (escaped is None), (horizon, target)
