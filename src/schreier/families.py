@@ -23,8 +23,10 @@ canonical rewriting and the two independent oracles read the expression.
 A kernel decides membership exactly and with a witness: it splits a set
 greedily into maximal blocks, which is complete when the outer family is
 spreading and the inner one hereditary, and backtracks everywhere else.
-`member` memoises those answers in a memo of at most MEMO_CAP entries,
-and the kernel table clears with it.
+Each kernel keeps its answers in a table of its own, keyed by the set,
+and the tables of all kernels share one cap of MEMO_CAP answers; the
+answers that depend only on the size and the minimum of a set are built
+once and shared, and at the cap all of these clear with the kernel table.
 `member_exhaustive` is an independent decider kept for cross-checking: it
 tries every block end from left to right, with no greedy choice, and drops
 only a prefix of blocks whose minima leave the outer family, which no
@@ -54,9 +56,9 @@ from .reports import Record
 
 FinSet = Tuple[int, ...]
 
-# entries the member memo holds at most, well above the ~40k of a
-# verification pass; a store into a full memo first clears it whole, and
-# the kernel table with it, so a hit does no bookkeeping
+# answers the kernels' tables hold at most in all, well above the ~40k of
+# a verification pass; a store at the cap first clears every table, the
+# shared leaf answers and the kernel table, so a hit does no bookkeeping
 MEMO_CAP = 1 << 17
 
 
@@ -303,9 +305,14 @@ class MembershipResult(Record, frozen=True):
 # ---------------------------------------------------------------------------
 #
 # A kernel's `decide` asks its sub-kernels every sub-question directly,
-# through `_member`, so the memo holds those too.  The memo is keyed by
-# (kernel, E), which hashes by the kernel's identity; equal families share
-# one kernel, so it keeps one entry per family and set.  A kernel's greedy
+# through `_member`, so their answers are kept too.  Each kernel keeps its
+# answers in its own table, `memo`, keyed by the set alone; equal families
+# share one kernel, so there is one answer per family and set.
+# `_member_cache` counts the answers of all tables together against
+# MEMO_CAP and clears them all at the cap.  The answers of S_0, S_1 and A_n
+# depend only on the size and the minimum of the set, and the minima
+# witness of S_{x+1} only on the block count and the minimum, so each is
+# built once, shared, and cleared with the tables.  A kernel's greedy
 # state stands for a nonempty member E and decides E + (x,), for x > max E,
 # in O(depth) without the memo.  S_0, S_1 and A_n hold the room left; F[G]
 # holds the states of the block minima in F and of the open block in G, and
@@ -320,7 +327,51 @@ class MembershipResult(Record, frozen=True):
 # `recheck_witness` read a family expression here; every other question
 # is asked of its kernel.
 
-_member_cache: Dict[Tuple["_Kernel", FinSet], MembershipResult] = {}
+class _Memo:
+    """The member memo: the answer tables of every kernel under one cap.
+
+    `len()` is the number of answers stored since the last clear, counted
+    as they are stored.  `tables` lists every nonempty answer table: a
+    table joins it at its first store after a clear, so the answers of a
+    kernel that a running search still holds after a clear, and that the
+    kernel table no longer holds, are counted and cleared all the same.
+    `rooms` and `minima` hold the shared leaf answers.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.tables: List[Dict[FinSet, MembershipResult]] = []
+        # (kernel of S_0, S_1 or A_n, |E|, min E) -> its member answer
+        self.rooms: Dict[Tuple["_Room", int, int], MembershipResult] = {}
+        # (block count, min E) -> the minima witness of S_{x+1}
+        self.minima: Dict[Tuple[int, int], LeafWitness] = {}
+
+    def __len__(self) -> int:
+        return self.count
+
+    def store(self, table: Dict[FinSet, MembershipResult], E: FinSet,
+              answer: MembershipResult) -> None:
+        if self.count >= MEMO_CAP:
+            self.clear()
+        if not table:
+            self.tables.append(table)
+        table[E] = answer
+        self.count += 1
+
+    def clear(self) -> None:
+        """Empty every answer table, the shared leaf answers and the kernel
+        table; a family compiled again gets a new kernel, so nothing may
+        tell kernels apart by identity."""
+        for table in self.tables:
+            table.clear()
+        self.tables.clear()
+        self.rooms.clear()
+        self.minima.clear()
+        self.count = 0
+        _kernels.clear()
+
+
+_member_cache = _Memo()
 _kernels: Dict[Family, "_Kernel"] = {}
 _NOT_MEMBER = MembershipResult(False)
 _NOT_A_SET = "a set must be strictly increasing naturals >= 1, got {}"
@@ -335,8 +386,7 @@ def member(E, fam: Family) -> MembershipResult:
     """
     E = tuple(E)
     k = _kernels.get(fam) or _kernel(fam)
-    key = (k, E)
-    hit = _member_cache.get(key)
+    hit = k.memo.get(E)
     if hit is None:
         # only a miss is checked: a hit was checked when it was stored.  The
         # exact-type test spares plain ints the slower isinstance call.
@@ -346,31 +396,18 @@ def member(E, fam: Family) -> MembershipResult:
                 raise ValueError(_NOT_A_SET.format(E))
             prev = x
         hit = k.decide(E) if E else _EMPTY_MEMBER
-        if len(_member_cache) >= MEMO_CAP:
-            _clear_memo()
-        _member_cache[key] = hit
+        _member_cache.store(k.memo, E, hit)
     return hit
 
 
 def _member(E: FinSet, k: "_Kernel") -> MembershipResult:
     """`member` of a nonempty E in the family of kernel k, for a kernel's
     sub-questions: E is a piece of a set already checked."""
-    key = (k, E)
-    hit = _member_cache.get(key)
+    hit = k.memo.get(E)
     if hit is None:
         hit = k.decide(E)
-        if len(_member_cache) >= MEMO_CAP:
-            _clear_memo()
-        _member_cache[key] = hit
+        _member_cache.store(k.memo, E, hit)
     return hit
-
-
-def _clear_memo() -> None:
-    """Empty the member memo at its cap, and the kernel table whose kernels
-    its keys hold; a family compiled again gets a new kernel, so nothing
-    may tell kernels apart by identity."""
-    _member_cache.clear()
-    _kernels.clear()
 
 
 def _kernel(fam: Family) -> "_Kernel":
@@ -408,13 +445,15 @@ class _Kernel:
     built from S and A by brackets only, hereditary and spreading; F(M) is
     hereditary, in general not spreading, when F is, and `hereditary` marks
     F[G] only for F plain and G hereditary.  `labels` holds every value a
-    member's elements can take: M for F(M), all naturals otherwise."""
+    member's elements can take: M for F(M), all naturals otherwise.
+    `memo` holds the kernel's member answers, keyed by the set."""
 
     plain = hereditary = True
     labels = NATURALS
 
     def __init__(self, fam: Family) -> None:
         self.fam = fam
+        self.memo: Dict[FinSet, MembershipResult] = {}
 
     def state_of(self, E: FinSet):
         """Greedy state of a nonempty E, or None when E is not a member."""
@@ -451,7 +490,13 @@ class _Room(_Kernel):
         room = self.start(E[0])
         if room is None or len(E) > room + 1:
             return _NOT_MEMBER
-        return MembershipResult(True, LeafWitness(self.rule(E)))
+        # the rule reads only |E| and min E, so equal pairs share one answer
+        rooms = _member_cache.rooms
+        key = (self, len(E), E[0])
+        hit = rooms.get(key)
+        if hit is None:
+            hit = rooms[key] = MembershipResult(True, LeafWitness(self.rule(E)))
+        return hit
 
 
 class _Bracket(_Kernel):
@@ -525,7 +570,12 @@ class _Successor(_Bracket):
         return len(minima) <= E[0]
 
     def minima_witness(self, minima: FinSet, E: FinSet) -> Witness:
-        return LeafWitness(f"d={len(minima)}<=min E={E[0]}")
+        shared = _member_cache.minima
+        key = (len(minima), E[0])
+        hit = shared.get(key)
+        if hit is None:
+            hit = shared[key] = LeafWitness(f"d={len(minima)}<=min E={E[0]}")
+        return hit
 
 
 class _SetBracket(_Bracket):
@@ -920,10 +970,9 @@ def family_mass(coeffs: Dict[int, Fraction], fam: Family) -> MassResult:
 
 
 def clear_caches() -> None:
-    """Drop the module-level memo tables and the compiled kernels
-    (idempotent pure caches)."""
+    """Drop the member memo, the compiled kernels and the exhaustive
+    oracle's table (idempotent pure caches)."""
     _member_cache.clear()
-    _kernels.clear()
     _exhaustive_cache.clear()
 
 

@@ -228,12 +228,33 @@ MUTANTS = [
     Mutant(
         "kernel-table-unbounded",
         "src/schreier/families.py",
-        "    may tell kernels apart by identity.\"\"\"\n"
-        "    _member_cache.clear()\n"
-        "    _kernels.clear()\n",
-        "    may tell kernels apart by identity.\"\"\"\n"
-        "    _member_cache.clear()\n",
+        "        self.count = 0\n"
+        "        _kernels.clear()\n",
+        "        self.count = 0\n",
         ("tests/test_families.py::test_kernel_table_clears_with_the_member_memo",),
+    ),
+    Mutant(
+        "memo-clear-keeps-kernel-answers",
+        "src/schreier/families.py",
+        "        for table in self.tables:\n"
+        "            table.clear()\n",
+        "",
+        ("tests/test_families.py::test_held_kernel_answers_stay_within_the_cap",),
+    ),
+    Mutant(
+        "successor-leaf-keyed-by-size",
+        "src/schreier/families.py",
+        "        key = (len(minima), E[0])\n",
+        "        key = len(minima)\n",
+        ("tests/test_families.py::test_witnesses_pinned",),
+    ),
+    Mutant(
+        "memo-count-skips-store",
+        "src/schreier/families.py",
+        "        table[E] = answer\n"
+        "        self.count += 1\n",
+        "        table[E] = answer\n",
+        ("tests/test_families.py::test_equal_families_share_memo_entries",),
     ),
     Mutant(
         "comment-only",

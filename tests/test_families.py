@@ -797,6 +797,36 @@ def test_equal_families_share_memo_entries():
     member((3, 4, 5, 6), S(2))
     size = len(families._member_cache)
     assert member((3, 4, 5), S(1)).member and len(families._member_cache) == size
+    # the count is the number of answers stored since the last clear: the
+    # benchmark's memo_entries and its hit counter read it
+    families.clear_caches()
+    assert len(families._member_cache) == 0
+    member((3, 4, 5), S(1))
+    assert len(families._member_cache) == 1
+    # a miss on S(2) stores its own answer and the two block answers it
+    # asked for, (3, 4, 5, 6) and (6,) in S(1); (3, 4, 5) was a hit
+    member((3, 4, 5, 6), S(2))
+    assert len(families._member_cache) == 4
+    assert set(families._kernel(S(1)).memo) == {(3, 4, 5), (3, 4, 5, 6), (6,)}
+    member((3, 4, 5, 6), S(2))
+    assert len(families._member_cache) == 4
+    families.clear_caches()
+    assert len(families._member_cache) == 0
+
+
+def test_leaf_answers_are_shared_until_the_clear():
+    # answers that read only |E| and min E are built once per pair
+    families.clear_caches()
+    assert member((3, 4), S(1)) is member((3, 5), S(1))
+    assert member((3, 4), A(2)) is member((3, 6), A(2)) is not member((3, 4), S(1))
+    # (2, 3, 5) splits into two S(1) blocks, and so does the one S(2)
+    # block of (2, 4, 6) in S(3)
+    assert (member((2, 3, 5), S(2)).witness.minima_witness
+            is member((2, 4, 6), S(3)).witness.block_witnesses[0].minima_witness)
+    assert member((2, 3, 5), S(2)).witness.minima_witness == LeafWitness("d=2<=min E=2")
+    assert families._member_cache.rooms and families._member_cache.minima
+    families.clear_caches()
+    assert not families._member_cache.rooms and not families._member_cache.minima
 
 
 def test_clear_caches_drops_kernels_and_memo():
@@ -824,6 +854,41 @@ def test_member_memo_stays_within_its_cap(monkeypatch):
                 got.append(member(E, fam))
                 assert len(families._member_cache) <= 64
         assert got == expected
+
+
+def _reachable_kernels(k):
+    """k and every kernel it holds, through its stages, blocks or base."""
+    found, todo = [], [k]
+    while todo:
+        k = todo.pop()
+        if all(k is not seen for seen in found):
+            found.append(k)
+            for value in vars(k).values():
+                todo.extend(x for x in (value if isinstance(value, list) else [value])
+                            if isinstance(x, families._Kernel))
+    return found
+
+
+def test_held_kernel_answers_stay_within_the_cap(monkeypatch):
+    # a search that holds a kernel across clears of the memo keeps asking
+    # it and its stage kernels, which the kernel table no longer holds; the
+    # answers they store after a clear are counted and cleared all the same
+    sets = [E for size in range(1, 6) for E in itertools.combinations(range(2, 14), size)]
+    expected = [member(E, S(OMEGA)) for E in sets]
+    families.clear_caches()
+    monkeypatch.setattr(families, "MEMO_CAP", 32)
+    held = families._kernel(S(OMEGA))
+    got, public = [], []
+    for E in sets:
+        got.append(families._member(E, held))
+        public.append(member(E, S(OMEGA)))
+        assert sum(len(k.memo) for k in _reachable_kernels(held)) <= 32
+        assert len(families._member_cache) <= 32
+    # stages S(1) and S(2), the latter compiled after a clear with an S(1)
+    # of its own
+    assert len(_reachable_kernels(held)) == 4
+    assert families._kernel(S(OMEGA)) is not held
+    assert got == expected and public == expected
 
 
 def test_kernel_table_clears_with_the_member_memo(monkeypatch):
