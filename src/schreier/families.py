@@ -32,12 +32,13 @@ tries every block end from left to right, with no greedy choice, and drops
 only a prefix of blocks whose minima leave the outer family, which no
 later block can undo, as every family here keeps the initial segments of
 its members.  A kernel also carries a greedy state that it extends by
-one element at a time along a DFS, and the labels its members' elements
-are drawn from; the maximal-set enumeration and the exact maximisation of
-a weight function over a family (`family_mass`) ride on them, as do the
-horizon-certified threshold and inclusion searches and the index-sequence
-refinements of `verifiers`.  Those names stay readable here, and `verifiers`
-compiles on the first read of one.
+one element at a time along a DFS, the labels its members' elements are
+drawn from, and its bracket shape; the maximal-set enumeration and the
+exact maximisation of a weight function over a family (`family_mass`)
+ride on them, as do the horizon-certified threshold and inclusion searches
+and the index-sequence refinements of `verifiers`, which take an index
+sequence from a given value on with `IndexSequence.from_value`.  Those
+names stay readable here, and `verifiers` compiles on the first read of one.
 
 Finite sets are plain tuples of naturals, strictly increasing.  The empty
 set is a member of every family here.
@@ -171,24 +172,33 @@ class IndexSequence(Record, frozen=True):
             out.append(pos)
         return tuple(out)
 
+    def from_value(self, m: int) -> "IndexSequence":
+        """The subsequence of the values >= m: the prefix filtered, and the
+        tail moved to its first value >= m."""
+        prefix = self.prefix[bisect_left(self.prefix, m):]
+        if self.tail_start is None:
+            return IndexSequence(prefix)
+        start = max(m, self.tail_start)
+        start += (self.tail_start - start) % self.tail_step
+        return IndexSequence(prefix, start, self.tail_step)
+
     def values_within(self, lo: int, hi: int) -> List[int]:
         """All attained values in [lo, hi], ascending."""
-        out = [v for v in self.prefix if lo <= v <= hi]
-        if self.tail_start is not None:
-            # the least tail value >= lo; the tail continues past the prefix
-            start = max(lo, self.tail_start)
-            start += (self.tail_start - start) % self.tail_step
-            out.extend(range(start, hi + 1, self.tail_step))
+        rest = self.from_value(lo)
+        out = [v for v in rest.prefix if v <= hi]
+        if rest.tail_start is not None:
+            out.extend(range(rest.tail_start, hi + 1, rest.tail_step))
         return out
 
     def values_above(self, above: int, count: int) -> List[int]:
         """The first `count` attained values > above, however far past it
         they lie; fewer when an explicit sequence ends first."""
-        hi = max(above, self.prefix[-1]) if self.prefix else above
-        if self.tail_start is not None:
-            # the tail has `count` values within `count` steps of its start
-            hi = max(hi, self.tail_start) + self.tail_step * count
-        return self.values_within(above + 1, hi)[:count]
+        rest = self.from_value(above + 1)
+        out = list(rest.prefix[:count])
+        if rest.tail_start is not None:
+            stop = rest.tail_start + rest.tail_step * (count - len(out))
+            out.extend(range(rest.tail_start, stop, rest.tail_step))
+        return out
 
 
 NATURALS = IndexSequence.arithmetic(1, 1)
@@ -425,6 +435,7 @@ def _kernel(fam: Family) -> "_Kernel":
             k = _Room(fam, lambda x: 0, lambda E: "singleton")
         elif xi == ONE:
             k = _Room(fam, lambda x: x - 1, lambda E: f"|E|={len(E)}<=min E={E[0]}")
+            k.shape = k, _kernel(S(0))  # S_1 = S_1[S_0]
         elif xi.is_successor:
             k = _Successor(fam, _kernel(S(1)), _kernel(SchreierFamily(xi.predecessor())))
         else:
@@ -446,10 +457,13 @@ class _Kernel:
     hereditary, in general not spreading, when F is, and `hereditary` marks
     F[G] only for F plain and G hereditary.  `labels` holds every value a
     member's elements can take: M for F(M), all naturals otherwise.
+    `shape` holds the kernels (outer, inner) of F[G], of S_1 = S_1[S_0] and
+    of a bracket relabeled once, and None for every other family.
     `memo` holds the kernel's member answers, keyed by the set."""
 
     plain = hereditary = True
     labels = NATURALS
+    shape = None
 
     def __init__(self, fam: Family) -> None:
         self.fam = fam
@@ -507,6 +521,7 @@ class _Bracket(_Kernel):
     def __init__(self, fam: Family, outer: _Kernel, inner: _Kernel) -> None:
         super().__init__(fam)
         self.outer, self.inner = outer, inner
+        self.shape = outer, inner
         self.plain = outer.plain and inner.plain
         self.hereditary = outer.plain and inner.hereditary
 
@@ -643,6 +658,9 @@ class _Relabeled(_Kernel):
         super().__init__(fam)
         self.base, self.labels, self.position = base, fam.labels, fam.labels.position_of
         self.hereditary = base.hereditary
+        if not isinstance(base, _Relabeled):
+            # F[G](M) is the bracket over M; F(M)(L) is no bracket relabeled once
+            self.shape = base.shape
 
     def start(self, x: int):
         pos = self.position(x)

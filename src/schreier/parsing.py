@@ -3,10 +3,11 @@
 Recursive descent with precise error positions.  Printers emit the same
 grammars canonically, and parsing a printed value returns an equal value;
 ordinal literals that are not in normal form are normalised rather than
-rejected (the sum is folded through ordinal addition).  `families`,
-`norms` and `vectors` are imported by the functions that build families
-and sequences, spaces, vectors and functionals, so a command that reads
-none of them loads none of them.
+rejected (the sum is folded through ordinal addition).  Text nested more
+than MAX_NESTING levels deep is a parse error.  `families`, `norms` and
+`vectors` are imported by the functions that build families and
+sequences, spaces, vectors and functionals, so a command that reads none
+of them loads none of them.
 
     ordinal   := term ('+' term)*
     term      := nat | 'w' ('^' expbase)? ('*' nat)?
@@ -42,13 +43,29 @@ class ParseError(ValueError):
         self.text = text
 
 
+# levels of nesting a text may hold: ordinal exponents, family brackets
+# and functional children together; deeper text is a parse error, not a
+# recursion that runs out of stack here or in the code that reads the value
+MAX_NESTING = 100
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.text, self.pos)
+
+    def nested(self, rule):
+        """`rule` read one level of nesting down."""
+        if self.depth == MAX_NESTING:
+            raise self.error("nested too deeply")
+        self.depth += 1
+        value = rule(self)
+        self.depth -= 1
+        return value
 
     def eof(self) -> bool:
         return self.pos >= len(self.text)
@@ -141,7 +158,7 @@ def _expbase(sc: _Scanner) -> Ordinal:
     if sc.peek().isdigit():
         return finite(sc.nat())
     if sc.take("("):
-        inner = _ordinal(sc)
+        inner = sc.nested(_ordinal)
         sc.expect(")")
         return inner
     if sc.take("w"):
@@ -167,7 +184,7 @@ def _family(sc: _Scanner) -> Family:
     fam = _family_atom(sc)
     while True:
         if sc.take("["):
-            inner = _family(sc)
+            inner = sc.nested(_family)
             sc.expect("]")
             fam = BracketFamily(fam, inner)
         elif sc.take("("):
@@ -355,13 +372,13 @@ def print_space(space: NormSpace) -> str:
     if isinstance(space, norms.L1Space):
         return "l1"
     if isinstance(space, norms.LpSpace):
-        return f"lp({space.p:g})"
+        return f"lp({space.p!r})"
     if isinstance(space, norms.C0Space):
         return "c0"
     if isinstance(space, norms.TsirelsonSpace):
         return "T"
     if isinstance(space, norms.SchlumprechtSpace):
-        return f"S(tol={space.tolerance:g})"
+        return f"S(tol={space.tolerance!r})"
     if isinstance(space, norms.MixedSchreierSpace):
         return f"X({to_text(space.xi)})"
     raise TypeError(f"not a space: {space!r}")
@@ -406,15 +423,15 @@ def _functional(sc: _Scanner) -> Functional:
         size = sc.nat()
         sc.expect(")")
         sc.expect("[")
-        children = [_functional(sc)]
+        children = [sc.nested(_functional)]
         while sc.take(","):
-            children.append(_functional(sc))
+            children.append(sc.nested(_functional))
         sc.expect("]")
         return Average(size, tuple(children))
     if sc.take("SCH["):
-        children = [_functional(sc)]
+        children = [sc.nested(_functional)]
         while sc.take(","):
-            children.append(_functional(sc))
+            children.append(sc.nested(_functional))
         sc.expect("]")
         return SumNode(tuple(children))
     raise sc.error("expected U(..), AVG(..)[..] or SCH[..]")

@@ -4,12 +4,14 @@
 up to a horizon, walking only the members whose minimum lies below a
 threshold that a structural proof certifies; `construct_L`,
 `construct_L_bracket` and `construct_N` build the index sequences that
-push brackets into higher families, and `verify_union_property` checks
-the block unions they promise;
-`verify_bracket_inclusion` checks F subset G up to a horizon, by a member
-sweep or, for a bracket, by a spread-dominance pass over its minima
-patterns.  Each asks the family kernels of `families`, and each report
-names the horizon it was certified to and whether a budget cut it short.
+push brackets into higher families, each a subsequence of the sequence
+it refines, and `verify_union_property` checks the block unions they
+promise; `verify_bracket_inclusion` checks F subset G up to a horizon, by
+a member sweep or, for a bracket, by a spread-dominance pass over its
+minima patterns.  Each asks `families` what it knows: an index sequence
+its values from a given one on, and a kernel its bracket shape and its
+labels.  Each report names the horizon it was certified to and whether a
+budget cut it short.
 
 The module is apart from `families` because most commands never run a
 verifier: `families` binds these names and compiles this module on the
@@ -27,12 +29,9 @@ from .families import (
     FinSet,
     IndexSequence,
     RelabeledFamily,
-    S,
     SchreierFamily,
     SequenceExhausted,
-    _Bracket,
     _Kernel,
-    _Relabeled,
     _Room,
     _kernel,
     _member,
@@ -134,22 +133,6 @@ def threshold_search(xi: Ordinal, zeta: Ordinal, horizon: int) -> ThresholdResul
 # ---------------------------------------------------------------------------
 
 
-def _tail_from(M: IndexSequence, minimum: int, horizon: int) -> IndexSequence:
-    """The subsequence of M with values >= minimum, as a fresh sequence."""
-    values = M.values_within(minimum, horizon)
-    if M.tail_start is not None:
-        last = values[-1] if values else max(minimum - 1, M.tail_start - M.tail_step)
-        nxt = last + M.tail_step
-        if M.position_of(nxt) is None:
-            # align to the arithmetic grid of M
-            off = (nxt - M.tail_start) % M.tail_step
-            nxt += (M.tail_step - off) % M.tail_step
-        return IndexSequence.table(values, nxt, M.tail_step)
-    if not values:
-        raise ConstructionError(f"index sequence exhausted above {minimum}")
-    return IndexSequence.explicit(values)
-
-
 def construct_L(xi: Ordinal, zeta: Ordinal, M: IndexSequence, horizon: int) -> IndexSequence:
     """Subsequence L of M with S_xi(L)[S_zeta] contained in S_{zeta+xi}.
 
@@ -157,8 +140,9 @@ def construct_L(xi: Ordinal, zeta: Ordinal, M: IndexSequence, horizon: int) -> I
     down; limit stages build the diagonal of refinements L_n, where stage n
     clears the ordinal threshold k_n (zeta + xi[n] < gamma_{k_n} along the
     fundamental sequence of zeta + xi) and the horizon-certified index
-    threshold r_n.  The result is table-extended: explicit up to the
-    horizon, arithmetic past it when M allows.
+    threshold r_n.  Each stage refines the values of the stage before
+    that are at least r_n, so every L_n, and L, is a subsequence of M; L
+    continues with M's own values after its last diagonal value.
     """
     if xi.is_zero:
         return M
@@ -179,7 +163,7 @@ def construct_L(xi: Ordinal, zeta: Ordinal, M: IndexSequence, horizon: int) -> I
         gamma = fundamental(target, k_n)
         r_n = max(k_n, threshold_search(stage, gamma, horizon).n)
         try:
-            current = _tail_from(current, r_n, horizon)
+            current = current.from_value(r_n)
             L_n = construct_L(fundamental(xi, n), zeta, current, horizon)
             ell = L_n.value_at(n)
         except (SequenceExhausted, ConstructionError) as exc:
@@ -195,8 +179,8 @@ def construct_L(xi: Ordinal, zeta: Ordinal, M: IndexSequence, horizon: int) -> I
         n += 1
     if not diag:
         raise ConstructionError(f"horizon {horizon} too small to start the diagonal")
-    step = M.tail_step if M.tail_step is not None else max(diag[-1] - diag[-2], 1) if len(diag) > 1 else 1
-    return IndexSequence.table(diag, diag[-1] + step, step)
+    rest = M.from_value(diag[-1] + 1)
+    return IndexSequence(tuple(diag) + rest.prefix, rest.tail_start, rest.tail_step)
 
 
 def construct_L_bracket(xi: Ordinal, zeta: Ordinal, horizon: int) -> IndexSequence:
@@ -211,8 +195,8 @@ def construct_N(
     lands in S_{zeta+xi}.
 
     Takes m_i = min F_i, builds L inside M = (m_i) via construct_L, and
-    returns the positions of L's values inside M.  Blocks must be
-    successive members of S_zeta.
+    returns the positions in M of L's values, every one of which M holds.
+    Blocks must be successive members of S_zeta.
     """
     from .vectors import successive
 
@@ -223,19 +207,11 @@ def construct_N(
     for i, b in enumerate(blocks):
         if not member(b, fam).member:
             raise ValueError(f"block {i + 1} is not in the stated family")
-    mins = [b[0] for b in blocks]
-    M = IndexSequence.explicit(mins)
+    M = IndexSequence.explicit(b[0] for b in blocks)
     L = construct_L(xi, zeta, M, horizon)
-    positions = []
-    # no value of L past the last minimum lies in M
-    for v in L.values_within(1, max(mins, default=0)):
-        pos = M.position_of(v)
-        if pos is None:
-            break
-        positions.append(pos)
-    if not positions:
+    if not L.prefix:
         raise ConstructionError("no block minima survive the refinement")
-    return IndexSequence.explicit(positions)
+    return IndexSequence.explicit(M.preimage(L.prefix))
 
 
 def verify_union_property(
@@ -273,26 +249,6 @@ def verify_union_property(
 # ---------------------------------------------------------------------------
 # inclusion verification
 # ---------------------------------------------------------------------------
-
-
-def _bracket_shape(k: _Kernel):
-    """Recognise F[G] from its kernel, with or without a relabeling of the
-    whole bracket.
-
-    Returns the kernels of the minima and inner families and the labels L
-    of the whole bracket, all naturals when it is not relabeled.  Under
-    F[G](L) every member is L(C) for C in F[G], so blocks live in the
-    preimage (position) space, which is value space when L is the identity.
-    S_1 is read as S_1[S_0], relabeled or not.
-    """
-    labels = k.labels
-    if isinstance(k, _Relabeled):
-        k = k.base
-    if k.fam == S(1):
-        return k, _kernel(S(0)), labels
-    if isinstance(k, _Bracket):
-        return k.outer, k.inner, labels
-    return None
 
 
 def _max_block_size(inner: _Kernel, first: int, window: Sequence[int]) -> int:
@@ -401,14 +357,15 @@ def _verify_by_dominance(lhs: _Kernel, rhs: _Kernel, horizon: int) -> WitnessRep
     BRACKET_PATTERN_BUDGET, the report comes back not-ok with
     budget_exhausted set rather than silently passing.
     """
-    shape = _bracket_shape(lhs)
-    if shape is None or not rhs.plain:
+    if lhs.shape is None or not rhs.plain:
         return WitnessReport(
             False, detail="no exact strategy applies at this horizon; "
             "use a horizon <= 16 for a powerset sweep",
             certified_horizon=None, budget_exhausted=True, method="none",
         )
-    minima, inner, labels = shape
+    # under F[G](L) every member is L(C) for C in F[G], so the blocks live
+    # in position space, which is value space when L is all naturals
+    (minima, inner), labels = lhs.shape, lhs.labels
     if not inner.plain:
         return WitnessReport(
             False, detail="inner family too irregular for the dominance pass",

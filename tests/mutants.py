@@ -257,6 +257,30 @@ MUTANTS = [
         ("tests/test_families.py::test_equal_families_share_memo_entries",),
     ),
     Mutant(
+        "construct-L-continues-by-step",
+        "src/schreier/verifiers.py",
+        "    rest = M.from_value(diag[-1] + 1)\n"
+        "    return IndexSequence(tuple(diag) + rest.prefix, rest.tail_start, rest.tail_step)\n",
+        "    return IndexSequence.table(diag, diag[-1] + M.tail_step, M.tail_step)\n",
+        ("tests/test_families.py::test_construct_L_stays_inside_its_sequence",),
+    ),
+    Mutant(
+        "from-value-drops-alignment",
+        "src/schreier/families.py",
+        "        start += (self.tail_start - start) % self.tail_step\n",
+        "",
+        ("tests/test_families.py::test_from_value_is_the_subsequence_from_a_value",),
+    ),
+    Mutant(
+        "relabeled-shape-unguarded",
+        "src/schreier/families.py",
+        "        if not isinstance(base, _Relabeled):\n"
+        "            # F[G](M) is the bracket over M; F(M)(L) is no bracket relabeled once\n"
+        "            self.shape = base.shape\n",
+        "        self.shape = base.shape\n",
+        ("tests/test_families.py::test_bracket_inclusion_past_the_sweep",),
+    ),
+    Mutant(
         "comment-only",
         "src/schreier/families.py",
         "        # x joins the open block when the inner family allows, else opens\n",

@@ -16,6 +16,7 @@ from schreier.families import BracketFamily, CardinalityFamily, IndexSequence, R
 from schreier.norms import C0Space, L1Space, LpSpace, MixedSchreierSpace, SchlumprechtSpace, TsirelsonSpace
 from schreier.ordinals import OMEGA, Ordinal, finite
 from schreier.parsing import (
+    MAX_NESTING,
     ParseError,
     parse_family,
     parse_functional,
@@ -178,9 +179,9 @@ def _random_space(rng):
         [
             L1Space(),
             C0Space(),
-            LpSpace(1.0 + rng.randint(1, 40) / 8),
+            LpSpace(1 + 10.0 ** rng.uniform(-9, 1)),
             TsirelsonSpace(),
-            SchlumprechtSpace(10.0 ** -rng.randint(6, 12)),
+            SchlumprechtSpace(10.0 ** rng.uniform(-12, 2)),
             MixedSchreierSpace(_random_ordinal(rng, 1) + finite(1)),
         ]
     )
@@ -241,6 +242,59 @@ def test_verify_refinement_whole_bracket_command(capsys):
                        "--xi", "1", "--zeta", "1", "--horizon", "40")
     assert code == EXIT_OK
     assert report["values"]["ok"] is True
+
+
+def test_refinements_stay_inside_their_sequence(capsys):
+    # the nested diagonals of w^2 over `even` stay inside it, so the
+    # diagonal increases and the outer inclusion is certified
+    code, report = run(capsys, "verify", "refinement", "--which", "outer",
+                       "--xi", "w^2", "--zeta", "2", "--horizon", "20")
+    assert code == EXIT_OK and report["values"]["stats"] == {"patterns": 16}
+    # an explicit sequence is refined as a whole, not cut at the horizon
+    values = []
+    for seq in ("[" + ",".join(map(str, range(2, 61, 2))) + "]", "even"):
+        code, report = run(capsys, "verify", "refinement", "--which", "outer",
+                           "--xi", "w", "--zeta", "1", "--horizon", "20", "--seq", seq)
+        assert code == EXIT_OK
+        values.append(report["values"])
+    assert values[0] == values[1] and values[0]["stats"] == {"patterns": 64}
+
+
+def _nested_ordinal(depth):
+    return "w^(" * depth + "1" + ")" * depth
+
+
+def _nested_family(depth):
+    return "S(1)[" * depth + "S(1)" + "]" * depth
+
+
+@pytest.mark.parametrize("command", [
+    lambda d: ["ordinal", "parse", "--text", _nested_ordinal(d)],
+    lambda d: ["schreier", "member", "--family", f"S({_nested_ordinal(d)})", "--set", "3,4,5"],
+    lambda d: ["schreier", "threshold", "--xi", _nested_ordinal(d), "--zeta", _nested_ordinal(d),
+               "--horizon", "6"],
+    lambda d: ["norm", "eval", "--space", f"X({_nested_ordinal(d)})", "--vector", "3:1,4:1,5:1"],
+    lambda d: ["schreier", "member", "--family", _nested_family(d), "--set", "3,4,5"],
+    lambda d: ["verify", "bracket", "--lhs", _nested_family(d), "--rhs", "S(3)", "--horizon", "8"],
+], ids=["ordinal parse", "member ordinal", "threshold", "norm X", "member family", "verify bracket"])
+def test_nesting_past_the_bound_is_a_parse_error(capsys, command):
+    # at the bound the command runs to its report; one level deeper the
+    # text is refused where the nesting passes the bound
+    code = main(command(MAX_NESTING))
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_BUDGET) and _strict_json(captured.out)
+    code = main(command(MAX_NESTING + 1))
+    error = json.loads(capsys.readouterr().err)
+    assert code == EXIT_USAGE and "nested too deeply" in error["error"] and error["offset"] > 0
+
+
+def test_functional_nesting_past_the_bound_is_a_parse_error():
+    def nested(depth):
+        return "AVG(2)[" * depth + "U(+1)" + "]" * depth
+
+    assert parse_functional(nested(MAX_NESTING)) is not None
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_functional(nested(MAX_NESTING + 1))
 
 
 # every subcommand, with the params its report must carry: each option

@@ -45,9 +45,9 @@ from schreier.families import (
     _walk,
 )
 from schreier.ordinals import OMEGA, ONE, add, finite, fundamental, omega_power
-from schreier.parsing import parse_family, print_family
+from schreier.parsing import parse_family, parse_ordinal, print_family
 from schreier.reports import ConstructionError, to_jsonable
-from schreier.verifiers import _bracket_shape, _dominance_blocks, _verify_by_dominance
+from schreier.verifiers import _dominance_blocks, _verify_by_dominance
 
 
 def subsets(universe):
@@ -392,6 +392,17 @@ def test_index_sequence_kinds():
     assert NATURALS.is_identity
 
 
+def _first_values(seq, count):
+    """The first `count` values of seq, read by position; fewer when it ends."""
+    values = []
+    for i in range(1, count + 1):
+        try:
+            values.append(seq.value_at(i))
+        except SequenceExhausted:
+            break
+    return values
+
+
 @pytest.mark.parametrize("seq", [
     IndexSequence.explicit([1, 4, 7, 9, 15]),
     IndexSequence.explicit([3]),
@@ -402,12 +413,7 @@ def test_index_sequence_kinds():
     NATURALS,
 ])
 def test_position_of_inverts_value_at(seq):
-    values = []
-    for i in range(1, 30):
-        try:
-            values.append(seq.value_at(i))
-        except SequenceExhausted:
-            break
+    values = _first_values(seq, 29)
     for i, v in enumerate(values, start=1):
         assert seq.position_of(v) == i
     # unattained values below the last one read, and past an explicit end
@@ -415,6 +421,31 @@ def test_position_of_inverts_value_at(seq):
     for v in range(top + 5 if seq.tail_start is None else top):
         if v not in values:
             assert seq.position_of(v) is None
+
+
+_sequences = st.one_of(
+    st.builds(lambda vals: IndexSequence.explicit(sorted(vals)),
+              st.sets(st.integers(1, 40), max_size=8)),
+    st.builds(IndexSequence.arithmetic, st.integers(1, 10), st.integers(1, 5)),
+    # a prefix off the grid of its tail
+    st.builds(lambda vals, gap, step: IndexSequence.table(sorted(vals), max(vals) + gap, step),
+              st.sets(st.integers(1, 30), min_size=1, max_size=6), st.integers(1, 6),
+              st.integers(1, 5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sequences, st.integers(0, 60), st.integers(0, 40))
+@example(IndexSequence.table((2, 4, 7), 30, 2), 12, 20)
+@example(IndexSequence.arithmetic(5, 3), 9, 10)
+def test_from_value_is_the_subsequence_from_a_value(seq, m, width):
+    # the values >= m read by position, apart from any tail alignment
+    values = [v for v in _first_values(seq, 120) if v >= m]
+    rest = seq.from_value(m)
+    assert rest.prefix == tuple(v for v in seq.prefix if v >= m)
+    assert _first_values(rest, 20) == values[:20]
+    assert seq.values_within(m, m + width) == [v for v in values if v <= m + width]
+    assert seq.values_above(m - 1, width) == values[:width]
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +581,39 @@ def test_construct_L_diagonal_golden():
     assert L.values_within(1, 24) == [4, 6, 10, 12, 16, 18, 22, 24]
 
 
+_REFINED = [EVENS, NATURALS, IndexSequence.arithmetic(5, 3), IndexSequence.table((2, 3, 5), 7, 2),
+            IndexSequence.table((2, 4, 7), 30, 2), IndexSequence.explicit(range(2, 61, 2))]
+
+
+def test_construct_L_stays_inside_its_sequence(monkeypatch):
+    # every call, the nested stages included, returns a subsequence of its M
+    build, calls = verifiers.construct_L, []
+
+    def traced(xi, zeta, M, horizon):
+        L = build(xi, zeta, M, horizon)
+        calls.append((xi, zeta, M, horizon, L))
+        return L
+
+    monkeypatch.setattr(verifiers, "construct_L", traced)
+    grid = [(parse_ordinal(x), finite(z), M, h)
+            for x in ("w", "w+1", "w*2", "w^2") for z in (0, 1, 2) for M in _REFINED
+            for h in (12, 20) if (x, z, h) != ("w^2", 0, 20)]
+    for case in grid:
+        try:
+            traced(*case)
+        except ConstructionError:
+            pass
+    assert len(calls) > len(grid)
+    for xi, zeta, M, horizon, L in calls:
+        values = _first_values(L, 40)
+        assert all(M.position_of(v) is not None for v in values), (xi, zeta, M, horizon, L)
+    # past its diagonal L goes on with M's own values, not by M's step
+    table = IndexSequence.table((2, 4, 7), 30, 2)
+    assert construct_L(OMEGA, ONE, table, 12) == IndexSequence.table((4, 7), 30, 2)
+    assert construct_L(OMEGA, ONE, IndexSequence.explicit(range(2, 61, 2)), 20) == \
+        IndexSequence.explicit((4, 6, 10, 12, 16, 18) + tuple(range(20, 61, 2)))
+
+
 def test_construct_N_reduces_to_L_on_singletons():
     blocks = [(i,) for i in range(2, 12)]
     N = construct_N(finite(1), finite(0), blocks, 40)
@@ -660,7 +724,8 @@ def _split_blocks(E, fam):
 def test_dominance_pass_matches_member_sweep(case):
     lhs, rhs = _criterion_02_inclusions()[case]
     lhs_c, rhs_c = canonicalize(lhs), canonicalize(rhs)
-    minima, inner, labels = _bracket_shape(_kernel(lhs_c))
+    k = _kernel(lhs_c)
+    (minima, inner), labels = k.shape, k.labels
     inner_fam = inner.fam
     for horizon in range(10, 17):
         top, base = len(labels.values_within(1, horizon)), labels.value_at
@@ -706,8 +771,10 @@ def test_dominance_pass_matches_member_sweep(case):
     # a relabeled rhs is not spreading
     (BracketFamily(S(2), A(2)), RelabeledFamily(S(1), EVENS), False, "none", "no exact strategy", None),
     (BracketFamily(S(1), RelabeledFamily(S(1), EVENS)), S(2), False, "none", "too irregular", None),
+    # F(M)(L) is no bracket relabeled once
+    (parse_family("S(1)[A(2)](even)(even)"), S(2), False, "none", "no exact strategy", None),
 ], ids=["S1(even) in S1", "S1(even) in A3", "S1 in S2", "S1 in A3", "Sw in Sw+1", "relabeled rhs",
-        "relabeled inner"])
+        "relabeled inner", "relabeled twice"])
 def test_bracket_inclusion_past_the_sweep(lhs, rhs, ok, method, found, pinned):
     # `pinned` is the pattern count of a certified inclusion, and the
     # counterexample of a failed dominance pass
@@ -916,7 +983,7 @@ def test_kernel_table_clears_with_the_member_memo(monkeypatch):
     # a kernel compiled before a clear is still read as the S(1) it is
     k = families._kernel(S(1))
     families.clear_caches()
-    assert verifiers._bracket_shape(k)[0] is k
+    assert k.shape[0] is k
 
 
 def test_family_hash_is_read_only_and_hidden():

@@ -108,6 +108,18 @@ def test_only_the_kernel_compiler_reads_family_expressions():
         assert not stray, f"{name} dispatches on family expressions in {', '.join(stray)}"
 
 
+def test_verifiers_ask_kernels_for_their_shape():
+    """Which kernels are brackets is known to `families` alone: the
+    verifiers import no bracket or relabeling kernel class, and compare no
+    kernel's family expression."""
+    tree = ast.parse((PACKAGE / "verifiers.py").read_text())
+    imported = {name for node in ast.walk(tree) for name in bound_names(node)}
+    assert not imported & {"_Bracket", "_Relabeled"}
+    compared = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(isinstance(sub, ast.Attribute) and sub.attr == "fam" for sub in ast.walk(node))]
+    assert not compared, f"verifiers.py compares a kernel's family at lines {compared}"
+
+
 # ---------------------------------------------------------------------------
 # the public API
 # ---------------------------------------------------------------------------
