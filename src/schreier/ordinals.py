@@ -32,10 +32,12 @@ class Ordinal(Record, frozen=True):
     """Cantor normal form: tuple of (exponent, coefficient) pairs.
 
     The predicates `is_zero`, `is_successor` and `is_limit` are computed
-    once, at construction, and kept as read-only attributes outside the
-    record fields; the hash, like that of every frozen record, is
-    computed once, on first use.
+    once, at construction, and kept in read-only slots of their own,
+    outside the record fields, as is the predecessor once asked for; the
+    hash, like that of every frozen record, is computed once, on first use.
     """
+
+    __slots__ = ("_predecessor", "is_zero", "is_successor", "is_limit")
 
     terms: Tuple[Tuple["Ordinal", int], ...] = ()
 
@@ -50,13 +52,11 @@ class Ordinal(Record, frozen=True):
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
         successor = bool(self.terms) and self.terms[-1][0].is_zero
-        # frozen: derived attributes go straight into the instance dict
-        vars(self).update(
-            _predecessor=None,
-            is_zero=not self.terms,
-            is_successor=successor,
-            is_limit=bool(self.terms) and not successor,
-        )
+        # frozen: the derived slots are written past the record's __setattr__
+        object.__setattr__(self, "_predecessor", None)
+        object.__setattr__(self, "is_zero", not self.terms)
+        object.__setattr__(self, "is_successor", successor)
+        object.__setattr__(self, "is_limit", bool(self.terms) and not successor)
 
     # -- structure predicates -------------------------------------------------
 
@@ -79,7 +79,8 @@ class Ordinal(Record, frozen=True):
                 raise ValueError(f"{self} is not a successor")
             exp, coeff = self.terms[-1]
             head = self.terms[:-1]
-            vars(self)["_predecessor"] = Ordinal(head + ((exp, coeff - 1),) if coeff > 1 else head)
+            pred = Ordinal(head + ((exp, coeff - 1),) if coeff > 1 else head)
+            object.__setattr__(self, "_predecessor", pred)
         return self._predecessor
 
     @property

@@ -143,11 +143,27 @@ def construct_L(xi: Ordinal, zeta: Ordinal, M: IndexSequence, horizon: int) -> I
     threshold r_n.  Each stage refines the values of the stage before
     that are at least r_n, so every L_n, and L, is a subsequence of M; L
     continues with M's own values after its last diagonal value.
+
+    The nested refinements and thresholds repeat across stages, so each
+    is built once per call, in a memo dropped when the call returns.
     """
+    return _construct_L(xi, zeta, M, horizon, {})
+
+
+def _construct_L(
+    xi: Ordinal, zeta: Ordinal, M: IndexSequence, horizon: int, memo: dict
+) -> IndexSequence:
+    """`construct_L`, reading and filling `memo`, which holds its results
+    under (xi, zeta, M, horizon) and `threshold_search` results under their
+    own arguments (stage, gamma, horizon)."""
+    key = (xi, zeta, M, horizon)
+    if key in memo:
+        return memo[key]
     if xi.is_zero:
         return M
     if xi.is_successor:
-        return construct_L(xi.predecessor(), zeta, M, horizon)
+        memo[key] = L = _construct_L(xi.predecessor(), zeta, M, horizon, memo)
+        return L
 
     target = add(zeta, xi)
     if not target.is_limit:
@@ -161,10 +177,13 @@ def construct_L(xi: Ordinal, zeta: Ordinal, M: IndexSequence, horizon: int) -> I
         while compare(stage, fundamental(target, k_n)) >= 0:
             k_n += 1
         gamma = fundamental(target, k_n)
-        r_n = max(k_n, threshold_search(stage, gamma, horizon).n)
+        found = memo.get((stage, gamma, horizon))
+        if found is None:
+            memo[stage, gamma, horizon] = found = threshold_search(stage, gamma, horizon)
+        r_n = max(k_n, found.n)
         try:
             current = current.from_value(r_n)
-            L_n = construct_L(fundamental(xi, n), zeta, current, horizon)
+            L_n = _construct_L(fundamental(xi, n), zeta, current, horizon, memo)
             ell = L_n.value_at(n)
         except (SequenceExhausted, ConstructionError) as exc:
             raise ConstructionError(
@@ -180,7 +199,8 @@ def construct_L(xi: Ordinal, zeta: Ordinal, M: IndexSequence, horizon: int) -> I
     if not diag:
         raise ConstructionError(f"horizon {horizon} too small to start the diagonal")
     rest = M.from_value(diag[-1] + 1)
-    return IndexSequence(tuple(diag) + rest.prefix, rest.tail_start, rest.tail_step)
+    memo[key] = L = IndexSequence(tuple(diag) + rest.prefix, rest.tail_start, rest.tail_step)
+    return L
 
 
 def construct_L_bracket(xi: Ordinal, zeta: Ordinal, horizon: int) -> IndexSequence:

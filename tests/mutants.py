@@ -4,8 +4,9 @@ Each entry of MUTANTS names a file, an exact source text in it, the text
 that replaces it, and the tests that must fail once it is replaced.  For
 each entry the script copies `src/`, `tests/` and `pyproject.toml` to a
 temporary directory, applies the edit there, runs the named tests, and
-reports the mutant as killed (the tests fail) or survived (they pass).  The
-working tree is never edited.
+reports the mutant as killed (the tests fail, or their modules fail to
+import the mutated package) or survived (they pass).  The working tree is
+never edited.
 
 Run from anywhere, with every entry or only those named:
 
@@ -117,8 +118,8 @@ MUTANTS = [
     Mutant(
         "frozen-hash-constant",
         "src/schreier/reports.py",
-        "            f\"        _setattr(self, '_hash', hash({mine}))\\n\"\n",
-        "            \"        _setattr(self, '_hash', 0)\\n\"\n",
+        "            f\"        _set_hash(self, hash({mine}))\\n\"\n",
+        "            \"        _set_hash(self, 0)\\n\"\n",
         ("tests/test_reports.py::test_record_semantics",),
     ),
     Mutant(
@@ -260,9 +261,24 @@ MUTANTS = [
         "construct-L-continues-by-step",
         "src/schreier/verifiers.py",
         "    rest = M.from_value(diag[-1] + 1)\n"
-        "    return IndexSequence(tuple(diag) + rest.prefix, rest.tail_start, rest.tail_step)\n",
-        "    return IndexSequence.table(diag, diag[-1] + M.tail_step, M.tail_step)\n",
+        "    memo[key] = L = IndexSequence(tuple(diag) + rest.prefix, rest.tail_start, rest.tail_step)\n",
+        "    memo[key] = L = IndexSequence.table(diag, diag[-1] + M.tail_step, M.tail_step)\n",
         ("tests/test_families.py::test_construct_L_stays_inside_its_sequence",),
+    ),
+    Mutant(
+        "construct-L-memo-drops-M",
+        "src/schreier/verifiers.py",
+        "    key = (xi, zeta, M, horizon)\n",
+        "    key = (xi, zeta, horizon, None)\n",
+        ("tests/test_families.py::test_construct_L_stays_inside_its_sequence",),
+    ),
+    Mutant(
+        "construct-L-memo-never-read",
+        "src/schreier/verifiers.py",
+        "    if key in memo:\n"
+        "        return memo[key]\n",
+        "",
+        ("tests/test_families.py::test_construct_L_builds_each_refinement_once",),
     ),
     Mutant(
         "from-value-drops-alignment",
@@ -279,6 +295,35 @@ MUTANTS = [
         "            self.shape = base.shape\n",
         "        self.shape = base.shape\n",
         ("tests/test_families.py::test_bracket_inclusion_past_the_sweep",),
+    ),
+    Mutant(
+        "frozen-init-assigns-through-setattr",
+        "src/schreier/reports.py",
+        "                body.append(f\"_set_{name}(self, {value})\")\n",
+        "                body.append(f\"self.{name} = {value}\")\n",
+        ("tests/test_reports.py::test_record_semantics",),
+    ),
+    Mutant(
+        "frozen-slots-drop-hash",
+        "src/schreier/reports.py",
+        "        ns[\"__slots__\"] = own + (\"_hash\",) if flags.get(\"frozen\") else own\n",
+        "        ns[\"__slots__\"] = own\n",
+        ("tests/test_reports.py::test_frozen_hash_is_cached_outside_the_fields",),
+    ),
+    Mutant(
+        "setstate-carries-the-hash",
+        "src/schreier/reports.py",
+        "        if name != \"_hash\":\n"
+        "            object.__setattr__(self, name, value)\n",
+        "        object.__setattr__(self, name, value)\n",
+        ("tests/test_reports.py::test_records_survive_copy_and_pickle",),
+    ),
+    Mutant(
+        "ordinal-drops-a-derived-slot",
+        "src/schreier/ordinals.py",
+        "    __slots__ = (\"_predecessor\", \"is_zero\", \"is_successor\", \"is_limit\")\n",
+        "    __slots__ = (\"_predecessor\", \"is_zero\", \"is_successor\")\n",
+        ("tests/test_ordinals.py::test_stored_attributes_are_read_only_and_hidden",),
     ),
     Mutant(
         "comment-only",
@@ -309,10 +354,13 @@ def run(mutant: Mutant) -> Tuple[str, str]:
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.tests],
             cwd=copy, capture_output=True, text=True,
         )
-    # 1: some tests failed; 0: all passed; anything else is an error of the run
-    if proc.returncode not in (0, 1):
+    # 1: some tests failed; 0: all passed; a collection error: the mutated
+    # package fails to import, so every named test fails; anything else is
+    # an error of the run
+    broken = "ERROR collecting" in proc.stdout
+    if proc.returncode not in (0, 1) and not broken:
         raise SystemExit(f"{mutant.name}: pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
-    return "killed" if proc.returncode == 1 else "survived", proc.stdout.strip().splitlines()[-1]
+    return "survived" if proc.returncode == 0 else "killed", proc.stdout.strip().splitlines()[-1]
 
 
 def main(names) -> int:

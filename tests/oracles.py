@@ -112,15 +112,24 @@ def members_over_oracle(fam, universe: Sequence[int]) -> List[Tuple[int, ...]]:
 
 def threshold_oracle(xi: Ordinal, zeta: Ordinal, horizon: int):
     """(n, rejections) of the threshold search of S_xi inside S_zeta up to
-    the horizon, from the members of S_xi outside S_zeta among all subsets
-    of [1, horizon]: each candidate n, from 1 on, is rejected by the first
-    such set in DFS (lexicographic) order with min >= n, and the next
-    candidate lies past that set's minimum."""
+    the horizon, from the members of S_xi outside S_zeta with support in
+    [1, horizon]: each candidate n, from 1 on, is rejected by the first such
+    set in DFS (lexicographic) order with min >= n, and the next candidate
+    lies past that set's minimum.
+
+    S_xi is hereditary, so every initial segment of a member is one: the
+    members are grown from the empty set by appending a larger element,
+    each extension decided by `member_exhaustive` alone."""
     fam_xi, fam_zeta = SchreierFamily(xi), SchreierFamily(zeta)
-    escapes = sorted(E for E in _subsets(range(1, horizon + 1))
-                     if E and member_exhaustive(E, fam_xi) and not member_exhaustive(E, fam_zeta))
+    escapes, stack = [], [()]
+    while stack:
+        E = stack.pop()
+        if E and not member_exhaustive(E, fam_zeta):
+            escapes.append(E)
+        grown = (E + (x,) for x in range(E[-1] + 1 if E else 1, horizon + 1))
+        stack.extend(F for F in grown if member_exhaustive(F, fam_xi))
     n, rejections = 1, []
-    for E in escapes:
+    for E in sorted(escapes):
         if E[0] >= n:
             rejections.append((n, E))
             n = max(n + 1, E[0] + 1)

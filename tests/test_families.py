@@ -505,13 +505,18 @@ THRESHOLD_ORDINALS = [finite(0), finite(1), finite(2), finite(3), finite(4), OME
                       omega_power(ONE, 2), omega_power(finite(2))]
 
 
+# pairs checked past the grid's horizons too: (3, w) rejects n = 1 by a
+# member with min 2, a root just below its structural n = 3
+THRESHOLD_PAST_THE_GRID = {(finite(3), OMEGA): (13,)}
+
+
 @pytest.mark.parametrize("xi, zeta", [
     (xi, zeta) for i, xi in enumerate(THRESHOLD_ORDINALS) for zeta in THRESHOLD_ORDINALS[i:]
 ], ids=str)
 def test_threshold_matches_oracle(xi, zeta):
     # the search trusts the structural threshold for every set with a
     # larger minimum; the oracle trusts nothing but the exhaustive decider
-    for horizon in range(6, 11):
+    for horizon in (*range(6, 11), *THRESHOLD_PAST_THE_GRID.get((xi, zeta), ())):
         res = threshold_search(xi, zeta, horizon)
         assert res.minimal and (res.n, res.rejections) == threshold_oracle(xi, zeta, horizon), horizon
 
@@ -587,20 +592,20 @@ _REFINED = [EVENS, NATURALS, IndexSequence.arithmetic(5, 3), IndexSequence.table
 
 def test_construct_L_stays_inside_its_sequence(monkeypatch):
     # every call, the nested stages included, returns a subsequence of its M
-    build, calls = verifiers.construct_L, []
+    build, calls = verifiers._construct_L, []
 
-    def traced(xi, zeta, M, horizon):
-        L = build(xi, zeta, M, horizon)
+    def traced(xi, zeta, M, horizon, memo):
+        L = build(xi, zeta, M, horizon, memo)
         calls.append((xi, zeta, M, horizon, L))
         return L
 
-    monkeypatch.setattr(verifiers, "construct_L", traced)
+    monkeypatch.setattr(verifiers, "_construct_L", traced)
     grid = [(parse_ordinal(x), finite(z), M, h)
             for x in ("w", "w+1", "w*2", "w^2") for z in (0, 1, 2) for M in _REFINED
-            for h in (12, 20) if (x, z, h) != ("w^2", 0, 20)]
+            for h in ((12, 20) if x in ("w", "w+1") else (12, 20, 30))]
     for case in grid:
         try:
-            traced(*case)
+            construct_L(*case)
         except ConstructionError:
             pass
     assert len(calls) > len(grid)
@@ -612,6 +617,24 @@ def test_construct_L_stays_inside_its_sequence(monkeypatch):
     assert construct_L(OMEGA, ONE, table, 12) == IndexSequence.table((4, 7), 30, 2)
     assert construct_L(OMEGA, ONE, IndexSequence.explicit(range(2, 61, 2)), 20) == \
         IndexSequence.explicit((4, 6, 10, 12, 16, 18) + tuple(range(20, 61, 2)))
+
+
+def test_construct_L_builds_each_refinement_once(monkeypatch):
+    # stage n of a limit rebuilds the refinements of the stages below it;
+    # without the memo this call makes 302,316 nested calls and 67,184
+    # threshold searches, on 105 and 44 distinct inputs
+    build, search, calls, searches = verifiers._construct_L, verifiers.threshold_search, [], []
+
+    def traced(xi, zeta, M, horizon, memo):
+        calls.append((xi, zeta, M, horizon))
+        return build(xi, zeta, M, horizon, memo)
+
+    monkeypatch.setattr(verifiers, "_construct_L", traced)
+    monkeypatch.setattr(verifiers, "threshold_search", lambda *a: searches.append(a) or search(*a))
+    L = construct_L(omega_power(finite(2)), finite(0), EVENS, 20)
+    assert _first_values(L, 6) == [2, 8, 12, 14, 18, 20]
+    assert len(set(calls)) == 105 and len(calls) < 200
+    assert len(searches) == len(set(searches)) == 44
 
 
 def test_construct_N_reduces_to_L_on_singletons():

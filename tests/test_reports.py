@@ -5,7 +5,9 @@ field tuple."""
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
+import pickle
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -149,14 +151,40 @@ def test_record_semantics(record, text):
 
 def test_frozen_hash_is_cached_outside_the_fields():
     fam = families.BracketFamily(families.S(2), families.A(3))
-    assert "_hash" not in vars(fam)
+    with pytest.raises(AttributeError):
+        fam._hash  # unset until the first hash
     assert hash(fam) == hash((fam.outer, fam.inner))
-    assert vars(fam)["_hash"] == hash(fam)
+    assert fam._hash == hash(fam)
     with pytest.raises(dataclasses.FrozenInstanceError):
         fam._hash = 0
+    assert fam._hash == hash(fam)
     assert list(to_jsonable(fam)) == ["type", "outer", "inner"]
     assert repr(fam) == ("BracketFamily(outer=SchreierFamily(index=Ordinal[2]), "
                          "inner=CardinalityFamily(bound=3))")
+
+
+def test_records_hold_no_instance_dict():
+    for record, _ in SAMPLES:
+        cls = type(record)
+        assert "__slots__" in vars(cls) and not hasattr(record, "__dict__"), cls.__name__
+        # each field is its slot on the class: its default lives in __init__
+        assert all(isinstance(vars(cls)[name], types.MemberDescriptorType)
+                   for name in cls._fields), cls.__name__
+    with pytest.raises(AttributeError):
+        WitnessReport(True).extra = 1
+
+
+@pytest.mark.parametrize("record, text", SAMPLES, ids=[type(r).__name__ for r, _ in SAMPLES])
+def test_records_survive_copy_and_pickle(record, text):
+    frozen = type(record).__name__ in FROZEN
+    if frozen:
+        hash(record)  # caches _hash
+    for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and repr(twin) == text
+        if frozen:
+            with pytest.raises(AttributeError):
+                twin._hash  # recomputed on first use, not carried over
+            assert hash(twin) == hash(record)
 
 
 def test_no_class_defines_its_own_hash():
