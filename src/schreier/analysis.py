@@ -207,9 +207,11 @@ def l1_lower_candidates(
     """Structured candidate combinations on the l1 sphere: uniform
     coefficients over admissible index sets, lazily: the first
     L1_CANDIDATES_PER_FIRST DFS leaves of `iter_maximal` for each starting
-    index, which need not be maximal (the enumeration is exponential at
-    large horizons; the cap keeps the search structured, not exhaustive,
-    which the reported estimates already acknowledge).
+    index from min_first to limit, which need not be maximal (the
+    enumeration is exponential at large horizons; the cap keeps the search
+    structured, not exhaustive, which the reported estimates already
+    acknowledge).  Needs limit <= len(bs): each leaf lies in
+    [first, limit], and its indices address blocks of bs.
 
     `ones`, a memo that changes no result, holds exact norms of all-ones
     sums: the uniform combination on E is 1/|E| times the all-ones sum
@@ -217,13 +219,7 @@ def l1_lower_candidates(
     if ones is None:
         ones = {}
     for first in range(min_first, limit + 1):
-        taken = 0
-        for E in iter_maximal(fam, first, limit):
-            if taken >= L1_CANDIDATES_PER_FIRST:
-                break
-            if E[0] < min_first or E[-1] > min(limit, len(bs)):
-                continue
-            taken += 1
+        for E in itertools.islice(iter_maximal(fam, first, limit), L1_CANDIDATES_PER_FIRST):
             u = Fraction(1, len(E))
             coeffs = tuple(u for _ in E)
             if E in ones:
@@ -284,11 +280,10 @@ def spreading_profile(
         raise ValueError(f"the horizon must be at least 1, got {horizon}")
     if horizon > len(bs):
         raise ValueError("horizon exceeds available blocks")
-    limit = horizon
-    block_results = [_norm(space, b) for b in bs.blocks[:limit]]
+    block_results = [_norm(space, b) for b in bs.blocks[:horizon]]
     block_norms = [r.value for r in block_results]
-    i_up = max(range(limit), key=lambda i: block_norms[i])
-    i_dn = min(range(limit), key=lambda i: block_norms[i])
+    i_up = max(range(horizon), key=lambda i: block_norms[i])
+    i_dn = min(range(horizon), key=lambda i: block_norms[i])
     witnesses = {
         "l1_upper": ((i_up + 1,), (Fraction(1),)),
         "c0_lower": ((i_dn + 1,), (Fraction(1),)),
@@ -297,7 +292,7 @@ def spreading_profile(
     ones = {(i + 1,): r.value for i, r in enumerate(block_results) if r.exact}
     c0_up = Fraction(0)
     c0_wit = ((), ())
-    for E in _maximal_index_sets(fam, limit):
+    for E in _maximal_index_sets(fam, horizon):
         all_ones = tuple(Fraction(1) for _ in E)
         v = ones.get(E)
         if v is None:
@@ -308,11 +303,11 @@ def spreading_profile(
         if v > c0_up:
             c0_up, c0_wit = v, (E, all_ones)
     witnesses["c0_upper"] = c0_wit
-    l1_low, l1_wit = l1_lower_constant(space, bs, fam, limit, ones=ones)
+    l1_low, l1_wit = l1_lower_constant(space, bs, fam, horizon, ones=ones)
     witnesses["l1_lower"] = l1_wit
     return SpreadingEstimate(
         family=fam,
-        horizon=limit,
+        horizon=horizon,
         l1_lower=l1_low,
         l1_upper=block_norms[i_up],
         c0_lower=block_norms[i_dn],

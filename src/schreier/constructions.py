@@ -54,9 +54,8 @@ if TYPE_CHECKING:
 SQRT_BITS = 40
 # leaves one repeated average may spend (see `_Cursor`)
 MAX_REPEATED_AVERAGE_LEAVES = 20_000
-# restarts per block of `l1_to_c0_blocking`, and the largest stage it uses
+# restarts per block of `l1_to_c0_blocking`
 L1_TO_C0_SCC_BUDGET = 60
-L1_TO_C0_STAGE_CAP = 1
 
 
 def rational_sqrt_below(K: Fraction) -> Fraction:
@@ -236,10 +235,7 @@ def build_l1_average(
             continue
         hit = normed.get((k, s))
         if hit is None:
-            window = bs.blocks[s - 1 : s + k - 1]
-            avg = window[0] * Fraction(1, k)
-            for b in window[1:]:
-                avg = avg + b * Fraction(1, k)
+            avg = combine(bs.blocks[s - 1 : s + k - 1], [Fraction(1, k)] * k)
             hit = normed[(k, s)] = (avg, _exact(space, avg))
         avg, value = hit
         info = {
@@ -372,31 +368,24 @@ def james_blocking_step(
     limit = min(horizon, len(bs))
 
     worst_ratio = Fraction(0)
-    groups: List[Tuple[FinSet, Tuple[Fraction, ...]]] = []
     combos: List[Tuple[FinSet, Tuple[Fraction, ...], Fraction]] = []
     cursor = max(n, limit // 2 + 1)
     while cursor <= limit:
-        found = None
+        # every candidate is the norm of a nonzero vector, so value > 0
         for E, coeffs, value in l1_lower_candidates(space, bs, fam, cursor, limit):
-            if value > 0:
-                ratio = Fraction(1) / value
-                if ratio > worst_ratio:
-                    worst_ratio = ratio
+            ratio = Fraction(1) / value
+            if ratio > worst_ratio:
+                worst_ratio = ratio
             if value < Fraction(1) / t:
-                found = (E, coeffs, value)
+                combos.append((E, coeffs, value))
+                cursor = E[-1] + 1
                 break
-        if found is None:
+        else:
             break
-        E, coeffs, value = found
-        groups.append((E, coeffs))
-        combos.append((E, coeffs, value))
-        cursor = E[-1] + 1
     if combos:
-        raw = block_combine(bs, groups)
-        scaled_blocks = []
-        for block, (_, _, value) in zip(raw.blocks, combos):
-            scaled_blocks.append(block * (Fraction(1) / value))
-        blocking = BlockSequence(tuple(scaled_blocks), raw.origins)
+        raw = block_combine(bs, [(E, coeffs) for E, coeffs, _ in combos])
+        scaled = (block * (Fraction(1) / value) for block, (_, _, value) in zip(raw.blocks, combos))
+        blocking = BlockSequence(tuple(scaled), raw.origins)
         return ImprovedBlocking(
             blocking=blocking,
             support_sets=[E for E, _, _ in combos],
@@ -438,10 +427,10 @@ def two_norm_blocking(
         lower_second, _ = l1_lower_constant(second, current, stage, horizon)
         lower_first, _ = l1_lower_constant(space, current, stage, horizon)
         rounds.append({"round": round_no, "second_lower": lower_second, "first_lower": lower_first})
-        if lower_second > 0 and Fraction(1) / lower_second <= 1 + eps:
-            break
-        K = (Fraction(1) / lower_second) if lower_second > 0 else Fraction(4)
-        if K <= 1:
+        # a norm of a nonzero combination, so lower_second > 0, and a K
+        # past 1 + eps is past 1, as `james_blocking_step` needs
+        K = Fraction(1) / lower_second
+        if K <= 1 + eps:
             break
         step = james_blocking_step(second, current, n, K, horizon, xi)
         if isinstance(step, PropertyPn):
@@ -496,13 +485,13 @@ def l1_to_c0_blocking(
 ) -> Tuple[BlockSequence, List[SccResult]]:
     """Normalised special-convex-combination blocks with shrinking epsilons.
 
-    Block k is a (stage+1, stage, eps/2^(k-1)) combination over the
-    unconsumed tail of the sequence, normalised in the space; the exact
-    certificates are returned alongside.  The stage index is min(k,
-    L1_TO_C0_STAGE_CAP): the canonical hierarchy has supports exponential in the
-    stage, so the desk-scale schedule shrinks the epsilons while the stages
-    are clamped, and every output carries the certificate actually used.
-    Raises `norms._exact`'s errors when the space's norm is not exact.
+    Every block k is a (w^xi[2], w^xi[1], eps/2^(k-1)) combination over
+    the unconsumed tail of the sequence, a (1, 0) one when xi = 0, since
+    w^0 = 1 has no stages; it is normalised in the space, and the exact
+    certificates are returned alongside.  The canonical hierarchy has
+    supports exponential in the stage, so the desk-scale schedule keeps
+    stage 1 for every block and shrinks only the epsilons.  Raises
+    `norms._exact`'s errors when the space's norm is not exact.
     """
     from .norms import _exact
 
@@ -510,19 +499,16 @@ def l1_to_c0_blocking(
     if eps <= 0:
         raise ValueError("need eps > 0")
     base = omega_power(xi)
+    stage_hi = _stage(xi, 2)
+    stage_lo = fundamental(base, 1) if base.is_limit else base.predecessor()
     out_blocks: List[Vector] = []
     out_origins: List[FinSet] = []
     certificates: List[SccResult] = []
     consumed = 0
     for k in range(1, count + 1):
-        stage = min(k, L1_TO_C0_STAGE_CAP)
-        stage_hi = _stage(xi, stage + 1)
-        stage_lo = fundamental(base, stage) if base.is_limit else base.predecessor()
-        tail_blocks = bs.blocks[consumed:]
-        tail_origins = bs.origins[consumed:]
-        if not tail_blocks:
+        tail = BlockSequence(bs.blocks[consumed:], bs.origins[consumed:])
+        if not tail.blocks:
             raise BudgetExhausted(f"ran out of blocks at stage {k}")
-        tail = BlockSequence(tuple(tail_blocks), tuple(tail_origins))
         vec, cert = scc_on_blocks(tail, stage_hi, stage_lo, eps / (2 ** (k - 1)), L1_TO_C0_SCC_BUDGET)
         out_blocks.append(vec * (1 / _exact(space, vec)))
         chosen = set(cert.support_set)

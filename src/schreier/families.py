@@ -459,9 +459,12 @@ class _Kernel:
     member's elements can take: M for F(M), all naturals otherwise.
     `shape` holds the kernels (outer, inner) of F[G], of S_1 = S_1[S_0] and
     of a bracket relabeled once, and None for every other family.
-    `memo` holds the kernel's member answers, keyed by the set."""
+    `sized` marks the size-determined families S_0, S_1 and A_n, whose
+    members are the sets of a feasible size above their minimum.  `memo`
+    holds the kernel's member answers, keyed by the set."""
 
     plain = hereditary = True
+    sized = False
     labels = NATURALS
     shape = None
 
@@ -488,6 +491,8 @@ class _Room(_Kernel):
     """S_0, S_1 and A_n: the state is the room left, `start(x)` at x, so
     every set of a feasible size above its minimum is a member.  `rule(E)`
     names the bound in the witness."""
+
+    sized = True
 
     def __init__(self, fam: Family, start, rule) -> None:
         super().__init__(fam)
@@ -543,12 +548,12 @@ class _Bracket(_Kernel):
     def capped(self, state, left: int):
         return self.outer.capped(state[0], left), self.inner.capped(state[1], left)
 
-    def opens(self, minima: FinSet, E: FinSet) -> bool:
+    def opens(self, minima: FinSet) -> bool:
         """Whether blocks with these minima may start; partial minima
         prune, as every family here keeps initial segments of members."""
         return _member(minima, self.outer).member
 
-    def minima_witness(self, minima: FinSet, E: FinSet) -> Witness:
+    def minima_witness(self, minima: FinSet) -> Witness:
         return _member(minima, self.outer).witness
 
     def split(self, E: FinSet, start: int = 0, minima: FinSet = (), found: tuple = ()):
@@ -559,7 +564,7 @@ class _Bracket(_Kernel):
         if start == len(E):
             return found
         minima += (E[start],)
-        if not self.opens(minima, E):
+        if not self.opens(minima):
             return None
         for end in range(len(E), start, -1):
             res = _member(E[start:end], self.inner)
@@ -574,22 +579,24 @@ class _Bracket(_Kernel):
         if found is None:
             return _NOT_MEMBER
         blocks, wits = zip(*found)
-        minima_witness = self.minima_witness(tuple(b[0] for b in blocks), E)
+        minima_witness = self.minima_witness(tuple(b[0] for b in blocks))
         return MembershipResult(True, SplitWitness(blocks, wits, minima_witness))
 
 
 class _Successor(_Bracket):
-    """S_{x+1} = S_1[S_x]: at most min E blocks, with the minimum fixed by E."""
+    """S_{x+1} = S_1[S_x]: at most min E blocks.  The first block starts at
+    min E, so minima[0] is min E and S_1 decides the minima from their
+    count and their first element alone."""
 
-    def opens(self, minima: FinSet, E: FinSet) -> bool:
-        return len(minima) <= E[0]
+    def opens(self, minima: FinSet) -> bool:
+        return len(minima) <= minima[0]
 
-    def minima_witness(self, minima: FinSet, E: FinSet) -> Witness:
+    def minima_witness(self, minima: FinSet) -> Witness:
         shared = _member_cache.minima
-        key = (len(minima), E[0])
+        key = (len(minima), minima[0])
         hit = shared.get(key)
         if hit is None:
-            hit = shared[key] = LeafWitness(f"d={len(minima)}<=min E={E[0]}")
+            hit = shared[key] = LeafWitness(f"d={len(minima)}<=min E={minima[0]}")
         return hit
 
 
@@ -948,7 +955,7 @@ def family_mass(coeffs: Dict[int, Fraction], fam: Family) -> MassResult:
     k = _kernel(fam)
     best_mass, best_set = 0, ()
 
-    if isinstance(k, _Room):
+    if k.sized:
         ranked = sorted(support, key=weight.__getitem__, reverse=True)
         for m in support:
             room = k.start(m)

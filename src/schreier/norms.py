@@ -432,7 +432,7 @@ class _MixedSession:
         self.pos = x.support()
         self.vals = [v for _, v in x.entries]
         self.absvals = [abs(v) for v in self.vals]
-        self.prefix = self.cover_prefix = list(itertools.accumulate(self.absvals, initial=Fraction(0)))
+        self.cover_prefix = list(itertools.accumulate(self.absvals, initial=Fraction(0)))
         self.fam = SchreierFamily(omega_power(xi))
         self.budget = MIXED_TICK_BUDGET
         self.converged = True
@@ -460,7 +460,7 @@ class _MixedSession:
                 return _cover(self.value, self.cover_memo, a, b, size, False, self.cover_prefix) / size, size
             return None
 
-        best, pieces = _admissible_sum(self.fam, self.pos, self.prefix, i, j, 2, piece, self.absvals[t])
+        best, pieces = _admissible_sum(self.fam, self.pos, self.cover_prefix, i, j, 2, piece, self.absvals[t])
         self.norm_memo[(i, j)] = (best, t if pieces is None else pieces)
         return best
 

@@ -285,13 +285,6 @@ def negate(f: Functional) -> Functional:
     return SumNode(tuple(negate(c) for c in f.children))
 
 
-def _successive_functionals(children: Sequence[Functional]) -> bool:
-    supports = [functional_support(c) for c in children]
-    if any(not s for s in supports):
-        return False
-    return successive(supports)
-
-
 def validate_functional(f: Functional, xi: Ordinal) -> WitnessReport:
     """Check every structural invariant of a norming-set functional.
 
@@ -309,21 +302,19 @@ def validate_functional(f: Functional, xi: Ordinal) -> WitnessReport:
         if isinstance(g, Unit):
             return None
         if isinstance(g, Average):
-            if not _successive_functionals(g.children):
+            if not successive([functional_support(c) for c in g.children]):
                 return "average children must have successive supports"
         elif isinstance(g, SumNode):
-            if not _successive_functionals(g.children):
+            supports = [functional_support(c) for c in g.children]
+            if not successive(supports):
                 return "sum-node children must have successive supports"
             sizes = [c.size for c in g.children]
             if any(s1 >= s2 for s1, s2 in zip(sizes, sizes[1:])):
                 return "sizes not strictly increasing"
-            for prev, nxt in zip(g.children, g.children[1:]):
-                if nxt.size <= functional_support(prev)[-1]:
-                    return (
-                        f"size {nxt.size} does not exceed previous max support "
-                        f"{functional_support(prev)[-1]}"
-                    )
-            minima = tuple(functional_support(c)[0] for c in g.children)
+            for support, nxt in zip(supports, g.children[1:]):
+                if nxt.size <= support[-1]:
+                    return f"size {nxt.size} does not exceed previous max support {support[-1]}"
+            minima = tuple(support[0] for support in supports)
             if not member(minima, fam).member:
                 return f"min-support set {minima} not admissible for the family"
         else:

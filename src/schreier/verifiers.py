@@ -32,7 +32,6 @@ from .families import (
     SchreierFamily,
     SequenceExhausted,
     _Kernel,
-    _Room,
     _kernel,
     _member,
     _walk,
@@ -396,7 +395,7 @@ def _verify_by_dominance(lhs: _Kernel, rhs: _Kernel, horizon: int) -> WitnessRep
     undecided: Optional[FinSet] = None
     # left-packed blocks of feasible size are genuine members of a
     # size-determined inner family; top-packed ones of any spreading one
-    raw_part = 1 if isinstance(inner, _Room) else 2
+    raw_part = 1 if inner.sized else 2
     for _, blocks in _dominance_blocks(minima, inner, labels, horizon):
         patterns += 1
         if patterns > BRACKET_PATTERN_BUDGET:

@@ -90,6 +90,56 @@ MUTANTS = [
         ("tests/test_analysis.py::test_descent_evaluates_every_step_in_budgeted_mixed_space",),
     ),
     Mutant(
+        "descent-reads-ones-whatever-the-scales",
+        "src/schreier/analysis.py",
+        "                    if len(scales) == 1 and sub in ones:\n",
+        "                    if sub in ones:\n",
+        ("tests/test_analysis.py::test_profile_norms_no_vector_twice",
+         "tests/test_analysis.py::test_descent_reads_equal_coefficients_as_scaled_all_ones"),
+    ),
+    Mutant(
+        "descent-drops-the-seen-skip",
+        "src/schreier/analysis.py",
+        "                    if key in seen:\n"
+        "                        continue\n",
+        "",
+        ("tests/test_analysis.py::test_profile_norms_no_vector_twice",
+         "tests/test_analysis.py::test_descent_reads_equal_coefficients_as_scaled_all_ones"),
+    ),
+    Mutant(
+        "descent-evaluates-the-start-again",
+        "src/schreier/analysis.py",
+        "    coeffs = list(start)\n",
+        "    coeffs = list(start)\n"
+        "    value = _norm(space, combine(vectors, coeffs)).value\n",
+        ("tests/test_analysis.py::test_profile_norms_no_vector_twice",
+         "tests/test_analysis.py::test_descent_reads_equal_coefficients_as_scaled_all_ones"),
+    ),
+    Mutant(
+        "profile-seeds-no-singletons",
+        "src/schreier/analysis.py",
+        "    ones = {(i + 1,): r.value for i, r in enumerate(block_results) if r.exact}\n",
+        "    ones = {}\n",
+        ("tests/test_analysis.py::test_profile_norms_no_vector_twice",
+         "tests/test_analysis.py::test_descent_reads_equal_coefficients_as_scaled_all_ones"),
+    ),
+    Mutant(
+        "l1-to-c0-raises-the-stage",
+        "src/schreier/constructions.py",
+        "        vec, cert = scc_on_blocks(tail, stage_hi, stage_lo, eps / (2 ** (k - 1)), L1_TO_C0_SCC_BUDGET)\n",
+        "        vec, cert = scc_on_blocks(tail, _stage(xi, k + 1), fundamental(base, k) if base.is_limit else stage_lo,\n"
+        "                                  eps / (2 ** (k - 1)), L1_TO_C0_SCC_BUDGET)\n",
+        ("tests/test_constructions.py::test_l1_to_c0_blocking_second_stage_is_infeasible",),
+    ),
+    Mutant(
+        "two-norm-ignores-property-pn",
+        "src/schreier/constructions.py",
+        "        if isinstance(step, PropertyPn):\n"
+        "            break\n",
+        "",
+        ("tests/test_constructions.py::test_two_norm_blocking_stops_on_property_pn",),
+    ),
+    Mutant(
         "admissible-size-ignores-max-support",
         "src/schreier/norms.py",
         "        size = max(floor, prev_size + 1, prev_max + 1)\n",
@@ -245,9 +295,16 @@ MUTANTS = [
     Mutant(
         "successor-leaf-keyed-by-size",
         "src/schreier/families.py",
-        "        key = (len(minima), E[0])\n",
+        "        key = (len(minima), minima[0])\n",
         "        key = len(minima)\n",
         ("tests/test_families.py::test_witnesses_pinned",),
+    ),
+    Mutant(
+        "successor-opens-reads-last-minimum",
+        "src/schreier/families.py",
+        "        return len(minima) <= minima[0]\n",
+        "        return len(minima) <= minima[-1]\n",
+        ("tests/test_families.py::test_greedy_equals_exhaustive_small",),
     ),
     Mutant(
         "memo-count-skips-store",

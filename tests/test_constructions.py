@@ -232,6 +232,8 @@ def test_james_step_l1_is_certificate():
     cert = james_blocking_step(L1, BlockSequence.basis(20), 1, Fraction(4), 20)
     assert isinstance(cert, PropertyPn)
     assert cert.verified_constant == 1
+    with pytest.raises(ValueError, match="need K > 1"):
+        james_blocking_step(L1, BlockSequence.basis(20), 1, Fraction(1), 20)
 
 
 def test_james_step_c0_blocks():
@@ -282,6 +284,33 @@ def test_two_norm_blocking_runs_on_s1_at_xi_zero():
     assert report["rounds"][0] == {"round": 0, "second_lower": Fraction(1, 4), "first_lower": 1}
 
 
+def test_two_norm_blocking_stops_on_property_pn():
+    # the lower constant 1/2 is the first block's own norm; in the right
+    # half of the window, where the step searches, no combination falls
+    # below 1/t, so the step certifies P_1 and the sequence stays as it is
+    bs = BlockSequence(tuple(vec((i, c)) for i, c in enumerate((Fraction(-1, 2), 1, Fraction(-5, 3), 3), 1)))
+    step = james_blocking_step(T, bs, 1, Fraction(2), 4)
+    assert isinstance(step, PropertyPn) and step.verified_constant == Fraction(2, 3)
+    out, report = two_norm_blocking(L1, T, bs, Fraction(1, 2), 4)
+    assert out == bs
+    assert report["rounds"] == [{"round": 0, "second_lower": Fraction(1, 2), "first_lower": Fraction(1, 2)}]
+
+
+def test_two_norm_blocking_with_a_float_second_norm():
+    # lp measures floats, so K = 1/lower is a float, which the step reads
+    # exactly; the one block of round 0 is normalised in lp, whose constant
+    # 1.0 stops round 1
+    out, report = two_norm_blocking(L1, LpSpace(3.0), BlockSequence.basis(4), Fraction(1, 10), 4)
+    lower = 2 ** (-2 / 3)  # |(e_3 + e_4)/2| in lp(3)
+    scale = Fraction(1 / lower)
+    assert report["rounds"] == [
+        {"round": 0, "second_lower": lower, "first_lower": 1},
+        {"round": 1, "second_lower": 1.0, "first_lower": scale},
+    ]
+    assert out.origins == ((3, 4),)
+    assert out.blocks[0] == vec((3, scale / 2), (4, scale / 2))
+
+
 def test_two_norm_blocking_rejects_bad_eps():
     with pytest.raises(ValueError):
         two_norm_blocking(L1, C0, BlockSequence.basis(8), Fraction(0), 8)
@@ -310,6 +339,8 @@ def test_l1_to_c0_blocking_in_tsirelson():
     assert norm(T, out.blocks[0]).value == 1
     assert certs[0].eps == Fraction(1, 2)
     assert certs[0].reverify()
+    with pytest.raises(ValueError, match="need eps > 0"):
+        l1_to_c0_blocking(T, bs, finite(1), Fraction(0), count=1)
 
 
 def test_l1_to_c0_blocking_second_stage_is_infeasible():
@@ -317,5 +348,23 @@ def test_l1_to_c0_blocking_second_stage_is_infeasible():
     # the canonical hierarchy needs exponentially many blocks from there;
     # the builder must fail cleanly rather than grind
     bs = BlockSequence.basis(60)
-    with pytest.raises(BudgetExhausted):
+    # the second block is a (2, 1) combination too, at half the epsilon
+    with pytest.raises(BudgetExhausted, match=r"no \(2, 1, 1/4\) combination"):
         l1_to_c0_blocking(T, bs, finite(1), Fraction(1, 2), count=2)
+
+
+def test_l1_to_c0_blocking_halves_epsilon_at_one_stage():
+    # S_{w^0} = S_1: every block is a (1, 0) combination, an average of as
+    # many basis blocks as its first index, at eps/2^(k-1); each starts
+    # past the support of the one before
+    bs = BlockSequence.basis(40)
+    out, certs = l1_to_c0_blocking(T, bs, ZERO, Fraction(1, 2), count=3)
+    assert [(c.xi, c.zeta, c.eps) for c in certs] == [
+        (finite(1), ZERO, Fraction(1, 2 ** k)) for k in (1, 2, 3)]
+    assert [c.support_set for c in certs] == [tuple(range(3, 6)), tuple(range(6, 12)), tuple(range(12, 24))]
+    assert out.origins == tuple(c.support_set for c in certs)
+    assert all(c.reverify() for c in certs)
+    assert all(norm(T, b).value == 1 for b in out.blocks)
+    # the first block takes the last of five, so none is left for the second
+    with pytest.raises(BudgetExhausted, match="ran out of blocks at stage 2"):
+        l1_to_c0_blocking(T, BlockSequence.basis(5), ZERO, Fraction(1, 2), count=3)

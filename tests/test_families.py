@@ -372,6 +372,14 @@ def test_spread_of_examples():
         spread_of((1, 2), (3,))
 
 
+def test_finset_examples():
+    assert finset([5, 2, 5, 3]) == (2, 3, 5)
+    assert finset(()) == ()
+    for bad in ([0, 2], [3, -1]):
+        with pytest.raises(ValueError, match="naturals >= 1"):
+            finset(bad)
+
+
 def test_relabel_set():
     M = IndexSequence.explicit([4, 7, 9, 15])
     assert M.apply((1, 3)) == (4, 9)

@@ -196,6 +196,14 @@ def test_no_class_defines_its_own_hash():
     assert own == []
 
 
+def test_verdicts_decide_truthiness():
+    # a membership answer and a report are true exactly when they hold,
+    # whatever else they carry
+    for verdict in (True, False):
+        assert bool(families.MembershipResult(verdict, LEAF)) is verdict
+        assert bool(WitnessReport(verdict, detail="d", witness=LEAF, stats={"n": 1})) is verdict
+
+
 def test_factory_defaults_are_fresh():
     a, b = WitnessReport(True), WitnessReport(True)
     assert a.stats == {} and a.stats is not b.stats
