@@ -377,7 +377,7 @@ def _candidate_vectors(space: NormSpace, bs: BlockSequence) -> List[Tuple[str, V
         except (BudgetExhausted, ValueError):
             continue
         total = combine(ris.blocks, [1] * len(ris.blocks))
-        indices = tuple(sorted(set(itertools.chain.from_iterable(ris.origins))))
+        indices = ris.origin(range(1, len(ris) + 1))
         out.append((f"ris{sizes}", total * (Fraction(1) / _exact(space, total)), indices))
     return out
 
@@ -532,7 +532,7 @@ def interval_distortion_experiment(
         else "combined index set escapes the target family",
         witness=membership.witness,
         counterexample=None if membership.member else combined,
-        certified_horizon=INTERVAL_EXPERIMENT_HORIZON,
+        certified_horizon=combined[-1],
     )
     if combined[-1] > INTERVAL_EXPERIMENT_HORIZON:
         return IntervalExperimentReport(

@@ -231,7 +231,7 @@ def _cmd_distort(args) -> int:
     fam = parsing.parse_family(args.family)
     t = _parse_fraction(args.t)
     if args.sub == "search":
-        bs = _load_blocks(args.blocks, default_length=24)
+        bs = _load_blocks(args.blocks, default_length=analysis.CORPUS_LENGTH)
         report = analysis.distortion_witness(space, spec, fam, bs, t,
                                              corpus_label=args.blocks or "basis")
         return _emit(args, {"corpus": report.corpus_label, "found": report.found is not None,
@@ -296,12 +296,15 @@ def _verify_refinement(args):
             families.BracketFamily(SchreierFamily(xi), SchreierFamily(zeta)), L
         )
         return families.verify_bracket_inclusion(lhs, target, horizon)
+    # blocks of sizes 2, 3, 4, ... lie in S_1, which every S_zeta with
+    # zeta >= 1 contains; S_0 holds only singletons
+    grow = 0 if zeta.is_zero else 1
     blocks = []
     start = 2
-    size = 2
+    size = 1 + grow
     while start + size - 1 <= horizon // 2:
         blocks.append(tuple(range(start, start + size)))
-        start, size = start + size, size + 1
+        start, size = start + size, size + grow
     N = families.construct_N(xi, zeta, blocks, horizon)
     return families.verify_union_property(N, blocks, xi, zeta)
 

@@ -102,7 +102,7 @@ class _Cursor:
     canonical hierarchy has supports that grow exponentially in the level,
     so deep restarts must fail cleanly instead of filling memory)."""
 
-    def __init__(self, seq: IndexSequence, offset: int = 0):
+    def __init__(self, seq: IndexSequence, offset: int):
         self.seq = seq
         self.pos = offset + 1
         self.remaining = MAX_REPEATED_AVERAGE_LEAVES
@@ -440,16 +440,8 @@ def two_norm_blocking(
         for first in range(1, limit + 1):
             probe = tuple(range(first, min(first + first, limit) + 1))
             if member(probe, fam).member:
-                union = tuple(
-                    sorted(
-                        set(
-                            i
-                            for b in probe
-                            for i in step.blocking.origins[b - 1]
-                        )
-                    )
-                )
-                if union and not member(union, fam).member:
+                union = step.blocking.origin(probe)
+                if not member(union, fam).member:
                     raise RuntimeError(
                         f"support tracking violated for index set {probe}: union {union}"
                     )
@@ -513,8 +505,7 @@ def l1_to_c0_blocking(
         out_blocks.append(vec * (1 / _exact(space, vec)))
         chosen = set(cert.support_set)
         used = [i + 1 for i, b in enumerate(tail.blocks) if b.support()[0] in chosen]
-        origin = tuple(sorted(set(i for u in used for i in tail.origins[u - 1])))
-        out_origins.append(origin)
+        out_origins.append(tail.origin(used))
         consumed += max(used)
         certificates.append(cert)
     return BlockSequence(tuple(out_blocks), tuple(out_origins)), certificates

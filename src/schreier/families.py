@@ -455,7 +455,8 @@ class _Kernel:
     """The compiled form of one family expression.  `plain` marks families
     built from S and A by brackets only, hereditary and spreading; F(M) is
     hereditary, in general not spreading, when F is, and `hereditary` marks
-    F[G] only for F plain and G hereditary.  `labels` holds every value a
+    F[G] only for F plain and G hereditary, the brackets `_kernel` compiles
+    to `_Bracket`.  `labels` holds every value a
     member's elements can take: M for F(M), all naturals otherwise.
     `shape` holds the kernels (outer, inner) of F[G], of S_1 = S_1[S_0] and
     of a bracket relabeled once, and None for every other family.
@@ -528,7 +529,6 @@ class _Bracket(_Kernel):
         self.outer, self.inner = outer, inner
         self.shape = outer, inner
         self.plain = outer.plain and inner.plain
-        self.hereditary = outer.plain and inner.hereditary
 
     def start(self, x: int):
         outer, inner = self.outer.start(x), self.inner.start(x)
@@ -603,6 +603,7 @@ class _Successor(_Bracket):
 class _SetBracket(_Bracket):
     """F[G] with a relabeled F or a non-hereditary G: its state is E; a push asks member."""
 
+    hereditary = False
     def start(self, x: int):
         return self.push((), x)
 

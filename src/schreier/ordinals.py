@@ -187,8 +187,6 @@ def fundamental(limit: Ordinal, n: int) -> Ordinal:
             tail_value = Ordinal(((beta, n),))
     else:
         tail_value = Ordinal(((fundamental(exp, n), 1),))
-    if tail_value.is_zero:
-        return Ordinal(head)
     return add(Ordinal(head), tail_value)
 
 

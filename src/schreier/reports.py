@@ -47,82 +47,47 @@ def _frozen_setstate(self, state) -> None:
 
 
 class _Slotted(type):
-    """Creates every record class with `__slots__`, so that no record has an
-    instance dict: the slots a class declares itself, then its fields, then
-    `_hash` for a frozen one.
+    """Creates every record class, `Record` aside, in one hook: the class
+    gets `__slots__`, so that no record has an instance dict (the slots it
+    declares itself, then its fields, then `_hash` for a frozen one), and
+    then its generated methods.
 
     A class attribute of a slot's name would replace the slot, so the field
-    defaults leave the namespace before `type.__new__` and wait in
-    `_defaults` for `Record.__init_subclass__`, which runs inside it and
-    takes them.  The class keywords (`frozen=`) pass on to it unchanged.
+    defaults leave the namespace before `type.__new__`; the generated
+    `__init__` alone keeps them.
     """
 
-    def __new__(mcls, name, bases, ns, **flags):
-        fields = tuple(ns.get("__annotations__", ()))
-        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
-        own = (*ns.get("__slots__", ()), *fields)
-        ns["__slots__"] = own + ("_hash",) if flags.get("frozen") else own
-        return super().__new__(mcls, name, bases, ns, **flags)
-
-
-class Record(metaclass=_Slotted):
-    """A value record: the fields are the subclass's annotations, in order.
-
-    A value the class body gives a field's name is its default (a
-    `Factory` makes one per record).  The subclass gets an `__init__`
-    taking the fields in order, which then calls `__post_init__` if the
-    class has one; `==` between records of the same class comparing the
-    field tuples; and the repr `Name(field=value, ...)`.  Methods the
-    class defines itself are kept.  `class R(Record, frozen=True)` makes
-    the record immutable: assigning or deleting an attribute raises
-    `FrozenInstanceError`, and the hash is that of the field tuple.  A
-    frozen record computes it on first use and keeps it in the read-only
-    slot `_hash`, outside the fields: ordinals and family expressions key
-    every family memo, and hashing their nested fields afresh on each
-    lookup dominated those.  Other records are mutable and unhashable.
-
-    Records hold no instance dict: each class has `__slots__` for its
-    fields (see `_Slotted`), and a frozen `__init__` writes them through
-    the slot descriptors.  The defaults live in the generated `__init__`
-    alone, not as class attributes.  A record keeps state other than its
-    fields only in slots it declares itself, in `__slots__`, as `Ordinal`
-    does for its predecessor and predicates.
-
-    These are the semantics of `dataclasses.dataclass`, and the methods
-    are generated from source once per class as it does, but without the
-    import of `dataclasses` (and `inspect`) and its per-class cost, which
-    every command paid at start-up.
-    """
-
-    _fields = ()
-
-    def __init_subclass__(cls, frozen: bool = False) -> None:
-        names = tuple(cls.__dict__.get("__annotations__", ()))
-        defaults = cls.__dict__["_defaults"]
-        del cls._defaults
-        ns: Dict[str, Any] = {"_MISSING": _MISSING}
+    def __new__(mcls, name, bases, ns, frozen: bool = False):
+        names = tuple(ns.get("__annotations__", ()))
+        defaults = {f: ns.pop(f) for f in names if f in ns}
+        own = (*ns.get("__slots__", ()), *names)
+        ns["__slots__"] = own + ("_hash",) if frozen else own
+        cls = super().__new__(mcls, name, bases, ns)
+        if not bases:
+            return cls
+        gen: Dict[str, Any] = {"_MISSING": _MISSING}
         params, body = [], []
-        for name in names:
-            value = name
-            default = defaults.get(name, _MISSING)
+        for field in names:
+            value = field
+            default = defaults.get(field, _MISSING)
             if isinstance(default, Factory):
-                ns[f"_make_{name}"] = default.make
-                params.append(f"{name}=_MISSING")
-                value = f"_make_{name}() if {name} is _MISSING else {name}"
+                gen[f"_make_{field}"] = default.make
+                params.append(f"{field}=_MISSING")
+                value = f"_make_{field}() if {field} is _MISSING else {field}"
             elif default is not _MISSING:
-                ns[f"_default_{name}"] = default
-                params.append(f"{name}=_default_{name}")
+                gen[f"_default_{field}"] = default
+                params.append(f"{field}=_default_{field}")
             else:
-                params.append(name)
+                params.append(field)
             if frozen:
-                ns[f"_set_{name}"] = cls.__dict__[name].__set__
-                body.append(f"_set_{name}(self, {value})")
+                gen[f"_set_{field}"] = cls.__dict__[field].__set__
+                body.append(f"_set_{field}(self, {value})")
             else:
-                body.append(f"self.{name} = {value}")
+                body.append(f"self.{field} = {value}")
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
         if frozen:
-            ns["_set_hash"] = cls.__dict__["_hash"].__set__
+            gen["_set_hash"] = cls.__dict__["_hash"].__set__
         mine = "(" + "".join(f"self.{n}, " for n in names) + ")"
         theirs = "(" + "".join(f"other.{n}, " for n in names) + ")"
         shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
@@ -141,18 +106,52 @@ class Record(metaclass=_Slotted):
             "        return self._hash\n"
             "def __repr__(self):\n"
             f"    return f'{cls.__qualname__}({shown})'\n",
-            ns,
+            gen,
         )
         for method in ("__init__", "__eq__", "__repr__"):
             if method not in cls.__dict__:
-                setattr(cls, method, ns[method])
+                setattr(cls, method, gen[method])
         if cls.__dict__.get("__hash__") is None:
-            cls.__hash__ = ns["__hash__"] if frozen else None
+            cls.__hash__ = gen["__hash__"] if frozen else None
         if frozen:
             cls.__setattr__ = _frozen_setattr
             cls.__delattr__ = _frozen_delattr
             cls.__setstate__ = _frozen_setstate
         cls._fields = names
+        return cls
+
+
+class Record(metaclass=_Slotted):
+    """A value record: the fields are the subclass's annotations, in order.
+
+    A value the class body gives a field's name is its default (a
+    `Factory` makes one per record).  The subclass gets an `__init__`
+    taking the fields in order, which then calls `__post_init__` if the
+    class has one; `==` between records of the same class comparing the
+    field tuples; and the repr `Name(field=value, ...)`.  Methods the
+    class defines itself are kept.  `class R(Record, frozen=True)` makes
+    the record immutable: assigning or deleting an attribute raises
+    `FrozenInstanceError`, and the hash is that of the field tuple.  A
+    frozen record computes it on first use and keeps it in the read-only
+    slot `_hash`, outside the fields: ordinals and family expressions key
+    every family memo, and hashing their nested fields afresh on each
+    lookup dominated those.  Other records are mutable and unhashable.
+
+    Records hold no instance dict: `_Slotted`, the metaclass, creates each
+    subclass with `__slots__` for its fields and generates its methods in
+    the same hook, and a frozen `__init__` writes the fields through the
+    slot descriptors.  The defaults live in the generated `__init__`
+    alone, not as class attributes.  A record keeps state other than its
+    fields only in slots it declares itself, in `__slots__`, as `Ordinal`
+    does for its predecessor and predicates.
+
+    These are the semantics of `dataclasses.dataclass`, and the methods
+    are generated from source once per class as it does, but without the
+    import of `dataclasses` (and `inspect`) and its per-class cost, which
+    every command paid at start-up.
+    """
+
+    _fields = ()
 
 
 class WitnessReport(Record):

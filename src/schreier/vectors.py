@@ -24,7 +24,6 @@ validity decidable.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -141,8 +140,8 @@ class BlockSequence(Record, frozen=True):
 
     `origins` records, per block, the set of indices of the underlying
     basis-or-original sequence the block was combined from; fresh
-    sequences default to singletons.  Composed blockings compose origins,
-    which is what the support-tracking arguments need.
+    sequences default to singletons.  Composed blockings compose origins
+    through `origin`, which is what the support-tracking arguments need.
     """
 
     blocks: Tuple[Vector, ...]
@@ -171,6 +170,11 @@ class BlockSequence(Record, frozen=True):
 
     def __getitem__(self, i: int) -> Vector:
         return self.blocks[i]
+
+    def origin(self, E: Iterable[int]) -> FinSet:
+        """The sorted union of the origins of the blocks at the 1-based
+        positions E."""
+        return tuple(sorted({j for i in E for j in self.origins[i - 1]}))
 
 
 def block_combine(
@@ -201,10 +205,7 @@ def block_combine(
         if vec.is_zero:
             raise ValueError("a group combined to the zero vector")
         new_blocks.append(vec)
-        origin = sorted(
-            set(itertools.chain.from_iterable(bs.origins[j - 1] for j in idx))
-        )
-        new_origins.append(tuple(origin))
+        new_origins.append(bs.origin(idx))
     return BlockSequence(tuple(new_blocks), tuple(new_origins))
 
 

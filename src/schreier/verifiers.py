@@ -287,33 +287,30 @@ def _max_block_size(inner: _Kernel, first: int, window: Sequence[int]) -> int:
 
 def _dominance_blocks(
     minima: _Kernel, inner: _Kernel, labels: IndexSequence, horizon: int
-) -> Iterator[Tuple[FinSet, List[Tuple[FinSet, FinSet, FinSet]]]]:
+) -> Iterator[Tuple[FinSet, List[Tuple[FinSet, FinSet]]]]:
     """Each nonempty minima pattern of a bracket shape within the horizon,
-    with what each of its blocks contributes: (compressed, left_packed,
-    top_packed).
+    with what each of its blocks contributes: a (compressed, raw) pair.
 
     Minima patterns are the members of the minima family among the
     positions 1..top of the labels L of the whole bracket within the
     horizon.  Block i runs from its minimum a up to, not including, the
     next minimum (past top for the last block), and holds at most k =
     `_max_block_size` inner elements.  Its compressed part is the k values
-    from L(a), its left-packed part a..a+k-1 and its top-packed part a with
-    the k-1 largest values of its window, a genuine inner member by
-    spreading.  With the inner family fixed, a block depends on a and the
-    next minimum alone, so each such pair is worked out once per call.
+    from L(a).  Its raw part is a genuine inner member of size k: the
+    left-packed a..a+k-1 when the inner family is size-determined, else
+    a with the k-1 largest values of its window, a member by spreading.
+    With the inner family fixed, a block depends on a and the next
+    minimum alone, so each such pair is worked out once per call.
     """
     values = labels.values_within(1, horizon)
     top = len(values)
-    contributions: Dict[Tuple[int, int], Tuple[FinSet, FinSet, FinSet]] = {}
+    contributions: Dict[Tuple[int, int], Tuple[FinSet, FinSet]] = {}
 
-    def block(a: int, nxt: int) -> Tuple[FinSet, FinSet, FinSet]:
+    def block(a: int, nxt: int) -> Tuple[FinSet, FinSet]:
         k = _max_block_size(inner, a, range(a + 1, nxt))
         base = values[a - 1]
-        contributions[a, nxt] = parts = (
-            tuple(range(base, base + k)),
-            tuple(range(a, a + k)),
-            (a,) + tuple(range(nxt - k + 1, nxt)),
-        )
+        raw = tuple(range(a, a + k)) if inner.sized else (a,) + tuple(range(nxt - k + 1, nxt))
+        contributions[a, nxt] = parts = tuple(range(base, base + k)), raw
         return parts
 
     for Apat, _, _, _ in _walk(minima.fam, minima.labels.values_within(1, top)):
@@ -393,9 +390,6 @@ def _verify_by_dominance(lhs: _Kernel, rhs: _Kernel, horizon: int) -> WitnessRep
 
     patterns = 0
     undecided: Optional[FinSet] = None
-    # left-packed blocks of feasible size are genuine members of a
-    # size-determined inner family; top-packed ones of any spreading one
-    raw_part = 1 if inner.sized else 2
     for _, blocks in _dominance_blocks(minima, inner, labels, horizon):
         patterns += 1
         if patterns > BRACKET_PATTERN_BUDGET:
@@ -407,7 +401,7 @@ def _verify_by_dominance(lhs: _Kernel, rhs: _Kernel, horizon: int) -> WitnessRep
         # directly; comp is empty only when no block takes an element
         comp = tuple(itertools.chain.from_iterable([b[0] for b in blocks]))
         if comp and not _member(comp, rhs).member:
-            raw = tuple(itertools.chain.from_iterable(b[raw_part] for b in blocks))
+            raw = tuple(itertools.chain.from_iterable(b[1] for b in blocks))
             genuine = labels.apply(raw)
             if _member(genuine, lhs).member and not _member(genuine, rhs).member:
                 return WitnessReport(

@@ -356,14 +356,14 @@ MUTANTS = [
     Mutant(
         "frozen-init-assigns-through-setattr",
         "src/schreier/reports.py",
-        "                body.append(f\"_set_{name}(self, {value})\")\n",
-        "                body.append(f\"self.{name} = {value}\")\n",
+        "                body.append(f\"_set_{field}(self, {value})\")\n",
+        "                body.append(f\"self.{field} = {value}\")\n",
         ("tests/test_reports.py::test_record_semantics",),
     ),
     Mutant(
         "frozen-slots-drop-hash",
         "src/schreier/reports.py",
-        "        ns[\"__slots__\"] = own + (\"_hash\",) if flags.get(\"frozen\") else own\n",
+        "        ns[\"__slots__\"] = own + (\"_hash\",) if frozen else own\n",
         "        ns[\"__slots__\"] = own\n",
         ("tests/test_reports.py::test_frozen_hash_is_cached_outside_the_fields",),
     ),
@@ -381,6 +381,28 @@ MUTANTS = [
         "    __slots__ = (\"_predecessor\", \"is_zero\", \"is_successor\", \"is_limit\")\n",
         "    __slots__ = (\"_predecessor\", \"is_zero\", \"is_successor\")\n",
         ("tests/test_ordinals.py::test_stored_attributes_are_read_only_and_hidden",),
+    ),
+    Mutant(
+        "origin-reads-the-next-block",
+        "src/schreier/vectors.py",
+        "        return tuple(sorted({j for i in E for j in self.origins[i - 1]}))\n",
+        "        return tuple(sorted({j for i in E for j in self.origins[i]}))\n",
+        ("tests/test_vectors.py::test_block_combine_composes_origins",
+         "tests/test_constructions.py::test_l1_to_c0_blocking_halves_epsilon_at_one_stage"),
+    ),
+    Mutant(
+        "set-bracket-splits-greedily",
+        "src/schreier/families.py",
+        "    hereditary = False\n",
+        "    hereditary = True\n",
+        ("tests/test_families.py::test_member_matches_exhaustive_on_expressions",),
+    ),
+    Mutant(
+        "dominance-raw-part-by-unsized",
+        "src/schreier/verifiers.py",
+        "        raw = tuple(range(a, a + k)) if inner.sized else",
+        "        raw = tuple(range(a, a + k)) if not inner.sized else",
+        ("tests/test_families.py::test_dominance_pass_matches_member_sweep",),
     ),
     Mutant(
         "comment-only",

@@ -506,13 +506,14 @@ def test_experiment_small_scale():
 
 def test_experiment_past_its_horizon_evaluates_no_norm(monkeypatch):
     # n = 2, k = 29 puts the last z coordinate at 2k + 4n - 1 = 65, one past
-    # the horizon: the run reports the membership and no ratio
+    # the horizon: the run reports the membership, decided up to 65, and no
+    # ratio
     assert analysis.INTERVAL_EXPERIMENT_HORIZON == 64
     monkeypatch.setattr(analysis, "_norm", None)
     rep = interval_distortion_experiment(finite(1), 2, 29, Fraction(1, 10))
     assert rep.achieved_ratio is None and rep.budget_exhausted
     assert rep.details == {"reason": "horizon too small"}
-    assert rep.membership.ok and rep.membership.certified_horizon == 64
+    assert rep.membership.ok and rep.membership.certified_horizon == 65
     assert rep.formula_value == predicted_interval_ratio(2, 29, Fraction(1, 10))
 
 

@@ -563,7 +563,6 @@ def test_parse_error_exit(capsys):
     ["distort", "search", "--space", "T", "--second", "interval:2", "--family", "S(1)",
      "--t", "1"],
     ["distort", "baseline", "--space", "c0", "--second", "interval:3", "--t", "1/2"],
-    ["verify", "refinement", "--which", "union", "--xi", "1", "--zeta", "0", "--horizon", "10"],
 ])
 def test_usage_error_exit(capsys, tmp_path, argv):
     argv = list(argv)
@@ -638,6 +637,8 @@ USAGE = json.loads((Path(__file__).parent / "cli_usage.json").read_text())
 def test_help_and_usage_errors_are_unchanged(capsys, monkeypatch, tmp_path, case):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)  # a case may write its --out report here
+    if "corpus" in case:  # or read its --blocks corpus from here
+        (tmp_path / "corpus.json").write_text(json.dumps(case["corpus"]))
     try:
         code = main(list(case["argv"]))
     except SystemExit as exc:  # --help prints and exits 0

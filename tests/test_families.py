@@ -751,9 +751,12 @@ def _split_blocks(E, fam):
     return wit.blocks
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 def test_dominance_pass_matches_member_sweep(case):
-    lhs, rhs = _criterion_02_inclusions()[case]
+    # the criterion's inner families are all S_1; a fourth inclusion has
+    # an inner family that is not size-determined
+    lhs, rhs = [*_criterion_02_inclusions(),
+                (BracketFamily(RelabeledFamily(S(1), EVENS), S(2)), S(3))][case]
     lhs_c, rhs_c = canonicalize(lhs), canonicalize(rhs)
     k = _kernel(lhs_c)
     (minima, inner), labels = k.shape, k.labels
@@ -763,14 +766,18 @@ def test_dominance_pass_matches_member_sweep(case):
         pass_blocks = dict(_dominance_blocks(minima, inner, labels, horizon))
         # each block against a `_walk` sweep of the inner family in its window
         for Apat, blocks in pass_blocks.items():
-            for i, (a, (comp, left, top_packed)) in enumerate(zip(Apat, blocks)):
+            for i, (a, (comp, raw)) in enumerate(zip(Apat, blocks)):
                 upper = Apat[i + 1] - 1 if i + 1 < len(Apat) else top
                 k = max(len(E) for E, _, _, _ in _walk(inner_fam, range(a + 1, upper + 1), (a,)))
                 assert comp == tuple(range(base(a), base(a) + k)), (horizon, Apat, i)
-                assert left == tuple(range(a, a + k)), (horizon, Apat, i)
-                assert len(top_packed) == k and top_packed[0] == a, (horizon, Apat, i)
-                assert k == 1 or top_packed[-1] == upper, (horizon, Apat, i)
-                assert member(top_packed, inner_fam).member, (horizon, Apat, i)
+                # one raw part: left-packed for a sized inner family,
+                # else top-packed, which spreading makes a member
+                if inner.sized:
+                    assert raw == tuple(range(a, a + k)), (horizon, Apat, i)
+                else:
+                    assert len(raw) == k and raw[0] == a, (horizon, Apat, i)
+                    assert k == 1 or raw[-1] == upper, (horizon, Apat, i)
+                    assert member(raw, inner_fam).member, (horizon, Apat, i)
         # every lhs member of the sweep splits into blocks that fit the
         # pass's blocks for the same minima
         for E, _, _, _ in _walk(lhs_c, range(1, horizon + 1)):
